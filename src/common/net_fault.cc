@@ -101,7 +101,7 @@ int NetFaultInjector::Decide(const char* op, const std::string& endpoint,
       return 0;
     case NetFaultKind::kStall:
       // The stand-in sleep keeps sweeps fast; ETIMEDOUT is exactly what the
-      // caller's SO_RCVTIMEO would produce on a peer that never answers.
+      // caller's receive timeout reports on a peer that never answers.
       *sleep_seconds = plan_.delay_seconds;
       return ETIMEDOUT;
   }

@@ -65,9 +65,9 @@ struct NetFaultPlan {
 /// network-edge sibling of storage::FaultInjector. Disarmed (the default)
 /// it costs one relaxed atomic load per socket operation.
 ///
-/// Thread-safe: scatter threads and server connection threads consult the
-/// same plan; any sleep a fault calls for happens OUTSIDE the injector's
-/// mutex so a stalled op never wedges unrelated connections.
+/// Thread-safe: router request threads and server connection threads
+/// consult the same plan; any sleep a fault calls for happens OUTSIDE the
+/// injector's mutex so a stalled op never wedges unrelated connections.
 class NetFaultInjector {
  public:
   static NetFaultInjector& Instance();

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -50,31 +51,33 @@ struct BackendFreshness {
   double staleness_seconds = 0;
 };
 
-/// Blocking line-protocol client for cure_serve backends with per-address
-/// connection pooling. A round trip checks the pool for an idle connection
-/// to the address first; on miss it connects fresh. The command is sent
-/// WITHOUT a trailing QUIT (the server keeps the connection open between
-/// lines), the response is read up to the ".\n" terminator, and the healthy
-/// connection is returned to the pool. Failover stays correct: any
-/// transport error closes the connection instead of pooling it, and a
-/// reused connection that dies before yielding a single response byte (the
-/// server restarted or reaped it) is retried ONCE on a fresh connection —
-/// a request that already produced bytes is never resent.
+/// Line-protocol client for cure_serve backends with per-address connection
+/// pooling. Every exchange runs on a non-blocking socket driven by poll():
+/// RoundTrip drives one exchange to completion, and the router's scatter
+/// drives many at once from a single poll loop through Begin/Advance. An
+/// exchange checks the pool for an idle connection to the address first; on
+/// miss it connects fresh. The command is sent WITHOUT a trailing QUIT (the
+/// server keeps the connection open between lines), the response is read up
+/// to the ".\n" terminator, and the healthy connection is returned to the
+/// pool. Failover stays correct: any transport error closes the connection
+/// instead of pooling it, and a reused connection that dies before yielding
+/// a single response byte (the server restarted or reaped it) is retried
+/// ONCE on a fresh connection — a request that already produced bytes is
+/// never resent.
 ///
-/// Timeout taxonomy (DESIGN.md §16): a connect or receive that runs out of
-/// time — including a timeout striking mid-response — is classified
+/// Timeout taxonomy (DESIGN.md §16): a connect, send or receive that runs
+/// out of time — including a timeout striking mid-response — is classified
 /// kDeadlineExceeded (with the endpoint and bytes-read in the message);
 /// refused/reset/closed connections are kIoError. Both are failover-class
 /// for the router, but only deadline errors should charge a caller's
 /// deadline budget.
 class BackendClient {
  public:
-  /// `timeout_seconds` bounds connect, each send and each receive
-  /// individually (connect via non-blocking connect + poll, send/receive
-  /// via SO_SNDTIMEO/SO_RCVTIMEO); 0 = no timeout.
-  /// `idle_timeout_seconds` discards pooled connections idle longer than
-  /// this on acquire (they are likely server-side reaped); 0 = keep
-  /// forever.
+  /// `timeout_seconds` bounds connect and every send/receive wait
+  /// individually (the clock restarts whenever bytes move); 0 = no
+  /// timeout. `idle_timeout_seconds` discards pooled connections idle
+  /// longer than this on acquire (they are likely server-side reaped);
+  /// 0 = keep forever.
   explicit BackendClient(double timeout_seconds = 5.0,
                          double idle_timeout_seconds = 30.0)
       : timeout_seconds_(timeout_seconds),
@@ -86,11 +89,67 @@ class BackendClient {
   BackendClient(const BackendClient&) = delete;
   BackendClient& operator=(const BackendClient&) = delete;
 
+  /// One request/response exchange, advanced by the caller's poll loop:
+  /// poll fd() for events() until expires_us(), then hand the revents (0 on
+  /// a poll timeout) to BackendClient::Advance until done(). Destroying an
+  /// unfinished exchange closes its connection — abandoning a request costs
+  /// one closed fd, never a thread.
+  class Exchange {
+   public:
+    Exchange() = default;
+    ~Exchange() { Close(); }
+    Exchange(const Exchange&) = delete;
+    Exchange& operator=(const Exchange&) = delete;
+
+    bool done() const { return phase_ == Phase::kDone; }
+    int fd() const { return fd_; }
+    /// POLLOUT while connecting or sending, POLLIN while receiving.
+    short events() const;
+    /// Steady-clock microsecond at which the current wait times out; 0 =
+    /// never.
+    int64_t expires_us() const { return expires_us_; }
+    /// The outcome once done(): OK, or the transport error.
+    const Status& status() const { return status_; }
+    /// The response text up to and excluding the ".\n" terminator (OK
+    /// exchanges only).
+    std::string& response() { return response_; }
+
+   private:
+    friend class BackendClient;
+    enum class Phase { kConnecting, kSending, kReceiving, kDone };
+
+    void Close();
+
+    BackendAddress addr_;
+    std::string endpoint_;  ///< addr_.ToString(): pool key, error messages
+    std::string request_;
+    size_t sent_ = 0;
+    std::string response_;
+    int fd_ = -1;
+    bool reused_ = false;
+    Phase phase_ = Phase::kDone;
+    double timeout_seconds_ = 0;
+    int64_t deadline_us_ = 0;
+    int64_t expires_us_ = 0;
+    Status status_;
+  };
+
+  /// Starts sending `line` to `addr` on a pooled or fresh connection (a
+  /// pooled one is written at once); `exchange` must be fresh.
+  /// `deadline_seconds` > 0 tightens every wait to min(timeout, deadline)
+  /// and caps the whole exchange at the deadline — how the router spends
+  /// one client budget across retries instead of multiplying timeouts.
+  void Begin(const BackendAddress& addr, const std::string& line,
+             double deadline_seconds, Exchange* exchange) const;
+
+  /// Moves `exchange` forward after poll() reported `revents` on its fd, or
+  /// times it out when `revents` is 0 and expires_us() has passed. Each
+  /// socket operation consults the NetFaultInjector once.
+  void Advance(Exchange* exchange, short revents) const;
+
   /// Sends `line` and returns the raw response text up to and excluding the
   /// ".\n" terminator. kIoError on any transport failure, kDeadlineExceeded
-  /// on a timeout. `deadline_seconds` > 0 tightens the per-op timeout to
-  /// min(timeout, deadline) for this call only — how the router spends one
-  /// client budget across retries instead of multiplying timeouts.
+  /// on a timeout; `deadline_seconds` as in Begin.
   Result<std::string> RoundTrip(const BackendAddress& addr,
                                 const std::string& line,
                                 double deadline_seconds = 0) const;
@@ -128,6 +187,17 @@ class BackendClient {
   /// oldest connection is closed when full).
   void ReleasePooled(const std::string& key, int fd) const;
 
+  /// Exchange steps: dial, write what the socket takes, read what arrived.
+  void StartConnect(Exchange* exchange) const;
+  void TrySend(Exchange* exchange) const;
+  void TryRecv(Exchange* exchange) const;
+  /// Restarts the wait clock after progress.
+  void Arm(Exchange* exchange) const;
+  /// Ends the exchange with `status` (closing its connection) — unless the
+  /// failure is a reused connection that never produced a byte, which is
+  /// retried once on a fresh connection instead.
+  void Fail(Exchange* exchange, Status status, bool stale_retry) const;
+
   double timeout_seconds_;
   double idle_timeout_seconds_;
 
@@ -140,6 +210,19 @@ class BackendClient {
   mutable std::atomic<uint64_t> discards_idle_{0};
   mutable std::atomic<uint64_t> retries_stale_{0};
 };
+
+/// Milliseconds poll() should wait to wake at steady-clock microsecond
+/// `wake_us` (0 = no wake-up: -1, wait forever); rounded up so the wake
+/// never comes early.
+int PollTimeoutMs(int64_t wake_us);
+
+/// Steady-clock microseconds, the clock of Exchange::expires_us().
+int64_t SteadyNowMicros();
+
+/// Parses the header line of a backend response ("OK <count>
+/// <checksum-hex> <token> trace=<id>" or "ERR <CodeName> <message>") into
+/// `reply` and returns the offset where the body rows begin.
+size_t ParseBackendHeader(std::string_view response, BackendReply* reply);
 
 /// Parses "OK <count> <checksum-hex> <token> trace=<id>" + body rows or
 /// "ERR <CodeName> <message>" into a BackendReply. Exposed for tests.

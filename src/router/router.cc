@@ -1,8 +1,9 @@
 #include "router/router.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -43,26 +44,7 @@ bool ParseInt64(const std::string& text, int64_t* out) {
   return true;
 }
 
-/// Splits a backend result row on tabs.
-std::vector<std::string> SplitRow(const std::string& row) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  for (;;) {
-    const size_t tab = row.find('\t', start);
-    if (tab == std::string::npos) {
-      fields.push_back(row.substr(start));
-      return fields;
-    }
-    fields.push_back(row.substr(start, tab - start));
-    start = tab + 1;
-  }
-}
-
-int64_t NowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+int64_t NowMicros() { return SteadyNowMicros(); }
 
 /// Appends the remaining deadline budget (at least 1ms so a backend never
 /// sees deadline=0, which the protocol rejects) to a backend line.
@@ -74,6 +56,9 @@ std::string WithRemainingDeadline(const std::string& backend_line,
          " deadline=" + std::to_string(remaining_ms < 1 ? 1 : remaining_ms);
 }
 
+/// The decoder of a `codes=1` request: dimension fields go out as codes.
+const serve::ValueDecoder kRawCodes;
+
 /// Header suffix announcing a degraded answer; empty when complete.
 std::string PartialToken(int shards_ok, int shards_total) {
   if (shards_ok >= shards_total) return "";
@@ -83,29 +68,12 @@ std::string PartialToken(int shards_ok, int shards_total) {
 
 }  // namespace
 
-/// Scoreboard shared between QueryShard's event loop and its attempt
-/// threads. Everything is guarded by `mu`; `outstanding` counts launched
-/// attempts that have not yet pushed a result.
-struct CureRouter::ShardAttemptState {
-  struct Attempt {
-    Result<BackendReply> reply;
-    int replica = 0;
-    Attempt(Result<BackendReply> r, int rep)
-        : reply(std::move(r)), replica(rep) {}
-  };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Attempt> results;
-  int outstanding = 0;
-};
-
 Result<std::unique_ptr<CureRouter>> CureRouter::Create(
     const schema::CubeSchema* schema, ShardMap map,
-    const RouterOptions& options, ValueEncoder encoder, ValueDecoder decoder) {
+    const RouterOptions& options, ValueDecoder decoder) {
   CURE_RETURN_IF_ERROR(map.Validate());
   auto self = std::unique_ptr<CureRouter>(
-      new CureRouter(schema, std::move(map), options, std::move(encoder),
-                     std::move(decoder)));
+      new CureRouter(schema, std::move(map), options, std::move(decoder)));
   if (options.health_period_seconds > 0) {
     self->health_thread_ = std::thread([raw = self.get()] {
       std::unique_lock<std::mutex> lock(raw->health_mu_);
@@ -124,13 +92,11 @@ Result<std::unique_ptr<CureRouter>> CureRouter::Create(
 }
 
 CureRouter::CureRouter(const schema::CubeSchema* schema, ShardMap map,
-                       const RouterOptions& options, ValueEncoder encoder,
-                       ValueDecoder decoder)
+                       const RouterOptions& options, ValueDecoder decoder)
     : schema_(schema),
       codec_(*schema),
       map_(std::move(map)),
       options_(options),
-      encoder_(std::move(encoder)),
       decoder_(std::move(decoder)),
       client_(options.backend_timeout_seconds) {
   for (int y = 0; y < schema_->num_aggregates(); ++y) {
@@ -150,9 +116,6 @@ CureRouter::CureRouter(const schema::CubeSchema* schema, ShardMap map,
           "_latency"));
     }
   }
-  const int threads = options_.num_threads > 0 ? options_.num_threads
-                                               : map_.num_shards();
-  pool_ = std::make_unique<ThreadPool>(threads);
   queries_total_ = metrics_.counter("queries_total");
   queries_errors_ = metrics_.counter("queries_errors");
   backend_rpcs_total_ = metrics_.counter("backend_rpcs_total");
@@ -174,13 +137,6 @@ CureRouter::~CureRouter() {
   }
   health_cv_.notify_all();
   if (health_thread_.joinable()) health_thread_.join();
-  pool_.reset();
-  // Hedge losers and deadline-abandoned attempts run detached; wait for
-  // them before members they touch (client_, metrics) are destroyed.
-  {
-    std::unique_lock<std::mutex> lock(attempts_mu_);
-    attempts_cv_.wait(lock, [this] { return outstanding_attempts_ == 0; });
-  }
 }
 
 void CureRouter::ProbeHealth() {
@@ -304,269 +260,328 @@ bool CureRouter::PartialEligible(StatusCode code) {
          code == StatusCode::kResourceExhausted;
 }
 
-Result<BackendReply> CureRouter::QueryShard(int shard,
-                                            const std::string& backend_line,
-                                            int64_t deadline_us,
-                                            ShardProfile* profile,
-                                            int64_t profile_base_us) {
-  const std::vector<int> order = PickOrder(shard);
-  if (order.empty()) {
-    return Status::IoError("shard " + std::to_string(shard) +
-                           " has no serving replicas (all ejected)");
-  }
-  if (deadline_us > 0 && NowMicros() >= deadline_us) {
-    return Status::DeadlineExceeded("shard " + std::to_string(shard) +
-                                    ": deadline exhausted before any attempt");
-  }
-  if (profile != nullptr) {
-    // Pre-note candidates whose breaker is open right now: if they never
-    // launch, the profile shows WHY the picker passed them over. A later
-    // launch (last-resort pick) overwrites the record in place.
-    profile->shard = shard;
-    const int64_t now_us = NowMicros();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int r : order) {
-      if (replicas_[shard][r].open_until_us > now_us) {
-        AttemptRecord record;
-        record.replica = r;
-        record.kind = "skip";
-        record.outcome = "breaker-skip";
-        profile->attempts.push_back(std::move(record));
-      }
+namespace {
+
+/// One in-flight backend exchange of a scatter.
+struct Attempt {
+  int shard = 0;
+  int replica = 0;
+  int64_t start_us = 0;
+  int64_t trace_start_us = 0;  ///< tracer clock, for the backend_rpc span
+  BackendClient::Exchange exchange;
+};
+
+/// Logs a launch of replica `r` in a shard's attempt log, overwriting its
+/// breaker-skip note in place when the picker fell back to it.
+void NoteLaunch(ShardProfile* profile, int r, const char* kind,
+                int64_t launch_us) {
+  if (profile == nullptr) return;
+  AttemptRecord* record = nullptr;
+  for (AttemptRecord& existing : profile->attempts) {
+    if (existing.replica == r) {
+      record = &existing;
+      break;
     }
   }
+  if (record == nullptr) {
+    record = &profile->attempts.emplace_back();
+    record->replica = r;
+  }
+  record->kind = kind;
+  record->outcome = "lost";
+  record->launch_us = launch_us;
+}
 
-  // Event loop over detached attempt threads: launch, then react to
-  // whichever comes first — a result, the hedge timer, or the deadline.
-  // First OK answer wins; a hedge loser (or an attempt outlasting the
-  // deadline) self-records into the shared scoreboard and is ignored.
-  auto state = std::make_shared<ShardAttemptState>();
+void NoteOutcome(ShardProfile* profile, int r, const char* outcome,
+                 int64_t end_us) {
+  if (profile == nullptr) return;
+  for (AttemptRecord& record : profile->attempts) {
+    if (record.replica == r && record.end_us == 0 && record.outcome == "lost") {
+      record.outcome = outcome;
+      record.end_us = end_us;
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<CureRouter::ShardReply> CureRouter::Scatter(
+    const std::string& backend_line, int64_t deadline_us,
+    ClusterProfile* profile, int64_t profile_base_us) {
+  const int num_shards = map_.num_shards();
+  CURE_TRACE_SPAN("cure.router.scatter", "shards",
+                  static_cast<uint64_t>(num_shards));
+  std::vector<ShardReply> replies(static_cast<size_t>(num_shards));
+  if (profile != nullptr) {
+    profile->shards.assign(static_cast<size_t>(num_shards), ShardProfile());
+    for (int s = 0; s < num_shards; ++s) profile->shards[s].shard = s;
+  }
+  const auto shard_profile = [profile](int s) {
+    return profile != nullptr ? &profile->shards[s] : nullptr;
+  };
+
+  // Per-shard failover policy. Every attempt of every shard is one entry of
+  // `attempts`, advanced by the single poll loop below on this thread.
+  struct ShardCall {
+    std::vector<int> order;  ///< candidate replicas (PickOrder)
+    size_t next_candidate = 0;
+    int launches = 0;
+    int in_flight = 0;
+    bool hedged = false;
+    bool done = false;
+    int64_t last_launch_us = 0;
+    int64_t retry_at_us = 0;  ///< > 0: the backoff before a retry ends here
+    double backoff = 0;
+    Status last_error;
+  };
+  std::vector<ShardCall> calls(static_cast<size_t>(num_shards));
+  std::vector<std::unique_ptr<Attempt>> attempts;
   const int max_launches = 1 + std::max(0, options_.retry_budget);
   const double hedge_delay = HedgeDelaySeconds();
-  size_t next_candidate = 0;
-  int launches = 0;
-  bool hedged = false;
-  int64_t last_launch_us = 0;
-  double backoff = options_.backoff_initial_seconds;
-  Status last_error = Status::OK();
 
-  // The attempt log is written ONLY by this event-loop thread (launch and
-  // result processing), never by the detached attempt threads — no locking
-  // beyond what the loop already holds.
-  auto note_launch = [&](int r, const char* kind, int64_t launch_at_us) {
-    if (profile == nullptr) return;
-    for (AttemptRecord& record : profile->attempts) {
-      if (record.replica == r) {
-        record.kind = kind;
-        record.outcome = "lost";
-        record.launch_us = launch_at_us - profile_base_us;
-        return;
-      }
-    }
-    AttemptRecord record;
-    record.replica = r;
-    record.kind = kind;
-    record.outcome = "lost";
-    record.launch_us = launch_at_us - profile_base_us;
-    profile->attempts.push_back(std::move(record));
-  };
-  auto note_outcome = [&](int r, const char* outcome) {
-    if (profile == nullptr) return;
-    for (AttemptRecord& record : profile->attempts) {
-      if (record.replica == r && record.end_us == 0 &&
-          record.outcome == "lost") {
-        record.outcome = outcome;
-        record.end_us = NowMicros() - profile_base_us;
-        return;
-      }
-    }
+  const auto finish = [&](int s, Status status) {
+    calls[s].done = true;
+    replies[s].status = std::move(status);
+    // The shard's other attempts (a hedge loser, or everything at the
+    // deadline) are abandoned by closing their connections: the backend
+    // sees EOF, and nothing waits on them.
+    attempts.erase(std::remove_if(attempts.begin(), attempts.end(),
+                                  [s](const std::unique_ptr<Attempt>& a) {
+                                    return a->shard == s;
+                                  }),
+                   attempts.end());
   };
 
-  auto launch = [&](const char* kind) {
-    const int r = order[next_candidate++];
-    ++launches;
-    last_launch_us = NowMicros();
-    note_launch(r, kind, last_launch_us);
+  const auto launch = [&](int s, const char* kind) {
+    ShardCall& call = calls[s];
+    const int r = call.order[call.next_candidate++];
+    ++call.launches;
+    ++call.in_flight;
+    call.last_launch_us = NowMicros();
+    NoteLaunch(shard_profile(s), r, kind,
+               call.last_launch_us - profile_base_us);
     backend_rpcs_total_->Inc();
-    const std::string attempt_line =
-        WithRemainingDeadline(backend_line, deadline_us);
-    const double attempt_deadline =
-        deadline_us > 0 ? (deadline_us - last_launch_us) * 1e-6 : 0;
-    {
-      std::lock_guard<std::mutex> lock(attempts_mu_);
-      ++outstanding_attempts_;
-    }
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      ++state->outstanding;
-    }
-    std::thread([this, shard, r, attempt_line, attempt_deadline, state] {
-      CURE_TRACE_SPAN("cure.router.backend_rpc", "shard",
-                      static_cast<uint64_t>(shard), "replica",
-                      static_cast<uint64_t>(r));
-      const BackendAddress& addr = map_.shards[shard][r];
-      const int64_t start_us = NowMicros();
-      Result<BackendReply> reply =
-          client_.Query(addr, attempt_line, attempt_deadline);
-      backend_latency_[shard][r]->Record(NowMicros() - start_us);
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->results.emplace_back(std::move(reply), r);
-        --state->outstanding;
-        state->cv.notify_all();
-      }
-      // Final touch of `this`: the destructor blocks on this counter before
-      // tearing down the members used above.
-      std::lock_guard<std::mutex> lock(attempts_mu_);
-      --outstanding_attempts_;
-      attempts_cv_.notify_all();
-    }).detach();
+    Attempt& attempt = *attempts.emplace_back(std::make_unique<Attempt>());
+    attempt.shard = s;
+    attempt.replica = r;
+    attempt.start_us = call.last_launch_us;
+    attempt.trace_start_us = Tracer::enabled() ? Tracer::NowMicros() : 0;
+    // No exchange deadline: the loop enforces the request deadline itself,
+    // closing the shard's attempts without charging their replicas'
+    // breakers for the client's budget running out.
+    client_.Begin(map_.shards[s][r],
+                  WithRemainingDeadline(backend_line, deadline_us),
+                  /*deadline_seconds=*/0, &attempt.exchange);
   };
 
-  launch("primary");
-  size_t processed = 0;
-  std::unique_lock<std::mutex> lock(state->mu);
-  for (;;) {
-    // Drain new results.
-    while (processed < state->results.size()) {
-      ShardAttemptState::Attempt& attempt = state->results[processed++];
-      const int r = attempt.replica;
-      const Status status =
-          attempt.reply.ok() ? attempt.reply->status : attempt.reply.status();
-      if (status.ok()) {
-        // Move out while still locked: an abandoned hedge attempt can push
-        // into (and reallocate) the scoreboard at any moment.
-        Result<BackendReply> winner = std::move(attempt.reply);
-        note_outcome(r, "won");
-        if (profile != nullptr) {
-          profile->ok = true;
-          profile->backend_lines = winner->profile_lines;
-        }
-        lock.unlock();
-        RecordBackendSuccess(shard, r);
-        return winner;
-      }
-      note_outcome(r, status.code() == StatusCode::kDataLoss ? "data-loss"
-                   : (!attempt.reply.ok() ||
-                      status.code() == StatusCode::kIoError ||
-                      status.code() == StatusCode::kDeadlineExceeded)
-                       ? "failover"
-                       : "fail-fast");
-      if (status.code() == StatusCode::kDataLoss) {
-        // The replica's storage is corrupt; take it out of rotation for
-        // good (a health probe reaching the process again proves nothing
-        // about the data).
-        lock.unlock();
-        replicas_ejected_total_->Inc();
-        {
-          std::lock_guard<std::mutex> state_lock(mu_);
-          replicas_[shard][r].ejected = true;
-          replicas_[shard][r].healthy = false;
-        }
-        last_error = status;
-        lock.lock();
-        continue;
-      }
-      if (!attempt.reply.ok() || status.code() == StatusCode::kIoError ||
-          status.code() == StatusCode::kDeadlineExceeded) {
-        // Failover class: transport failure, backend I/O error, or a spent
-        // per-attempt budget — breaker bookkeeping, then another replica.
-        lock.unlock();
-        RecordBackendFailure(shard, r);
-        last_error = status;
-        lock.lock();
-        continue;
-      }
-      // Deterministic request error (InvalidArgument, NotFound, ...): every
-      // replica would answer the same — fail fast without burning retries.
-      Result<BackendReply> failed = std::move(attempt.reply);
-      lock.unlock();
-      return failed;
+  // An attempt finished: first OK answer wins the shard; failover-class
+  // errors feed the breaker and leave the shard to retry; a deterministic
+  // error fails the shard at once (every replica would answer the same).
+  const auto settle = [&](Attempt& attempt) {
+    const int s = attempt.shard;
+    const int r = attempt.replica;
+    ShardCall& call = calls[s];
+    --call.in_flight;
+    const int64_t now_us = NowMicros();
+    backend_latency_[s][r]->Record(now_us - attempt.start_us);
+    if (attempt.trace_start_us > 0 && Tracer::enabled()) {
+      TraceEvent event;
+      event.name = "cure.router.backend_rpc";
+      event.ts_us = attempt.trace_start_us;
+      event.dur_us = Tracer::NowMicros() - attempt.trace_start_us;
+      event.arg0_name = "shard";
+      event.arg0 = static_cast<uint64_t>(s);
+      event.arg1_name = "replica";
+      event.arg1 = static_cast<uint64_t>(r);
+      Tracer::Instance().Record(event);
     }
-
-    if (deadline_us > 0 && NowMicros() >= deadline_us) {
-      // Client budget gone; in-flight attempts self-record into the shared
-      // scoreboard and die quietly.
-      return Status::DeadlineExceeded(
-          "shard " + std::to_string(shard) + " deadline exhausted after " +
-          std::to_string(launches) + " attempt(s)" +
-          (last_error.ok() ? "" : ": " + last_error.message()));
+    ShardProfile* sp = shard_profile(s);
+    const int64_t end_us = now_us - profile_base_us;
+    ShardReply reply;
+    reply.status = attempt.exchange.status();
+    const bool transport_error = !reply.status.ok();
+    if (!transport_error) {
+      reply.text = std::move(attempt.exchange.response());
+      BackendReply header;
+      reply.body = ParseBackendHeader(reply.text, &header);
+      reply.status = header.status;
     }
+    const StatusCode code = reply.status.code();
+    if (reply.status.ok()) {
+      NoteOutcome(sp, r, "won", end_us);
+      if (sp != nullptr) {
+        sp->ok = true;
+        sp->backend_lines = ParseBackendReply(reply.text).profile_lines;
+      }
+      RecordBackendSuccess(s, r);
+      replies[s] = std::move(reply);
+      finish(s, Status::OK());
+    } else if (code == StatusCode::kDataLoss) {
+      // The replica's storage is corrupt; take it out of rotation for good
+      // (a health probe reaching the process again proves nothing about
+      // the data).
+      NoteOutcome(sp, r, "data-loss", end_us);
+      replicas_ejected_total_->Inc();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        replicas_[s][r].ejected = true;
+        replicas_[s][r].healthy = false;
+      }
+      call.last_error = reply.status;
+    } else if (transport_error || code == StatusCode::kIoError ||
+               code == StatusCode::kDeadlineExceeded) {
+      // Failover class: transport failure, backend I/O error, or a spent
+      // per-attempt budget — breaker bookkeeping, then another replica.
+      NoteOutcome(sp, r, "failover", end_us);
+      RecordBackendFailure(s, r);
+      call.last_error = reply.status;
+    } else {
+      NoteOutcome(sp, r, "fail-fast", end_us);
+      finish(s, reply.status);
+    }
+  };
 
-    const bool can_launch =
-        next_candidate < order.size() && launches < max_launches;
-
-    if (state->outstanding == 0) {
-      if (!can_launch) {
-        return Status(last_error.code() == StatusCode::kOk
-                          ? StatusCode::kIoError
-                          : last_error.code(),
-                      "shard " + std::to_string(shard) +
-                          " exhausted all replicas: " + last_error.message());
-      }
-      // Sequential retry: back off (jittered, capped, truncated to the
-      // remaining deadline) before relaunching. Nothing is in flight, so
-      // no result can arrive during the sleep.
-      double sleep_seconds = backoff * (0.5 + 0.5 * NextJitter());
-      if (deadline_us > 0) {
-        const double remaining = (deadline_us - NowMicros()) * 1e-6;
-        if (sleep_seconds > remaining) sleep_seconds = remaining;
-      }
-      if (sleep_seconds > 0) {
-        lock.unlock();
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(sleep_seconds));
-        lock.lock();
-      }
-      backoff = std::min(backoff * 2, options_.backoff_cap_seconds);
-      backend_retries_total_->Inc();
-      retries_total_->Inc();
-      CURE_TRACE_SPAN("cure.router.retry", "shard",
-                      static_cast<uint64_t>(shard), "attempt",
-                      static_cast<uint64_t>(launches));
-      lock.unlock();
-      launch("retry");
-      lock.lock();
+  for (int s = 0; s < num_shards; ++s) {
+    ShardCall& call = calls[s];
+    call.order = PickOrder(s);
+    call.backoff = options_.backoff_initial_seconds;
+    if (call.order.empty()) {
+      finish(s, Status::IoError("shard " + std::to_string(s) +
+                                " has no serving replicas (all ejected)"));
       continue;
     }
-
-    // An attempt is in flight: wait for its result, the hedge timer, or
-    // the deadline — whichever strikes first.
-    int64_t wake_us = deadline_us > 0 ? deadline_us : 0;
-    bool hedge_armed = false;
-    if (!hedged && hedge_delay >= 0 && can_launch) {
-      const int64_t hedge_at = last_launch_us +
-                               static_cast<int64_t>(hedge_delay * 1e6);
-      if (wake_us == 0 || hedge_at < wake_us) {
-        wake_us = hedge_at;
-        hedge_armed = true;
+    if (deadline_us > 0 && NowMicros() >= deadline_us) {
+      finish(s, Status::DeadlineExceeded(
+                    "shard " + std::to_string(s) +
+                    ": deadline exhausted before any attempt"));
+      continue;
+    }
+    if (ShardProfile* sp = shard_profile(s)) {
+      // Pre-note candidates whose breaker is open right now: if they never
+      // launch, the profile shows WHY the picker passed them over. A later
+      // launch (last-resort pick) overwrites the record in place.
+      const int64_t now_us = NowMicros();
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const int r : call.order) {
+        if (replicas_[s][r].open_until_us > now_us) {
+          AttemptRecord record;
+          record.replica = r;
+          record.kind = "skip";
+          record.outcome = "breaker-skip";
+          sp->attempts.push_back(std::move(record));
+        }
       }
     }
-    const size_t before = state->results.size();
-    if (wake_us == 0) {
-      state->cv.wait(lock,
-                     [&] { return state->results.size() > before; });
-    } else {
-      const int64_t wait_us = wake_us - NowMicros();
-      if (wait_us > 0) {
-        state->cv.wait_for(lock, std::chrono::microseconds(wait_us), [&] {
-          return state->results.size() > before;
-        });
+    launch(s, "primary");
+  }
+
+  std::vector<std::unique_ptr<Attempt>> finished;
+  std::vector<pollfd> fds;
+  for (;;) {
+    // Settle finished attempts — including ones that failed inside Begin
+    // (a refused connect fails at once).
+    for (size_t i = 0; i < attempts.size();) {
+      if (attempts[i]->exchange.done()) {
+        finished.push_back(std::move(attempts[i]));
+        attempts.erase(attempts.begin() + static_cast<ptrdiff_t>(i));
+      } else {
+        ++i;
       }
-      if (hedge_armed && state->results.size() == before &&
-          NowMicros() >= wake_us) {
-        // The primary is slow, not (yet) failed: hedge once to the next
+    }
+    for (const std::unique_ptr<Attempt>& attempt : finished) {
+      if (!calls[attempt->shard].done) settle(*attempt);
+    }
+    finished.clear();
+
+    // Per-shard timers: the deadline, a sequential retry once its backoff
+    // ends, the hedge once the newest attempt has been slow for the delay.
+    const int64_t now_us = NowMicros();
+    int64_t wake_us = 0;
+    const auto wake_at = [&wake_us](int64_t at_us) {
+      if (wake_us == 0 || at_us < wake_us) wake_us = at_us;
+    };
+    for (int s = 0; s < num_shards; ++s) {
+      ShardCall& call = calls[s];
+      if (call.done) continue;
+      if (deadline_us > 0 && now_us >= deadline_us) {
+        const Status& last = call.last_error;
+        finish(s, Status::DeadlineExceeded(
+                      "shard " + std::to_string(s) +
+                      " deadline exhausted after " +
+                      std::to_string(call.launches) + " attempt(s)" +
+                      (last.ok() ? "" : ": " + last.message())));
+        continue;
+      }
+      if (deadline_us > 0) wake_at(deadline_us);
+      const bool can_launch = call.next_candidate < call.order.size() &&
+                              call.launches < max_launches;
+      if (call.in_flight == 0) {
+        if (!can_launch) {
+          const Status& last = call.last_error;
+          finish(s, Status(last.ok() ? StatusCode::kIoError : last.code(),
+                           "shard " + std::to_string(s) +
+                               " exhausted all replicas: " + last.message()));
+          continue;
+        }
+        if (call.retry_at_us == 0) {
+          // Sequential retry: back off first — jittered, capped, truncated
+          // to the remaining deadline.
+          const double wait = call.backoff * (0.5 + 0.5 * NextJitter());
+          int64_t at_us = now_us + static_cast<int64_t>(wait * 1e6);
+          if (deadline_us > 0 && at_us > deadline_us) at_us = deadline_us;
+          call.retry_at_us = at_us;
+          call.backoff =
+              std::min(call.backoff * 2, options_.backoff_cap_seconds);
+        }
+        if (now_us < call.retry_at_us) {
+          wake_at(call.retry_at_us);
+          continue;
+        }
+        call.retry_at_us = 0;
+        backend_retries_total_->Inc();
+        retries_total_->Inc();
+        CURE_TRACE_SPAN("cure.router.retry", "shard", static_cast<uint64_t>(s),
+                        "attempt", static_cast<uint64_t>(call.launches));
+        launch(s, "retry");
+      } else if (!call.hedged && hedge_delay >= 0 && can_launch) {
+        const int64_t hedge_at_us =
+            call.last_launch_us + static_cast<int64_t>(hedge_delay * 1e6);
+        if (now_us < hedge_at_us) {
+          wake_at(hedge_at_us);
+          continue;
+        }
+        // The attempt is slow, not (yet) failed: hedge once to the next
         // candidate and let the first answer win.
-        hedged = true;
+        call.hedged = true;
         hedges_total_->Inc();
-        CURE_TRACE_SPAN("cure.router.hedge", "shard",
-                        static_cast<uint64_t>(shard));
-        lock.unlock();
-        launch("hedge");
-        lock.lock();
+        CURE_TRACE_SPAN("cure.router.hedge", "shard", static_cast<uint64_t>(s));
+        launch(s, "hedge");
       }
+    }
+    if (std::all_of(calls.begin(), calls.end(),
+                    [](const ShardCall& call) { return call.done; })) {
+      break;
+    }
+    if (std::any_of(attempts.begin(), attempts.end(),
+                    [](const std::unique_ptr<Attempt>& a) {
+                      return a->exchange.done();
+                    })) {
+      continue;  // a fresh launch already failed; settle it first
+    }
+
+    fds.clear();
+    for (const std::unique_ptr<Attempt>& attempt : attempts) {
+      const BackendClient::Exchange& exchange = attempt->exchange;
+      fds.push_back(pollfd{exchange.fd(), exchange.events(), 0});
+      if (exchange.expires_us() > 0) wake_at(exchange.expires_us());
+    }
+    const int rc = ::poll(fds.data(), fds.size(), PollTimeoutMs(wake_us));
+    for (size_t i = 0; i < attempts.size(); ++i) {
+      client_.Advance(&attempts[i]->exchange, rc > 0 ? fds[i].revents : 0);
     }
   }
+  return replies;
 }
 
 std::string CureRouter::HandleQuery(const std::vector<std::string>& tokens_in,
@@ -576,8 +591,9 @@ std::string CureRouter::HandleQuery(const std::vector<std::string>& tokens_in,
   uint64_t trace_id = 0;
   double deadline_seconds = 0;
   std::string token_error;
+  bool codes = false;
   if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error)) {
+                                &token_error, nullptr, &codes)) {
     return ErrResponse(StatusCode::kInvalidArgument, token_error);
   }
   if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
@@ -596,8 +612,8 @@ std::string CureRouter::HandleQuery(const std::vector<std::string>& tokens_in,
                            " city,category");
   }
 
-  // Parse the node locally: the grouped columns drive row re-encoding and
-  // a bad node spec should fail here, not N times on the backends.
+  // Parse the node locally: its grouped columns give the row shape, and a
+  // bad node spec should fail here, not N times on the backends.
   Result<schema::NodeId> node = serve::ParseNodeSpec(*schema_, codec_, tokens[1]);
   if (!node.ok()) {
     queries_errors_->Inc();
@@ -650,15 +666,15 @@ std::string CureRouter::HandleQuery(const std::vector<std::string>& tokens_in,
     if (!backend_line.empty()) backend_line += ' ';
     backend_line += token;
   }
-  backend_line += " trace=" + std::to_string(trace_id);
+  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
   if (profile != nullptr) backend_line += " profile=1";
 
-  query::ResultSink sink(/*retain=*/true);
-  std::vector<std::pair<int, int>> columns;
+  query::ResultSink sink;
+  std::string rows;
   int shards_ok = map_.num_shards();
-  const Status gathered =
-      ScatterGather(*node, backend_line, min_count, deadline_us, &sink,
-                    &columns, &shards_ok, profile, start_us);
+  const Status gathered = ScatterGather(
+      *node, backend_line, min_count, deadline_us, codes ? kRawCodes : decoder_,
+      &sink, &rows, &shards_ok, profile, start_us);
   const int64_t total_us = NowMicros() - start_us;
   if (profile != nullptr) {
     profile->trace_id = trace_id;
@@ -684,160 +700,81 @@ std::string CureRouter::HandleQuery(const std::vector<std::string>& tokens_in,
   std::string out = header;
   out += partial;
   out += '\n';
-  out += FormatRowsText(sink.rows(), columns);
+  out += rows;
   out += ".\n";
   query_latency_us_->Record(NowMicros() - start_us);
-  return out;
-}
-
-std::vector<Result<BackendReply>> CureRouter::Scatter(
-    const std::string& backend_line, int64_t deadline_us,
-    ClusterProfile* profile, int64_t profile_base_us) {
-  std::vector<std::future<Status>> futures;
-  std::vector<Result<BackendReply>> replies(
-      static_cast<size_t>(map_.num_shards()),
-      Status::Internal("shard reply missing"));
-  CURE_TRACE_SPAN("cure.router.scatter", "shards",
-                  static_cast<uint64_t>(map_.num_shards()));
-  if (profile != nullptr) {
-    // One pre-sized slot per shard so the pool tasks never touch a shared
-    // vector concurrently.
-    profile->shards.assign(static_cast<size_t>(map_.num_shards()),
-                           ShardProfile());
-    for (int s = 0; s < map_.num_shards(); ++s) profile->shards[s].shard = s;
-  }
-  futures.reserve(replies.size());
-  for (int s = 0; s < map_.num_shards(); ++s) {
-    ShardProfile* shard_profile =
-        profile != nullptr ? &profile->shards[s] : nullptr;
-    futures.push_back(pool_->Submit([this, s, deadline_us, &backend_line,
-                                     &replies, shard_profile,
-                                     profile_base_us] {
-      replies[s] = QueryShard(s, backend_line, deadline_us, shard_profile,
-                              profile_base_us);
-      return Status::OK();
-    }));
-  }
-  for (auto& f : futures) f.get();
-  return replies;
-}
-
-std::vector<std::pair<int, int>> CureRouter::GroupedColumns(
-    schema::NodeId node) const {
-  const std::vector<int> levels = codec_.Decode(node);
-  std::vector<std::pair<int, int>> columns;
-  for (int d = 0; d < codec_.num_dims(); ++d) {
-    if (levels[d] != codec_.all_level(d)) columns.emplace_back(d, levels[d]);
-  }
-  return columns;
-}
-
-Status CureRouter::MergeShardRows(
-    int shard, const std::vector<std::string>& rows,
-    const std::vector<std::pair<int, int>>& columns,
-    PartialMerger* merger) const {
-  const size_t num_aggrs = static_cast<size_t>(schema_->num_aggregates());
-  std::vector<uint32_t> dims(columns.size());
-  std::vector<int64_t> aggrs(num_aggrs);
-  for (const std::string& row : rows) {
-    const std::vector<std::string> fields = SplitRow(row);
-    if (fields.size() != columns.size() + num_aggrs) {
-      return Status::Internal(
-          "shard " + std::to_string(shard) + " returned a row with " +
-          std::to_string(fields.size()) + " fields, expected " +
-          std::to_string(columns.size() + num_aggrs));
-    }
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (encoder_ != nullptr) {
-        CURE_ASSIGN_OR_RETURN(
-            dims[i], encoder_(columns[i].first, columns[i].second, fields[i]));
-      } else {
-        dims[i] =
-            static_cast<uint32_t>(std::strtoul(fields[i].c_str(), nullptr, 10));
-      }
-    }
-    for (size_t y = 0; y < num_aggrs; ++y) {
-      int64_t value = 0;
-      if (!ParseInt64(fields[columns.size() + y], &value)) {
-        return Status::Internal("shard " + std::to_string(shard) +
-                                " returned a non-numeric aggregate '" +
-                                fields[columns.size() + y] + "'");
-      }
-      aggrs[y] = value;
-    }
-    merger->Add(dims, aggrs.data());
-  }
-  return Status::OK();
-}
-
-std::string CureRouter::FormatRowsText(
-    const std::vector<query::ResultSink::Row>& rows,
-    const std::vector<std::pair<int, int>>& columns) const {
-  std::string out;
-  for (const query::ResultSink::Row& row : rows) {
-    std::string line;
-    for (size_t i = 0; i < row.dims.size(); ++i) {
-      if (!line.empty()) line += '\t';
-      if (decoder_ != nullptr && i < columns.size()) {
-        line += decoder_(columns[i].first, columns[i].second, row.dims[i]);
-      } else {
-        line += std::to_string(row.dims[i]);
-      }
-    }
-    for (const int64_t aggr : row.aggrs) {
-      if (!line.empty()) line += '\t';
-      line += std::to_string(aggr);
-    }
-    out += line;
-    out += '\n';
-  }
   return out;
 }
 
 Status CureRouter::ScatterGather(schema::NodeId node,
                                  const std::string& backend_line,
                                  int64_t min_count, int64_t deadline_us,
-                                 query::ResultSink* sink,
-                                 std::vector<std::pair<int, int>>* columns,
+                                 const ValueDecoder& decoder,
+                                 query::ResultSink* sink, std::string* rows,
                                  int* shards_ok, ClusterProfile* profile,
                                  int64_t profile_base_us) {
+  const std::vector<std::pair<int, int>> columns =
+      serve::GroupedColumns(codec_, node);
+  PartialMerger merger(*schema_, static_cast<int>(columns.size()));
   const int64_t scatter_start_us = NowMicros();
-  const std::vector<Result<BackendReply>> replies =
+  const std::vector<ShardReply> replies =
       Scatter(backend_line, deadline_us, profile, profile_base_us);
+  const int64_t merge_start_us = NowMicros();
   if (profile != nullptr) {
-    profile->scatter_us = NowMicros() - scatter_start_us;
+    profile->scatter_us = merge_start_us - scatter_start_us;
   }
-  *columns = GroupedColumns(node);
-  PartialMerger merger(*schema_);
   int merged = 0;
   Status degraded_error = Status::OK();
-  const int64_t merge_start_us = NowMicros();
   {
     CURE_TRACE_SPAN("cure.router.merge");
     for (int s = 0; s < map_.num_shards(); ++s) {
-      const Result<BackendReply>& reply = replies[s];
-      const Status status = reply.ok() ? reply->status : reply.status();
-      if (!status.ok()) {
+      const ShardReply& reply = replies[s];
+      if (!reply.status.ok()) {
         // Opt-in degradation: an unavailable shard is skipped and the
         // answer marked PARTIAL; deterministic errors still fail the whole
         // query (every shard would refuse the same way).
-        if (options_.allow_partial && PartialEligible(status.code())) {
-          degraded_error = status;
+        if (options_.allow_partial && PartialEligible(reply.status.code())) {
+          degraded_error = reply.status;
           continue;
         }
-        return status;
+        return reply.status;
       }
-      CURE_RETURN_IF_ERROR(MergeShardRows(s, reply->rows, *columns, &merger));
+      size_t pos = reply.body;
+      CURE_RETURN_IF_ERROR(
+          MergeShardRows(s, reply.text, &pos, UINT64_MAX, &merger).status());
       ++merged;
     }
   }
+  // Nothing survived: still an error.
+  const Status status =
+      merged == 0
+          ? degraded_error
+          : EmitMerged(&merger, min_count, columns, decoder, sink, rows);
   if (profile != nullptr) {
     profile->merge_us = NowMicros() - merge_start_us;
     profile->shards_ok = merged;
   }
-  if (merged == 0) return degraded_error;  // nothing survived — still an error
-  if (shards_ok != nullptr) *shards_ok = merged;
-  return merger.Finish(count_aggregate_, min_count, sink);
+  if (status.ok() && shards_ok != nullptr) *shards_ok = merged;
+  return status;
+}
+
+Status CureRouter::EmitMerged(PartialMerger* merger, int64_t min_count,
+                              const std::vector<std::pair<int, int>>& columns,
+                              const ValueDecoder& decoder,
+                              query::ResultSink* sink,
+                              std::string* rows) const {
+  const size_t num_dims = columns.size();
+  const size_t num_aggrs = static_cast<size_t>(merger->num_aggregates());
+  return merger->ForEachGroup(
+      count_aggregate_, min_count,
+      [&](const uint32_t* dims, const int64_t* aggrs) {
+        sink->Emit(dims, static_cast<int>(num_dims), aggrs,
+                   static_cast<int>(num_aggrs));
+        if (rows != nullptr) {
+          serve::AppendRowText(columns, dims, num_dims, aggrs, num_aggrs,
+                               decoder, rows);
+        }
+      });
 }
 
 std::string CureRouter::HandleNavigate(const std::vector<std::string>& tokens_in,
@@ -847,8 +784,9 @@ std::string CureRouter::HandleNavigate(const std::vector<std::string>& tokens_in
   uint64_t trace_id = 0;
   double deadline_seconds = 0;
   std::string token_error;
+  bool codes = false;
   if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error)) {
+                                &token_error, nullptr, &codes)) {
     return ErrResponse(StatusCode::kInvalidArgument, token_error);
   }
   if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
@@ -920,15 +858,16 @@ std::string CureRouter::HandleNavigate(const std::vector<std::string>& tokens_in
   std::string backend_line = slices.empty() ? "QUERY " : "SLICE ";
   backend_line += spec;
   for (const std::string& slice : slices) backend_line += ' ' + slice;
-  backend_line += " trace=" + std::to_string(trace_id);
+  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
   if (profile != nullptr) backend_line += " profile=1";
 
-  query::ResultSink sink(/*retain=*/true);
-  std::vector<std::pair<int, int>> columns;
+  query::ResultSink sink;
+  std::string rows;
   int shards_ok = map_.num_shards();
-  const Status gathered =
-      ScatterGather(*target, backend_line, min_count, deadline_us, &sink,
-                    &columns, &shards_ok, profile, start_us);
+  const Status gathered = ScatterGather(
+      *target, backend_line, min_count, deadline_us,
+      codes ? kRawCodes : decoder_, &sink, &rows, &shards_ok, profile,
+      start_us);
   if (profile != nullptr) {
     profile->trace_id = trace_id;
     profile->shards_total = map_.num_shards();
@@ -955,7 +894,7 @@ std::string CureRouter::HandleNavigate(const std::vector<std::string>& tokens_in
   std::string out = header;
   out += partial;
   out += '\n';
-  out += FormatRowsText(sink.rows(), columns);
+  out += rows;
   out += ".\n";
   query_latency_us_->Record(NowMicros() - start_us);
   return out;
@@ -967,8 +906,9 @@ std::string CureRouter::HandleTopK(const std::vector<std::string>& tokens_in,
   uint64_t trace_id = 0;
   double deadline_seconds = 0;
   std::string token_error;
+  bool codes = false;
   if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error)) {
+                                &token_error, nullptr, &codes)) {
     return ErrResponse(StatusCode::kInvalidArgument, token_error);
   }
   if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
@@ -1009,15 +949,15 @@ std::string CureRouter::HandleTopK(const std::vector<std::string>& tokens_in,
   std::string backend_line = slices.empty() ? "QUERY " : "SLICE ";
   backend_line += tokens[1];
   for (const std::string& slice : slices) backend_line += ' ' + slice;
-  backend_line += " trace=" + std::to_string(trace_id);
+  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
   if (profile != nullptr) backend_line += " profile=1";
 
   query::ResultSink sink(/*retain=*/true);
-  std::vector<std::pair<int, int>> columns;
   int shards_ok = map_.num_shards();
   const Status gathered =
-      ScatterGather(*node, backend_line, /*min_count=*/0, deadline_us, &sink,
-                    &columns, &shards_ok, profile, start_us);
+      ScatterGather(*node, backend_line, /*min_count=*/0, deadline_us,
+                    decoder_, &sink, /*rows=*/nullptr, &shards_ok, profile,
+                    start_us);
   if (profile != nullptr) {
     profile->trace_id = trace_id;
     profile->shards_total = map_.num_shards();
@@ -1052,7 +992,8 @@ std::string CureRouter::HandleTopK(const std::vector<std::string>& tokens_in,
   std::string out = header;
   out += partial;
   out += '\n';
-  out += FormatRowsText(top.rows(), columns);
+  serve::AppendRowsText(serve::GroupedColumns(codec_, *node), top.rows(),
+                        codes ? kRawCodes : decoder_, &out);
   out += ".\n";
   query_latency_us_->Record(NowMicros() - start_us);
   return out;
@@ -1063,8 +1004,9 @@ std::string CureRouter::HandleBatch(const std::vector<std::string>& tokens_in) {
   uint64_t trace_id = 0;
   double deadline_seconds = 0;
   std::string token_error;
+  bool codes = false;
   if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error)) {
+                                &token_error, nullptr, &codes)) {
     return ErrResponse(StatusCode::kInvalidArgument, token_error);
   }
   if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
@@ -1101,108 +1043,84 @@ std::string CureRouter::HandleBatch(const std::vector<std::string>& tokens_in) {
   // merged independently, exactly as if it had been scattered on its own.
   std::string backend_line = "BATCH";
   for (const std::string& spec : specs) backend_line += ' ' + spec;
-  backend_line += " trace=" + std::to_string(trace_id);
-  const std::vector<Result<BackendReply>> replies =
-      Scatter(backend_line, deadline_us);
+  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
+  const std::vector<ShardReply> replies = Scatter(backend_line, deadline_us);
 
   std::vector<std::vector<std::pair<int, int>>> columns(nodes.size());
-  std::vector<std::unique_ptr<PartialMerger>> mergers;
+  std::vector<PartialMerger> mergers;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    columns[i] = GroupedColumns(nodes[i]);
-    mergers.push_back(std::make_unique<PartialMerger>(*schema_));
+    columns[i] = serve::GroupedColumns(codec_, nodes[i]);
+    mergers.emplace_back(*schema_, static_cast<int>(columns[i].size()));
   }
+  const auto fail = [&](const Status& status) {
+    queries_errors_->Inc();
+    query_latency_us_->Record(NowMicros() - start_us);
+    return ErrResponse(status);
+  };
 
   int shards_ok = 0;
   Status degraded_error = Status::OK();
   for (int s = 0; s < map_.num_shards(); ++s) {
-    const Result<BackendReply>& reply = replies[s];
-    const Status status = reply.ok() ? reply->status : reply.status();
-    if (!status.ok()) {
+    const ShardReply& reply = replies[s];
+    if (!reply.status.ok()) {
       // Same degradation rule as ScatterGather: a whole unavailable shard
       // may be skipped under allow_partial (every section loses its rows
       // uniformly); anything else fails the batch.
-      if (options_.allow_partial && PartialEligible(status.code())) {
-        degraded_error = status;
+      if (options_.allow_partial && PartialEligible(reply.status.code())) {
+        degraded_error = reply.status;
         continue;
       }
-      queries_errors_->Inc();
-      query_latency_us_->Record(NowMicros() - start_us);
-      return ErrResponse(status);
+      return fail(reply.status);
     }
     ++shards_ok;
     // Sections arrive in input order, each framed by its "= <spec> <count>
     // <checksum> <token>" header; the count prefix delimits its rows.
-    size_t row = 0, section = 0;
-    while (row < reply->rows.size()) {
-      std::istringstream head(reply->rows[row]);
+    const std::string shard = "shard " + std::to_string(s);
+    size_t pos = reply.body, section = 0;
+    std::string_view line;
+    while (NextReplyLine(reply.text, &pos, &line)) {
+      std::istringstream head{std::string(line)};
       std::string marker, spec, checksum_hex, token;
       uint64_t count = 0;
       if (!(head >> marker >> spec >> count >> checksum_hex >> token) ||
           marker != "=") {
-        queries_errors_->Inc();
-        query_latency_us_->Record(NowMicros() - start_us);
-        return ErrResponse(StatusCode::kInternal,
-                           "shard " + std::to_string(s) +
-                               " returned a malformed BATCH section header '" +
-                               reply->rows[row] + "'");
+        return fail(Status::Internal(shard +
+                                     " returned a malformed BATCH section "
+                                     "header '" + std::string(line) + "'"));
       }
       if (section >= nodes.size() || spec != specs[section]) {
-        queries_errors_->Inc();
-        query_latency_us_->Record(NowMicros() - start_us);
-        return ErrResponse(StatusCode::kInternal,
-                           "shard " + std::to_string(s) +
-                               " returned unexpected BATCH section '" + spec +
-                               "'");
+        return fail(Status::Internal(shard +
+                                     " returned unexpected BATCH section '" +
+                                     spec + "'"));
       }
-      ++row;
-      if (row + count > reply->rows.size()) {
-        queries_errors_->Inc();
-        query_latency_us_->Record(NowMicros() - start_us);
-        return ErrResponse(StatusCode::kInternal,
-                           "shard " + std::to_string(s) +
-                               " truncated BATCH section '" + spec + "'");
+      const Result<uint64_t> merged =
+          MergeShardRows(s, reply.text, &pos, count, &mergers[section]);
+      if (!merged.ok()) return fail(merged.status());
+      if (*merged != count) {
+        return fail(Status::Internal(shard + " truncated BATCH section '" +
+                                     spec + "'"));
       }
-      const std::vector<std::string> body(
-          reply->rows.begin() + static_cast<ptrdiff_t>(row),
-          reply->rows.begin() + static_cast<ptrdiff_t>(row + count));
-      const Status merged =
-          MergeShardRows(s, body, columns[section], mergers[section].get());
-      if (!merged.ok()) {
-        queries_errors_->Inc();
-        query_latency_us_->Record(NowMicros() - start_us);
-        return ErrResponse(merged);
-      }
-      row += count;
       ++section;
     }
     if (section != nodes.size()) {
-      queries_errors_->Inc();
-      query_latency_us_->Record(NowMicros() - start_us);
-      return ErrResponse(StatusCode::kInternal,
-                         "shard " + std::to_string(s) + " returned " +
-                             std::to_string(section) + " BATCH sections, "
-                             "expected " + std::to_string(nodes.size()));
+      return fail(Status::Internal(
+          shard + " returned " + std::to_string(section) +
+          " BATCH sections, expected " + std::to_string(nodes.size())));
     }
   }
-  if (shards_ok == 0) {
-    queries_errors_->Inc();
-    query_latency_us_->Record(NowMicros() - start_us);
-    return ErrResponse(degraded_error);
-  }
+  if (shards_ok == 0) return fail(degraded_error);
   const std::string partial = PartialToken(shards_ok, map_.num_shards());
   if (!partial.empty()) partial_total_->Inc();
 
   std::string sections_out;
   uint64_t combined_checksum = 0;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    query::ResultSink sink(/*retain=*/true);
+    query::ResultSink sink;
+    std::string rows;
     const Status finish =
-        mergers[i]->Finish(count_aggregate_, /*min_count=*/0, &sink);
-    if (!finish.ok()) {
-      queries_errors_->Inc();
-      query_latency_us_->Record(NowMicros() - start_us);
-      return ErrResponse(finish);
-    }
+        EmitMerged(&mergers[i], /*min_count=*/0, columns[i],
+                   codes ? kRawCodes : decoder_, &sink, &rows);
+    if (!finish.ok()) return fail(finish);
     combined_checksum ^= sink.checksum();
     char section_header[128];
     std::snprintf(section_header, sizeof(section_header),
@@ -1210,7 +1128,7 @@ std::string CureRouter::HandleBatch(const std::vector<std::string>& tokens_in) {
                   static_cast<unsigned long long>(sink.count()),
                   static_cast<unsigned long long>(sink.checksum()));
     sections_out += section_header;
-    sections_out += FormatRowsText(sink.rows(), columns[i]);
+    sections_out += rows;
   }
 
   char header[96];
@@ -1328,9 +1246,6 @@ void CureRouter::UpdateDerivedMetrics() const {
   metrics_.gauge("replicas_total")->Set(total);
   metrics_.gauge("replicas_healthy")->Set(healthy);
   metrics_.gauge("replicas_ejected")->Set(ejected);
-  metrics_.gauge("pool_queue_depth")
-      ->Set(static_cast<double>(pool_->queue_depth()));
-  metrics_.gauge("pool_busy_workers")->Set(pool_->busy_workers());
   const BackendClient::PoolStats conns = client_.pool_stats();
   metrics_.gauge("backend_pool_connects")
       ->Set(static_cast<double>(conns.connects));

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,13 +14,13 @@
 #include "common/metrics.h"
 #include "common/slowlog.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "router/backend_client.h"
 #include "router/merge.h"
 #include "router/profile.h"
 #include "router/shard_map.h"
 #include "schema/cube_schema.h"
 #include "schema/node_id.h"
+#include "serve/protocol.h"
 
 namespace cure {
 namespace router {
@@ -33,8 +32,6 @@ struct RouterOptions {
   /// state then changes only through query outcomes and explicit
   /// ProbeHealth() calls — the mode tests use).
   double health_period_seconds = 0;
-  /// Scatter worker threads (0 = one per shard).
-  int num_threads = 0;
   /// Fixed hedge delay: an attempt still unanswered after this long gets a
   /// second request to another healthy replica, first answer wins. < 0
   /// disables hedging (the default — tests and latency-insensitive callers
@@ -48,7 +45,7 @@ struct RouterOptions {
   /// per request. Candidate replicas are still each tried at most once.
   int retry_budget = 3;
   /// Capped exponential backoff between sequential retries; jittered to
-  /// avoid synchronized retry storms across scatter threads.
+  /// avoid synchronized retry storms across concurrent requests.
   double backoff_initial_seconds = 0.005;
   double backoff_cap_seconds = 0.25;
   /// Circuit breaker: this many consecutive failover-class failures open a
@@ -71,12 +68,14 @@ struct RouterOptions {
 ///
 /// The cube's fact table is partitioned across the shard map's shards
 /// (cure_tool shard builds one complete cube per disjoint fact partition);
-/// each query verb is scattered to ONE replica of EVERY shard, the
-/// per-shard partial relations are gathered and re-aggregated with the
-/// cube's own distributive merge semantics (SUM/COUNT/MIN/MAX Combine), and
-/// the merged relation — bit-identical to a single-node cube over the whole
-/// fact table, including the order-independent checksum — is returned to
-/// the client in the same line protocol cure_serve speaks.
+/// each query verb is scattered to ONE replica of EVERY shard — every
+/// attempt driven by the request's own thread from one poll() loop — the
+/// per-shard partial relations (requested as raw codes, `codes=1`) are
+/// gathered and re-aggregated with the cube's own distributive merge
+/// semantics (SUM/COUNT/MIN/MAX Combine), and the merged relation —
+/// bit-identical to a single-node cube over the whole fact table, including
+/// the order-independent checksum — is returned to the client in the same
+/// line protocol cure_serve speaks.
 ///
 /// Replica pick is staleness-aware: health probes read each backend's STATS
 /// gauges and the router prefers, per shard, the healthy replica with the
@@ -88,21 +87,14 @@ struct RouterOptions {
 /// returned to the client without failover.
 class CureRouter {
  public:
-  /// Re-encodes a dimension string emitted by a backend into its code at
-  /// (dim, level) — the inverse of TcpLineServer::ValueDecoder. Codes parse
-  /// numerically when absent (cubes without dictionaries).
-  using ValueEncoder =
-      std::function<Result<uint32_t>(int dim, int level, const std::string& value)>;
   /// Decodes a code for client row output, exactly as the backends do.
-  using ValueDecoder =
-      std::function<std::string(int dim, int level, uint32_t code)>;
+  using ValueDecoder = serve::ValueDecoder;
 
   /// `schema` must match the backends' cube schema (cure_tool shard writes
   /// it next to the shard map) and must outlive the router.
   static Result<std::unique_ptr<CureRouter>> Create(
       const schema::CubeSchema* schema, ShardMap map,
-      const RouterOptions& options, ValueEncoder encoder = nullptr,
-      ValueDecoder decoder = nullptr);
+      const RouterOptions& options, ValueDecoder decoder = nullptr);
 
   ~CureRouter();
 
@@ -111,7 +103,9 @@ class CureRouter {
 
   /// Executes one protocol line and returns the full response (including
   /// the terminating ".\n"). Thread-safe — the LineTransport front end
-  /// calls this from one thread per client connection.
+  /// calls this from one thread per client connection, and that thread
+  /// drives the whole scatter itself: the router starts no threads per
+  /// request or per backend attempt.
   ///
   /// Verbs: QUERY/ICEBERG/SLICE (scattered; responses read
   /// "OK <count> <checksum-hex> SCATTER trace=<id>" plus merged rows),
@@ -130,7 +124,10 @@ class CureRouter {
   /// serving replica and appends the federated shard/replica-labelled
   /// exposition — see federation.h), SLOWLOG (the slow-query ring,
   /// newest first), HEALTH (one line per replica: "shard <s> replica <r>
-  /// <addr> <UP|DOWN|EJECTED> version=<v> staleness=<s>").
+  /// <addr> <UP|DOWN|EJECTED> version=<v> staleness=<s>"). The scattered
+  /// verbs take cure_serve's trailing control tokens (trace=, deadline=,
+  /// codes=1 — raw codes instead of dictionary-decoded rows, so routers
+  /// stack).
   std::string HandleLine(const std::string& line);
 
   /// Probes every non-ejected replica's STATS once, updating health and
@@ -176,30 +173,17 @@ class CureRouter {
     int64_t open_until_us = 0;
   };
 
-  /// Shared scoreboard between QueryShard's event loop and its (detached)
-  /// attempt threads; held by shared_ptr so a late loser whose request the
-  /// loop already abandoned (deadline, first-wins hedge) self-records
-  /// harmlessly.
-  struct ShardAttemptState;
+  /// One shard's answer to a scattered line: OK with the backend's raw
+  /// reply text (rows start at `body`), or the shard's error — a transport
+  /// failure, a backend ERR, or the deadline.
+  struct ShardReply {
+    Status status = Status::Internal("shard reply missing");
+    std::string text;
+    size_t body = 0;
+  };
 
   CureRouter(const schema::CubeSchema* schema, ShardMap map,
-             const RouterOptions& options, ValueEncoder encoder,
-             ValueDecoder decoder);
-
-  /// Scatters `backend_line` to shard `shard` with replica pick, hedging
-  /// and failover. OK replies come back verbatim; the Status reflects
-  /// either the last transport/IOError (all candidates exhausted or budget
-  /// spent), kDeadlineExceeded (client budget gone), or the first
-  /// deterministic backend error. `deadline_us` is the absolute
-  /// steady-clock deadline in microseconds (0 = none); each attempt is sent
-  /// with the REMAINING budget so retries spend one client budget.
-  /// When `profile` is non-null, every replica attempt is recorded into it
-  /// (launch/end offsets relative to `profile_base_us`, kind, outcome) and
-  /// the winner's "% " profile lines are copied over.
-  Result<BackendReply> QueryShard(int shard, const std::string& backend_line,
-                                  int64_t deadline_us,
-                                  ShardProfile* profile = nullptr,
-                                  int64_t profile_base_us = 0);
+             const RouterOptions& options, ValueDecoder decoder);
 
   /// Candidate replica order for a shard (see class comment). Breaker-aware:
   /// healthy closed-breaker replicas (freshness-sorted) first, then
@@ -217,43 +201,48 @@ class CureRouter {
   void RecordBackendSuccess(int shard, int replica);
   void RecordBackendFailure(int shard, int replica);
 
-  /// Scatters `backend_line` to every shard (one pool task per shard, each
-  /// picking its own replica with failover). A non-null `profile` collects
-  /// the per-shard attempt logs (its `shards` vector is filled here).
-  std::vector<Result<BackendReply>> Scatter(const std::string& backend_line,
-                                            int64_t deadline_us,
-                                            ClusterProfile* profile = nullptr,
-                                            int64_t profile_base_us = 0);
+  /// Scatters `backend_line` to one replica of every shard, with replica
+  /// pick, hedging, retries and failover, all driven from the calling
+  /// thread by one poll() loop over non-blocking backend connections. A
+  /// shard's reply is its first OK answer; otherwise the last
+  /// transport/IOError (all candidates exhausted or budget spent),
+  /// kDeadlineExceeded (client budget gone), or the first deterministic
+  /// backend error. `deadline_us` is the absolute steady-clock deadline in
+  /// microseconds (0 = none); each attempt is sent with the REMAINING
+  /// budget so retries spend one client budget. A non-null `profile`
+  /// collects every replica attempt per shard (launch/end offsets relative
+  /// to `profile_base_us`, kind, outcome) plus the winners' "% " profile
+  /// lines; its `shards` vector is filled here.
+  std::vector<ShardReply> Scatter(const std::string& backend_line,
+                                  int64_t deadline_us,
+                                  ClusterProfile* profile = nullptr,
+                                  int64_t profile_base_us = 0);
 
   /// True when a shard error is eligible for partial-result degradation
   /// (the shard is unavailable, not the request malformed).
   static bool PartialEligible(StatusCode code);
 
-  /// The grouped (dim, level) columns of a node, in dimension order — the
-  /// shape of its result rows.
-  std::vector<std::pair<int, int>> GroupedColumns(schema::NodeId node) const;
-
-  /// Re-encodes one shard's decoded rows and folds them into `merger`.
-  Status MergeShardRows(int shard, const std::vector<std::string>& rows,
-                        const std::vector<std::pair<int, int>>& columns,
-                        PartialMerger* merger) const;
-
-  /// Dictionary-decoded tab-separated lines for merged rows.
-  std::string FormatRowsText(
-      const std::vector<query::ResultSink::Row>& rows,
-      const std::vector<std::pair<int, int>>& columns) const;
-
-  /// Scatter + gather + post-merge iceberg for one node query; the merged,
-  /// deterministic relation lands in `sink` (retained rows). With
-  /// allow_partial, failover-class shard errors are skipped and
-  /// `*shards_ok` reports how many shards were merged (== num_shards when
-  /// complete); a query where EVERY shard failed still errors.
+  /// Scatter + gather + post-merge iceberg for one node query: every OK
+  /// shard reply's rows are parsed in place and merged; the merged,
+  /// deterministic relation's count and checksum land in `sink` and its row
+  /// text (through `decoder`) in `rows` when non-null. With allow_partial,
+  /// failover-class shard errors are skipped and `*shards_ok` reports how
+  /// many shards were merged (== num_shards when complete); a query where
+  /// EVERY shard failed still errors.
   Status ScatterGather(schema::NodeId node, const std::string& backend_line,
                        int64_t min_count, int64_t deadline_us,
-                       query::ResultSink* sink,
-                       std::vector<std::pair<int, int>>* columns,
-                       int* shards_ok, ClusterProfile* profile = nullptr,
+                       const ValueDecoder& decoder, query::ResultSink* sink,
+                       std::string* rows, int* shards_ok,
+                       ClusterProfile* profile = nullptr,
                        int64_t profile_base_us = 0);
+
+  /// Folds `merger` and emits the groups that clear `min_count` (post-merge
+  /// iceberg) into `sink` — count and checksum — and as row text into
+  /// `rows` when non-null.
+  Status EmitMerged(PartialMerger* merger, int64_t min_count,
+                    const std::vector<std::pair<int, int>>& columns,
+                    const ValueDecoder& decoder, query::ResultSink* sink,
+                    std::string* rows) const;
 
   /// The query handlers optionally fill a ClusterProfile: a non-null
   /// `profile` switches the backend lines to `profile=1` and records the
@@ -285,12 +274,9 @@ class CureRouter {
   schema::NodeIdCodec codec_;
   ShardMap map_;
   RouterOptions options_;
-  ValueEncoder encoder_;
   ValueDecoder decoder_;
   BackendClient client_;
   int count_aggregate_ = -1;
-
-  std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex mu_;
   std::vector<std::vector<ReplicaState>> replicas_;  ///< [shard][replica]
@@ -315,12 +301,6 @@ class CureRouter {
   /// named backend_s<shard>_r<replica>_latency.
   std::vector<std::vector<LogHistogram*>> backend_latency_;
 
-  /// Detached attempt threads still in flight (hedges and abandoned
-  /// deadline losers outlive their QueryShard call); the destructor waits
-  /// for zero before tearing down members those threads touch.
-  mutable std::mutex attempts_mu_;
-  mutable std::condition_variable attempts_cv_;
-  int outstanding_attempts_ = 0;
   std::atomic<uint64_t> jitter_state_{0x9e3779b97f4a7c15ull};
 
   std::thread health_thread_;

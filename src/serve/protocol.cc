@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace cure {
@@ -44,15 +45,26 @@ std::vector<std::string> SplitTokens(const std::string& text) {
 
 bool TakeRequestTokens(std::vector<std::string>* tokens, uint64_t* trace_id,
                        double* deadline_seconds, std::string* error,
-                       bool* profile) {
+                       bool* profile, bool* codes) {
   // The control tokens trail the command, so peel from the back; each kind
   // is consumed at most once and an unknown trailing token stops the scan
   // (it belongs to the verb's own grammar).
   bool saw_trace = false;
   bool saw_deadline = false;
   bool saw_profile = false;
+  bool saw_codes = false;
   while (!tokens->empty()) {
     const std::string& last = tokens->back();
+    if (!saw_codes && last.rfind("codes=", 0) == 0) {
+      if (last != "codes=1") {
+        if (error != nullptr) *error = "codes=<v> supports only codes=1";
+        return false;
+      }
+      if (codes != nullptr) *codes = true;
+      saw_codes = true;
+      tokens->pop_back();
+      continue;
+    }
     if (!saw_profile && last.rfind("profile=", 0) == 0) {
       const std::string value = last.substr(8);
       if (value != "1") {
@@ -100,6 +112,51 @@ bool TakeRequestTokens(std::vector<std::string>* tokens, uint64_t* trace_id,
     break;
   }
   return true;
+}
+
+std::vector<std::pair<int, int>> GroupedColumns(
+    const schema::NodeIdCodec& codec, schema::NodeId node) {
+  const std::vector<int> levels = codec.Decode(node);
+  std::vector<std::pair<int, int>> columns;
+  for (int d = 0; d < codec.num_dims(); ++d) {
+    if (levels[d] != codec.all_level(d)) columns.emplace_back(d, levels[d]);
+  }
+  return columns;
+}
+
+void AppendRowText(const std::vector<std::pair<int, int>>& columns,
+                   const uint32_t* dims, size_t num_dims,
+                   const int64_t* aggrs, size_t num_aggrs,
+                   const ValueDecoder& decoder, std::string* out) {
+  // Every field is at most 20 digits plus a sign; format into a stack
+  // buffer and append once per field.
+  char buf[24];
+  for (size_t i = 0; i < num_dims; ++i) {
+    if (i > 0) out->push_back('\t');
+    if (decoder != nullptr && i < columns.size()) {
+      out->append(decoder(columns[i].first, columns[i].second, dims[i]));
+    } else {
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), dims[i]).ptr);
+    }
+  }
+  for (size_t y = 0; y < num_aggrs; ++y) {
+    if (num_dims + y > 0) out->push_back('\t');
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf), aggrs[y]).ptr);
+  }
+  out->push_back('\n');
+}
+
+void AppendRowsText(const std::vector<std::pair<int, int>>& columns,
+                    const std::vector<query::ResultSink::Row>& rows,
+                    const ValueDecoder& decoder, std::string* out) {
+  if (!rows.empty()) {
+    const size_t fields = rows[0].dims.size() + rows[0].aggrs.size();
+    out->reserve(out->size() + rows.size() * 8 * fields);
+  }
+  for (const query::ResultSink::Row& row : rows) {
+    AppendRowText(columns, row.dims.data(), row.dims.size(), row.aggrs.data(),
+                  row.aggrs.size(), decoder, out);
+  }
 }
 
 Result<schema::NodeId> ParseNodeSpec(const schema::CubeSchema& schema,

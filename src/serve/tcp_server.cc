@@ -162,9 +162,10 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
   // deadline= is the client's remaining budget, enforced by CubeServer's
   // admission queue (a query still queued past it fails kDeadlineExceeded).
   std::string token_error;
+  bool codes = false;
   if (!TakeRequestTokens(&tokens, &request.trace_id,
                          &request.deadline_seconds, &token_error,
-                         &request.profile)) {
+                         &request.profile, &codes)) {
     return ErrResponse(StatusCode::kInvalidArgument, token_error);
   }
   if (tokens.size() < 2) {
@@ -182,7 +183,7 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
       nodes.push_back(*node);
     }
     return HandleBatch(nodes, request.trace_id, request.deadline_seconds,
-                       request.profile);
+                       request.profile, codes);
   }
 
   Result<schema::NodeId> node =
@@ -306,12 +307,13 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
     response.result = std::move(selected);
   }
 
-  return FormatQueryResponse(query_node, response, extra_token, profile);
+  return FormatQueryResponse(query_node, response, extra_token, profile,
+                             codes);
 }
 
 std::string TcpLineServer::HandleBatch(
     const std::vector<schema::NodeId>& nodes, uint64_t trace_id,
-    double deadline_seconds, bool profile) {
+    double deadline_seconds, bool profile, bool codes) {
   if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
   // Most-detailed-first execution order: once a fine node's result is
   // cached, every coarser member of the batch can be answered from it by
@@ -350,7 +352,7 @@ std::string TcpLineServer::HandleBatch(
     int64_t encode_us = 0;
     if (response.result != nullptr) {
       Stopwatch encode_watch;
-      sections[idx] += FormatRows(nodes[idx], *response.result);
+      AppendRows(nodes[idx], *response.result, codes, &sections[idx]);
       encode_us = encode_watch.ElapsedMicros();
     }
     if (profile) {
@@ -372,7 +374,7 @@ std::string TcpLineServer::HandleBatch(
 
 std::string TcpLineServer::FormatQueryResponse(
     schema::NodeId node, const QueryResponse& response,
-    const std::string& extra_token, bool profile) const {
+    const std::string& extra_token, bool profile, bool codes) const {
   CURE_TRACE_SPAN("cure.serve.encode", "trace_id", response.trace_id);
   // The trace id is echoed so a slow response can be matched against the
   // slow-query log and exported trace spans.
@@ -391,7 +393,7 @@ std::string TcpLineServer::FormatQueryResponse(
   int64_t encode_us = 0;
   if (response.result != nullptr) {
     Stopwatch encode_watch;
-    out += FormatRows(node, *response.result);
+    AppendRows(node, *response.result, codes, &out);
     encode_us = encode_watch.ElapsedMicros();
   }
   if (profile) out += FormatProfileSection(response, encode_us, "");
@@ -435,35 +437,13 @@ std::string TcpLineServer::FormatProfileSection(
   return out;
 }
 
-std::string TcpLineServer::FormatRows(schema::NodeId node,
-                                      const QueryResult& result) const {
+void TcpLineServer::AppendRows(schema::NodeId node, const QueryResult& result,
+                               bool codes, std::string* out) const {
   // Result rows carry one code per *grouped* dimension, in dimension
-  // order; recover the (dim, level) of each column from the node id.
-  const schema::NodeIdCodec& codec = server_->codec();
-  const std::vector<int> levels = codec.Decode(node);
-  std::vector<std::pair<int, int>> columns;
-  for (int d = 0; d < codec.num_dims(); ++d) {
-    if (levels[d] != codec.all_level(d)) columns.emplace_back(d, levels[d]);
-  }
-  std::string out;
-  for (const query::ResultSink::Row& row : result.rows) {
-    std::string line;
-    for (size_t i = 0; i < row.dims.size(); ++i) {
-      if (!line.empty()) line += '\t';
-      if (decoder_ != nullptr && i < columns.size()) {
-        line += decoder_(columns[i].first, columns[i].second, row.dims[i]);
-      } else {
-        line += std::to_string(row.dims[i]);
-      }
-    }
-    for (const int64_t aggr : row.aggrs) {
-      if (!line.empty()) line += '\t';
-      line += std::to_string(aggr);
-    }
-    out += line;
-    out += '\n';
-  }
-  return out;
+  // order; the node id recovers the (dim, level) of each column.
+  static const ValueDecoder kRawCodes;
+  AppendRowsText(GroupedColumns(server_->codec(), node), result.rows,
+                 codes ? kRawCodes : decoder_, out);
 }
 
 }  // namespace serve

@@ -82,17 +82,17 @@ struct TcpServerOptions {
 /// "% profile ..." line with the per-stage breakdown in microseconds
 /// (queue_wait/key/cache/execute/encode/total), then — when the tracer is
 /// armed — one "% span name=<n> ts_us=<t> dur_us=<d>" line per recorded
-/// span tagged with the request's trace id (DESIGN.md §17).
+/// span tagged with the request's trace id (DESIGN.md §17). A trailing
+/// `codes=1` token skips the dictionary decoder: dimension fields go out as
+/// raw codes (the form a router scatters for, so it merges without
+/// re-encoding).
 /// Query responses: "OK <count> <checksum-hex> <HIT|SEMANTIC|MISS>
 /// trace=<id>" then one tab-separated row per line; SEMANTIC marks a result
 /// derived from a cached ancestor by the containment algebra (bit-identical
 /// to the engine path). Errors: "ERR <CodeName> <message>".
 class TcpLineServer {
  public:
-  /// Decodes a dimension code for row output (e.g. dictionary lookup);
-  /// codes print numerically when absent.
-  using ValueDecoder =
-      std::function<std::string(int dim, int level, uint32_t code)>;
+  using ValueDecoder = serve::ValueDecoder;
 
   /// Binds 127.0.0.1:<port> and starts the accept loop. `server` must
   /// outlive the returned instance.
@@ -127,9 +127,11 @@ class TcpLineServer {
   std::string FormatQueryResponse(schema::NodeId node,
                                   const QueryResponse& response,
                                   const std::string& extra_token,
-                                  bool profile) const;
-  /// Dictionary-decoded tab-separated result rows (no header/terminator).
-  std::string FormatRows(schema::NodeId node, const QueryResult& result) const;
+                                  bool profile, bool codes) const;
+  /// Tab-separated result rows (no header/terminator), dictionary-decoded
+  /// unless the request asked for raw `codes`.
+  void AppendRows(schema::NodeId node, const QueryResult& result, bool codes,
+                  std::string* out) const;
   /// One "% profile ..." line (plus "% span ..." lines when the tracer is
   /// armed) for a finished query; `encode_us` is the row-formatting time,
   /// `node_label` tags BATCH members ("" elsewhere).
@@ -138,7 +140,7 @@ class TcpLineServer {
                                    const std::string& node_label) const;
   std::string HandleBatch(const std::vector<schema::NodeId>& nodes,
                           uint64_t trace_id, double deadline_seconds,
-                          bool profile);
+                          bool profile, bool codes);
 
   CubeServer* server_;
   ValueDecoder decoder_;

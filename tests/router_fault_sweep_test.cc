@@ -205,11 +205,10 @@ struct SweepCluster {
     return std::move(tcp).value();
   }
 
-  /// Sweep-tuned options: one scatter thread for a stable op order, fast
-  /// backoff, short timeouts so sticky stalls fail in milliseconds.
+  /// Sweep-tuned options: fast backoff, short timeouts so sticky stalls
+  /// fail in milliseconds.
   static RouterOptions SweepOptions() {
     RouterOptions options;
-    options.num_threads = 1;
     options.backend_timeout_seconds = 2.0;
     options.backoff_initial_seconds = 0.001;
     options.backoff_cap_seconds = 0.01;

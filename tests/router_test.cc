@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -794,7 +796,7 @@ TEST(BackendClientTest, RetriesOnceWhenPooledConnectionWentStale) {
 
 /// A pathological raw-socket backend: accepts, reads the request, answers
 /// with the FIRST HALF of a reply, then holds the connection open forever
-/// without another byte. Exercises the mid-response SO_RCVTIMEO path that a
+/// without another byte. Exercises the mid-response receive timeout that a
 /// scripted LineTransport (which always answers completely) cannot.
 class StalledBackend {
  public:
@@ -925,6 +927,368 @@ TEST(RouterClusterTest, ServesOverItsOwnLoopbackTransport) {
   std::vector<std::string> rows = reply->rows;
   std::sort(rows.begin(), rows.end());
   EXPECT_EQ(rows, direct.rows);
+}
+
+
+// ------------------------------------------------------ malformed replies
+
+/// A raw-socket backend that answers every request line with a scripted
+/// byte string and then closes the connection — so a reply cut before its
+/// ".\n" terminator reaches the router as EOF mid-response.
+class ScriptedBackend {
+ public:
+  ScriptedBackend() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0) << strerror(errno);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 16), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~ScriptedBackend() {
+    stopped_.store(true);
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  int port() const { return port_; }
+  void set_script(const std::string& script) {
+    std::lock_guard<std::mutex> lock(mu_);
+    script_ = script;
+  }
+  std::string last_request() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return last_request_;
+  }
+
+ private:
+  void Serve() {
+    while (!stopped_.load()) {
+      pollfd pfd{listen_fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;
+      std::string request;
+      char c;
+      while (::recv(fd, &c, 1, 0) == 1 && c != '\n') request += c;
+      std::string script;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        last_request_ = request;
+        script = script_;
+      }
+      (void)::send(fd, script.data(), script.size(), MSG_NOSIGNAL);
+      ::close(fd);
+    }
+  }
+
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> stopped_{false};
+  mutable std::mutex mu_;
+  std::string script_;
+  std::string last_request_;
+  std::thread thread_;
+};
+
+TEST(CureRouterTest, MalformedShardRepliesFailCleanAndWellFormedOnesMerge) {
+  gen::Dataset ds = MakeZipfHier(50, 8);  // 4 aggregates: s, c, lo, hi
+  ScriptedBackend backend;
+  ShardMap map;
+  map.shards = {{{"127.0.0.1", backend.port()}}};
+  auto router = CureRouter::Create(&ds.schema, map, RouterOptions{});
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  const std::string ok = "OK 2 0000000000000001 MISS trace=1\n";
+  const auto ask = [&](const std::string& script, const std::string& line) {
+    backend.set_script(script);
+    return (*router)->HandleLine(line);
+  };
+  const auto body = [](const std::string& response) {
+    return response.substr(response.find('\n') + 1);
+  };
+
+  // The router scatters in codes: the backend is asked for raw codes.
+  EXPECT_EQ(ask(ok + "1\t10\t2\t3\t7\n.\n", "QUERY A_L0").rfind("OK 1 ", 0),
+            0u);
+  EXPECT_NE(backend.last_request().find(" codes=1"), std::string::npos)
+      << backend.last_request();
+
+  // Wrong field count and a non-numeric aggregate keep their Internal
+  // code and message.
+  EXPECT_EQ(ask(ok + "1\t2\t3\n.\n", "QUERY A_L0"),
+            "ERR Internal shard 0 returned a row with 3 fields, expected "
+            "5\n.\n");
+  EXPECT_EQ(ask(ok + "1\t2\tx\t3\t4\n.\n", "QUERY A_L0"),
+            "ERR Internal shard 0 returned a non-numeric aggregate 'x'\n.\n");
+  // A dim code above UINT32_MAX is an error naming the shard, not a
+  // silently truncated code; so is a code that is no number at all.
+  std::string response = ask(ok + "4294967296\t2\t3\t1\t4\n.\n", "QUERY A_L0");
+  EXPECT_EQ(response.rfind("ERR Internal shard 0 ", 0), 0u) << response;
+  EXPECT_NE(response.find("4294967296"), std::string::npos) << response;
+  response = ask(ok + "-1\t2\t3\t1\t4\n.\n", "QUERY A_L0");
+  EXPECT_EQ(response.rfind("ERR Internal shard 0 ", 0), 0u) << response;
+  // An empty line is a malformed row too.
+  response = ask(ok + "1\t10\t2\t3\t7\n\n.\n", "QUERY A_L0");
+  EXPECT_EQ(response.rfind("ERR Internal shard 0 ", 0), 0u) << response;
+
+  // \r\n line ends are stripped, as ParseBackendReply does; the two
+  // partials of group 1 merge (s, c add; lo keeps the min, hi the max).
+  response = ask("OK 2 0000000000000001 MISS trace=1\r\n1\t10\t2\t3\t7\r\n"
+                 "1\t5\t1\t2\t9\r\n.\n",
+                 "QUERY A_L0");
+  EXPECT_EQ(response.rfind("OK 1 ", 0), 0u) << response;
+  EXPECT_EQ(body(response), "1\t15\t3\t2\t9\n.\n");
+
+  // "% " profile lines between rows stay out of the merge.
+  response = ask(ok + "2\t10\t2\t3\t7\n% profile stage=serve total_us=5\n"
+                      "1\t5\t1\t2\t9\n% span name=x ts_us=1 dur_us=2\n.\n",
+                 "QUERY A_L0");
+  EXPECT_EQ(response.rfind("OK 2 ", 0), 0u) << response;
+  EXPECT_EQ(body(response), "1\t5\t1\t2\t9\n2\t10\t2\t3\t7\n.\n");
+
+  // A reply cut before its terminator is a transport failure: IOError.
+  response = ask(ok + "1\t10\t2\t3\t7\n", "QUERY A_L0");
+  EXPECT_EQ(response.rfind("ERR IOError ", 0), 0u) << response;
+  EXPECT_NE(response.find("closed the connection mid-response"),
+            std::string::npos)
+      << response;
+
+  // BATCH sections go through the same parser and framing checks.
+  const std::string batch = "OK 1 0000000000000001 BATCH trace=1\n";
+  EXPECT_EQ(ask(batch + "= A_L0 1 0000000000000001 MISS\n1\t2\t3\n.\n",
+                "BATCH A_L0"),
+            "ERR Internal shard 0 returned a row with 3 fields, expected "
+            "5\n.\n");
+  EXPECT_EQ(ask(batch + "= A_L0 3 0000000000000001 MISS\n1\t10\t2\t3\t7\n.\n",
+                "BATCH A_L0"),
+            "ERR Internal shard 0 truncated BATCH section 'A_L0'\n.\n");
+  response = ask(batch + "= A_L0 1 0000000000000001 MISS\r\n1\t10\t2\t3\t7\r\n"
+                         ".\n",
+                 "BATCH A_L0");
+  EXPECT_EQ(response.rfind("OK 1 ", 0), 0u) << response;
+  EXPECT_NE(response.find("\n1\t10\t2\t3\t7\n"), std::string::npos)
+      << response;
+}
+
+// ------------------------------------------------------------ hedge storm
+
+/// A wedged replica: accepts every connection and reads the request but
+/// never answers. When the client closes its end, it closes too — so an
+/// abandoned attempt leaves no connection behind on either side.
+class WedgedBackend {
+ public:
+  WedgedBackend() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0) << strerror(errno);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 128), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~WedgedBackend() {
+    stopped_.store(true);
+    thread_.join();
+    for (int fd : held_) ::close(fd);
+    ::close(listen_fd_);
+  }
+
+  int port() const { return port_; }
+  int accepted() const { return accepted_.load(); }
+  int open_connections() const { return open_.load(); }
+
+ private:
+  void Serve() {
+    std::vector<pollfd> fds;
+    while (!stopped_.load()) {
+      fds.assign(1, pollfd{listen_fd_, POLLIN, 0});
+      for (int fd : held_) fds.push_back(pollfd{fd, POLLIN, 0});
+      if (::poll(fds.data(), fds.size(), 20) <= 0) continue;
+      for (size_t i = 1; i < fds.size(); ++i) {
+        if (fds[i].revents == 0) continue;
+        char buf[256];
+        if (::recv(fds[i].fd, buf, sizeof(buf), MSG_DONTWAIT) > 0) continue;
+        ::close(fds[i].fd);  // the client gave up on it
+        held_.erase(std::find(held_.begin(), held_.end(), fds[i].fd));
+      }
+      if (fds[0].revents != 0) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd >= 0) {
+          held_.push_back(fd);
+          accepted_.fetch_add(1);
+        }
+      }
+      open_.store(static_cast<int>(held_.size()));
+    }
+  }
+
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> stopped_{false};
+  std::atomic<int> accepted_{0};
+  std::atomic<int> open_{0};
+  std::vector<int> held_;  ///< Serve()'s thread only
+  std::thread thread_;
+};
+
+/// The process's thread count, from /proc/self/status.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(RouterClusterTest, HedgeStormKeepsThreadsFlatAndAnswersExact) {
+  ClusterFixture fx(1200, 19);
+  // Every shard: replica 0 wedged (pinned first, so every attempt starts
+  // there and hedges), replica 1 a real server.
+  std::vector<std::unique_ptr<WedgedBackend>> wedged;
+  ShardMap map;
+  for (int s = 0; s < 3; ++s) {
+    wedged.push_back(std::make_unique<WedgedBackend>());
+    map.shards.push_back({{"127.0.0.1", wedged.back()->port()},
+                          {"127.0.0.1", fx.tcps[s][1]->port()}});
+  }
+  RouterOptions options;
+  options.hedge_seconds = 0.002;
+  // A wedged attempt would hold a thread for this long if attempts had
+  // threads; here it is a socket closed when the hedge wins.
+  options.backend_timeout_seconds = 30;
+  auto created = CureRouter::Create(&fx.ds.schema, map, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<CureRouter> router = std::move(created).value();
+  for (int s = 0; s < 3; ++s) {
+    router->OverrideReplicaFreshnessForTest(s, 0, /*version=*/9, /*stale=*/0);
+    router->OverrideReplicaFreshnessForTest(s, 1, /*version=*/1, /*stale=*/9);
+  }
+
+  const std::vector<std::string> lines = {
+      "QUERY A_L1,B_L1", "QUERY ALL", "ICEBERG A_L0,B_L0 3",
+      "SLICE A_L0,B_L0 A_L2=0", "TOPK A_L0,B_L0 5", "DRILL A_L2 B"};
+  std::vector<ParsedResponse> expected;
+  for (const std::string& line : lines) {
+    expected.push_back(ParseResponse(fx.whole_tcp->HandleLine(line)));
+    ASSERT_TRUE(expected.back().ok) << line;
+  }
+
+  constexpr int kClients = 4;
+  std::atomic<int> wrong{0};
+  std::atomic<int> peak_threads{0};
+  const auto run_clients = [&](int requests_each, bool lockstep) {
+    std::barrier sync(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < requests_each; ++i) {
+          if (lockstep) sync.arrive_and_wait();
+          const size_t q = static_cast<size_t>(c + i * kClients) % lines.size();
+          const ParsedResponse got =
+              ParseResponse(router->HandleLine(lines[q]));
+          if (!got.ok || got.count != expected[q].count ||
+              got.checksum != expected[q].checksum ||
+              got.rows != expected[q].rows) {
+            wrong.fetch_add(1);
+          }
+          const int threads = ProcessThreadCount();
+          int seen = peak_threads.load();
+          while (threads > seen &&
+                 !peak_threads.compare_exchange_weak(seen, threads)) {
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  };
+
+  // Warm-up in lockstep until every real replica holds a full pool of four
+  // connections (one per concurrent client), so the server side has
+  // spawned all the connection threads it ever will.
+  for (int round = 0; round < 50; ++round) {
+    run_clients(1, /*lockstep=*/true);
+    router->StatsText();
+    if (router->metrics()->gauge("backend_pool_open")->value() >= 12) break;
+  }
+  ASSERT_EQ(wrong.load(), 0);
+  const uint64_t hedges_before =
+      router->metrics()->counter("hedges_total")->value();
+
+  // The storm: 200 requests from 4 client threads, every one hedging on
+  // every shard. The router adds no thread per request or per attempt, so
+  // the process grows by the 4 client threads only.
+  const int baseline = ProcessThreadCount();
+  peak_threads.store(baseline);
+  run_clients(50, /*lockstep=*/false);
+  EXPECT_EQ(wrong.load(), 0) << "answers drifted from the single node";
+  EXPECT_LE(peak_threads.load(), baseline + kClients)
+      << "thread count grew during the hedge storm";
+  EXPECT_GE(router->metrics()->counter("hedges_total")->value() - hedges_before,
+            200u * 3);
+
+  // Every abandoned hedge loser is a closed connection: once the wedged
+  // replicas notice, they hold nothing, although they never answered.
+  for (const auto& w : wedged) {
+    EXPECT_GE(w->accepted(), 200);
+    for (int wait = 0; wait < 200 && w->open_connections() > 0; ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(w->open_connections(), 0);
+  }
+
+  // Nothing outlives a request, so the router destructs at once while the
+  // wedged replicas are still up and still silent.
+  const auto start = std::chrono::steady_clock::now();
+  router.reset();
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            1000);
+}
+
+TEST(CureRouterTest, ClientDeadlineBoundsTheScatterWithoutChargingReplicas) {
+  WedgedBackend wedged;
+  gen::Dataset ds = MakeZipfHier(50, 9);
+  ShardMap map;
+  map.shards = {{{"127.0.0.1", wedged.port()}}};
+  RouterOptions options;
+  options.backend_timeout_seconds = 30;  // only the client budget can end it
+  auto router = CureRouter::Create(&ds.schema, map, options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = (*router)->HandleLine("QUERY ALL deadline=80");
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_EQ(response.rfind("ERR DeadlineExceeded shard 0 deadline exhausted "
+                           "after 1 attempt(s)",
+                           0),
+            0u)
+      << response;
+  EXPECT_GE(elapsed_ms, 75);
+  EXPECT_LT(elapsed_ms, 1000);
+  // The client's budget ran out, not the replica: it stays UP, and the
+  // abandoned attempt is a closed connection.
+  const std::string health = (*router)->HandleLine("HEALTH");
+  EXPECT_NE(health.find(" UP "), std::string::npos) << health;
+  for (int wait = 0; wait < 200 && wedged.open_connections() > 0; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(wedged.open_connections(), 0);
 }
 
 }  // namespace

@@ -662,6 +662,58 @@ TEST(ProtocolTest, TakeRequestTokensPeelsControlTokens) {
   EXPECT_EQ(tokens.size(), 2u);
 }
 
+TEST(ProtocolTest, TakeRequestTokensPeelsCodesTokenInAnyOrder) {
+  const std::vector<std::vector<std::string>> orders = {
+      {"QUERY", "A_L0", "codes=1"},
+      {"QUERY", "A_L0", "codes=1", "trace=5", "profile=1"},
+      {"QUERY", "A_L0", "trace=5", "codes=1", "deadline=40"},
+      {"QUERY", "A_L0", "profile=1", "deadline=40", "trace=5", "codes=1"},
+  };
+  for (std::vector<std::string> tokens : orders) {
+    uint64_t trace_id = 0;
+    double deadline = 0;
+    std::string error;
+    bool profile = false;
+    bool codes = false;
+    ASSERT_TRUE(serve::TakeRequestTokens(&tokens, &trace_id, &deadline, &error,
+                                         &profile, &codes))
+        << error;
+    EXPECT_TRUE(codes);
+    EXPECT_EQ(tokens, (std::vector<std::string>{"QUERY", "A_L0"}));
+  }
+
+  // Only codes=1 is valid; a bad value is an error, not silently decoded.
+  std::vector<std::string> tokens = {"QUERY", "A_L0", "codes=0"};
+  uint64_t trace_id = 0;
+  double deadline = 0;
+  std::string error;
+  bool codes = false;
+  EXPECT_FALSE(serve::TakeRequestTokens(&tokens, &trace_id, &deadline, &error,
+                                        nullptr, &codes));
+  EXPECT_NE(error.find("codes"), std::string::npos) << error;
+  EXPECT_FALSE(codes);
+}
+
+TEST(ProtocolTest, AppendRowsTextEncodesCodesOrDecodedValues) {
+  std::vector<ResultSink::Row> rows(2);
+  rows[0].dims = {3, 4294967295u};
+  rows[0].aggrs = {-7, 0};
+  rows[1].aggrs = {9223372036854775807ll};  // an apex row: no dims
+  std::string out;
+  serve::AppendRowsText({{0, 1}, {1, 0}}, rows, nullptr, &out);
+  EXPECT_EQ(out, "3\t4294967295\t-7\t0\n9223372036854775807\n");
+
+  out.clear();
+  serve::AppendRowsText(
+      {{0, 1}, {1, 0}}, {rows[0]},
+      [](int dim, int level, uint32_t code) {
+        return "d" + std::to_string(dim) + "l" + std::to_string(level) + "=" +
+               std::to_string(code);
+      },
+      &out);
+  EXPECT_EQ(out, "d0l1=3\td1l0=4294967295\t-7\t0\n");
+}
+
 // --------------------------------------------------------------- tcp server
 
 /// Minimal blocking line-protocol client for loopback tests.
@@ -776,6 +828,67 @@ TEST(TcpLineServerTest, ServesQueriesOverLoopback) {
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines[0].rfind("OK ", 0), 0u) << lines[0];
 
+  (*tcp)->Stop();
+}
+
+TEST(TcpLineServerTest, CodesTokenSkipsTheValueDecoder) {
+  ServerFixture fx(300, 29);
+  std::unique_ptr<CubeServer> server = fx.MakeServer();
+  auto tcp = TcpLineServer::Start(
+      server.get(), TcpServerOptions{}, [](int, int, uint32_t code) {
+        std::string value = "v";
+        value += std::to_string(code);
+        return value;
+      });
+  ASSERT_TRUE(tcp.ok());
+
+  // Decoded by default; codes=1 (in any position among the control tokens)
+  // emits the same rows with raw codes, and the header is unchanged.
+  const auto body = [](const std::string& response) {
+    return response.substr(response.find('\n') + 1);
+  };
+  const auto header_fields = [](const std::string& response) {
+    std::istringstream in(response);
+    std::string ok, count, checksum;
+    in >> ok >> count >> checksum;
+    return ok + " " + count + " " + checksum;
+  };
+  for (const std::string verb : {"QUERY A_L1,B_L0", "BATCH A_L1,B_L0 ALL"}) {
+    const std::string decoded = (*tcp)->HandleLine(verb + " trace=3");
+    const std::string coded = (*tcp)->HandleLine(verb + " codes=1 trace=3");
+    const std::string coded_last =
+        (*tcp)->HandleLine(verb + " trace=3 codes=1");
+    ASSERT_EQ(decoded.rfind("OK ", 0), 0u) << decoded;
+    ASSERT_EQ(coded.rfind("OK ", 0), 0u) << coded;
+    EXPECT_EQ(header_fields(coded), header_fields(decoded));
+    EXPECT_EQ(coded, coded_last);
+    EXPECT_NE(body(decoded).find('v'), std::string::npos) << decoded;
+    EXPECT_EQ(body(coded).find('v'), std::string::npos) << coded;
+    // Decoding the raw rows by hand reproduces the decoded reply exactly.
+    std::string redecoded;
+    std::istringstream lines(body(coded));
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("= ", 0) == 0 || line.find('\t') == std::string::npos) {
+        redecoded += line + "\n";
+        continue;
+      }
+      std::vector<std::string> fields;
+      std::istringstream cells(line);
+      for (std::string cell; std::getline(cells, cell, '\t');) {
+        fields.push_back(cell);
+      }
+      const size_t dims = fields.size() - 2;  // MakeHier: SUM and COUNT
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0) redecoded += '\t';
+        redecoded += (i < dims ? "v" : "") + fields[i];
+      }
+      redecoded += "\n";
+    }
+    EXPECT_EQ(redecoded, body(decoded)) << verb;
+  }
+  EXPECT_EQ((*tcp)->HandleLine("QUERY A_L1 codes=yes").rfind(
+                "ERR InvalidArgument", 0),
+            0u);
   (*tcp)->Stop();
 }
 

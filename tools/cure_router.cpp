@@ -165,17 +165,14 @@ int main(int argc, char** argv) {
   }
 
   // Dictionaries are optional: a cube built without string dimensions has
-  // none, and codes then pass through numerically on both directions.
-  cure::router::CureRouter::ValueEncoder encoder = nullptr;
+  // none, and codes then reach the client numerically. Backends always
+  // answer the router in codes (`codes=1`); only the client reply decodes.
   cure::router::CureRouter::ValueDecoder decoder = nullptr;
   cure::Result<std::vector<std::vector<cure::etl::Dictionary>>> dicts =
       cure::tools::LoadDictionaries(dir, schema.value());
   std::vector<std::vector<cure::etl::Dictionary>> dictionaries;
   if (dicts.ok()) {
     dictionaries = std::move(dicts).value();
-    encoder = [&dictionaries](int d, int l, const std::string& value) {
-      return dictionaries[d][l].Lookup(value);
-    };
     decoder = [&dictionaries](int d, int l, uint32_t code) -> std::string {
       const cure::etl::Dictionary& dict = dictionaries[d][l];
       if (code < dict.size()) return dict.Decode(code);
@@ -185,7 +182,7 @@ int main(int argc, char** argv) {
 
   cure::Result<std::unique_ptr<cure::router::CureRouter>> router =
       cure::router::CureRouter::Create(&schema.value(), std::move(map), options,
-                                       std::move(encoder), std::move(decoder));
+                                       std::move(decoder));
   if (!router.ok()) {
     std::fprintf(stderr, "error: %s\n", router.status().ToString().c_str());
     return 1;

@@ -203,9 +203,9 @@ int RunBuild(int argc, char** argv) {
 // into <shards> contiguous disjoint ranges, and a complete cube is built per
 // range into <outdir>/shard_<k>/ — each a full cube directory cure_serve can
 // open. The top level gets the shared schema.txt + dictionaries (cure_router
-// re-encodes rows through them) and cluster.txt, a shard-map template whose
-// ports start at --port-base (edit it, or pass --shard to cure_router, to
-// match the actual backend ports).
+// decodes its client replies through them) and cluster.txt, a shard-map
+// template whose ports start at --port-base (edit it, or pass --shard to
+// cure_router, to match the actual backend ports).
 //
 // Deliberately no --minsup: iceberg thresholds must be applied after the
 // router's merge, so every shard cube is complete.
