@@ -125,7 +125,7 @@ ReplayResult Replay(const std::string& label, const engine::CureCube* cube,
   }
   out.total_seconds = total.ElapsedSeconds();
   out.exact_hits = (*server)->cache()->stats().hits;
-  const serve::SemanticCache::Stats semantic_stats =
+  const algebra::SemanticCache::Stats semantic_stats =
       (*server)->semantic_cache()->stats();
   out.semantic_hits = semantic_stats.semantic_hits;
   out.rollup_rows = semantic_stats.rollup_rows;

@@ -141,5 +141,91 @@ Result<uint64_t> MergeShardRows(int shard, std::string_view text, size_t* pos,
   return rows;
 }
 
+namespace {
+
+/// One BATCH section header line of a backend reply:
+/// "= <spec> <count> <checksum-hex> <token>".
+struct BatchSectionHeader {
+  std::string_view spec;
+  uint64_t count = 0;
+};
+
+/// Parses a BATCH section header in place; false unless the line is the
+/// "=" marker then exactly a spec, a decimal count, a hex checksum and a
+/// token.
+bool ParseBatchSectionHeader(std::string_view line, BatchSectionHeader* out) {
+  std::string_view fields[5];
+  size_t n = 0;
+  size_t pos = 0;
+  while (pos < line.size()) {
+    if (line[pos] == ' ') {
+      ++pos;
+      continue;
+    }
+    size_t end = line.find(' ', pos);
+    if (end == std::string_view::npos) end = line.size();
+    if (n == 5) return false;
+    fields[n++] = line.substr(pos, end - pos);
+    pos = end;
+  }
+  if (n != 5 || fields[0] != "=") return false;
+  const std::string_view count = fields[2];
+  const std::string_view checksum = fields[3];
+  uint64_t ignored = 0;
+  const auto count_parsed =
+      std::from_chars(count.data(), count.data() + count.size(), out->count);
+  const auto checksum_parsed = std::from_chars(
+      checksum.data(), checksum.data() + checksum.size(), ignored, 16);
+  if (count_parsed.ec != std::errc() ||
+      count_parsed.ptr != count.data() + count.size() ||
+      checksum_parsed.ec != std::errc() ||
+      checksum_parsed.ptr != checksum.data() + checksum.size()) {
+    return false;
+  }
+  out->spec = fields[1];
+  return true;
+}
+
+}  // namespace
+
+Status MergeShardReply(int shard, std::string_view text, size_t pos,
+                       const std::vector<std::string>* sections,
+                       std::vector<PartialMerger>* mergers) {
+  if (sections == nullptr) {
+    return MergeShardRows(shard, text, &pos, UINT64_MAX, &(*mergers)[0])
+        .status();
+  }
+  // Sections arrive in input order, each framed by its header; the count
+  // delimits its rows.
+  const std::string name = "shard " + std::to_string(shard);
+  size_t section = 0;
+  std::string_view line;
+  while (NextReplyLine(text, &pos, &line)) {
+    BatchSectionHeader header;
+    if (!ParseBatchSectionHeader(line, &header)) {
+      return Status::Internal(name + " returned a malformed BATCH section "
+                                     "header '" + std::string(line) + "'");
+    }
+    if (section >= sections->size() || header.spec != (*sections)[section]) {
+      return Status::Internal(name + " returned unexpected BATCH section '" +
+                              std::string(header.spec) + "'");
+    }
+    CURE_ASSIGN_OR_RETURN(const uint64_t merged,
+                          MergeShardRows(shard, text, &pos, header.count,
+                                         &(*mergers)[section]));
+    if (merged != header.count) {
+      return Status::Internal(name + " truncated BATCH section '" +
+                              std::string(header.spec) + "'");
+    }
+    ++section;
+  }
+  if (section != sections->size()) {
+    return Status::Internal(name + " returned " + std::to_string(section) +
+                            " BATCH sections, expected " +
+                            std::to_string(sections->size()));
+  }
+  return Status::OK();
+}
+
 }  // namespace router
 }  // namespace cure

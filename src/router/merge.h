@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -105,6 +106,16 @@ bool NextReplyLine(std::string_view text, size_t* pos, std::string_view* line);
 /// kInternal naming `shard`.
 Result<uint64_t> MergeShardRows(int shard, std::string_view text, size_t* pos,
                                 uint64_t max_rows, PartialMerger* merger);
+
+/// Merges the body of one shard's reply, starting at `pos`: a node query's
+/// rows into mergers[0], or, when `sections` is non-null (a BATCH reply),
+/// one framed section per requested node, in order. Section i must carry
+/// the spec (*sections)[i] and exactly its announced row count, and every
+/// requested section must be present. A malformed header, an unexpected
+/// spec, a short section or a missing section is kInternal naming `shard`.
+Status MergeShardReply(int shard, std::string_view text, size_t pos,
+                       const std::vector<std::string>* sections,
+                       std::vector<PartialMerger>* mergers);
 
 }  // namespace router
 }  // namespace cure

@@ -3,10 +3,7 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "algebra/rollup.h"
@@ -20,29 +17,7 @@ namespace router {
 
 namespace {
 
-std::string ToUpper(std::string s) {
-  for (char& c : s) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return s;
-}
-
-std::string ErrResponse(const Status& status) {
-  return "ERR " + std::string(StatusCodeName(status.code())) + " " +
-         status.message() + "\n.\n";
-}
-
-std::string ErrResponse(StatusCode code, const std::string& message) {
-  return "ERR " + std::string(StatusCodeName(code)) + " " + message + "\n.\n";
-}
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
+using serve::ErrResponse;
 
 int64_t NowMicros() { return SteadyNowMicros(); }
 
@@ -584,567 +559,185 @@ std::vector<CureRouter::ShardReply> CureRouter::Scatter(
   return replies;
 }
 
-std::string CureRouter::HandleQuery(const std::vector<std::string>& tokens_in,
-                                    const std::string& cmd,
-                                    ClusterProfile* profile) {
-  std::vector<std::string> tokens = tokens_in;
-  uint64_t trace_id = 0;
-  double deadline_seconds = 0;
-  std::string token_error;
-  bool codes = false;
-  if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error, nullptr, &codes)) {
-    return ErrResponse(StatusCode::kInvalidArgument, token_error);
+std::string CureRouter::Route(std::vector<std::string> tokens,
+                              ClusterProfile* profile) {
+  queries_total_->Inc();
+  // A malformed line fails here with the ERR a backend would send, and
+  // reaches no backend.
+  Result<serve::Request> parsed =
+      serve::ParseRequest(*schema_, codec_, std::move(tokens));
+  if (!parsed.ok()) {
+    queries_errors_->Inc();
+    return ErrResponse(parsed.status());
   }
-  if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
+  const serve::Request& request = *parsed;
+  if (request.min_count > 1 && count_aggregate_ < 0) {
+    queries_errors_->Inc();
+    return ErrResponse(StatusCode::kFailedPrecondition,
+                       "iceberg queries require a COUNT aggregate in the "
+                       "schema");
+  }
+  const uint64_t trace_id = request.trace_id != 0
+                                ? request.trace_id
+                                : Tracer::Instance().NextTraceId();
   CURE_TRACE_SPAN("cure.router.query", "trace_id", trace_id);
   const int64_t start_us = NowMicros();
   const int64_t deadline_us =
-      deadline_seconds > 0
-          ? start_us + static_cast<int64_t>(deadline_seconds * 1e6)
+      request.deadline_seconds > 0
+          ? start_us + static_cast<int64_t>(request.deadline_seconds * 1e6)
           : 0;
-  queries_total_->Inc();
 
-  if (tokens.size() < 2) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kInvalidArgument,
-                       cmd + " requires a node spec, e.g. " + cmd +
-                           " city,category");
+  // BATCH forwards its whole member list in one round trip (the backends
+  // keep their most-detailed-first order, so their semantic caches still
+  // chain within the batch). Every other verb scatters as the plain node
+  // query on the landed node: the iceberg threshold and the top-k cut wait
+  // for the merge, because a group can clear either globally while
+  // clearing it on no single shard.
+  const bool batch = request.verb == "BATCH";
+  const std::vector<schema::NodeId> nodes =
+      batch ? request.batch : std::vector<schema::NodeId>{request.node};
+  std::vector<std::string> specs;
+  std::vector<PartialMerger> mergers;
+  std::string backend_line =
+      batch ? "BATCH" : request.slices.empty() ? "QUERY" : "SLICE";
+  for (const schema::NodeId node : nodes) {
+    specs.push_back(serve::FormatNodeSpec(*schema_, codec_, node));
+    backend_line += ' ' + specs.back();
+    mergers.emplace_back(
+        *schema_, static_cast<int>(serve::GroupedColumns(codec_, node).size()));
   }
-
-  // Parse the node locally: its grouped columns give the row shape, and a
-  // bad node spec should fail here, not N times on the backends.
-  Result<schema::NodeId> node = serve::ParseNodeSpec(*schema_, codec_, tokens[1]);
-  if (!node.ok()) {
-    queries_errors_->Inc();
-    return ErrResponse(node.status());
-  }
-
-  // Strip the iceberg threshold: MINSUP must be applied AFTER the merge (a
-  // group can clear it globally while clearing it on no single shard), so
-  // backends always run the plain query.
-  int64_t min_count = 0;
-  std::vector<std::string> backend_tokens;
-  backend_tokens.push_back(cmd == "ICEBERG" ? "QUERY" : cmd);
-  if (cmd == "ICEBERG") {
-    if (tokens.size() != 3) {
-      queries_errors_->Inc();
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "usage: ICEBERG <node> <minsup>");
-    }
-    if (!ParseInt64(tokens[2], &min_count) || min_count < 1) {
-      queries_errors_->Inc();
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "minsup '" + tokens[2] + "' is not a positive integer");
-    }
-    backend_tokens.push_back(tokens[1]);
-  } else {
-    backend_tokens.push_back(tokens[1]);
-    for (size_t arg = 2; arg < tokens.size(); ++arg) {
-      if (cmd == "SLICE" && ToUpper(tokens[arg]) == "MINSUP") {
-        if (arg + 2 != tokens.size() || !ParseInt64(tokens[arg + 1], &min_count) ||
-            min_count < 1) {
-          queries_errors_->Inc();
-          return ErrResponse(StatusCode::kInvalidArgument,
-                             "MINSUP must be followed by a single positive "
-                             "integer at the end of the command");
-        }
-        break;
-      }
-      backend_tokens.push_back(tokens[arg]);
-    }
-  }
-  if (min_count > 1 && count_aggregate_ < 0) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kFailedPrecondition,
-                       "iceberg queries require a COUNT aggregate in the "
-                       "schema");
-  }
-
-  std::string backend_line;
-  for (const std::string& token : backend_tokens) {
-    if (!backend_line.empty()) backend_line += ' ';
-    backend_line += token;
-  }
+  for (const std::string& slice : request.slices) backend_line += ' ' + slice;
   backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
   if (profile != nullptr) backend_line += " profile=1";
 
-  query::ResultSink sink;
-  std::string rows;
-  int shards_ok = map_.num_shards();
-  const Status gathered = ScatterGather(
-      *node, backend_line, min_count, deadline_us, codes ? kRawCodes : decoder_,
-      &sink, &rows, &shards_ok, profile, start_us);
-  const int64_t total_us = NowMicros() - start_us;
-  if (profile != nullptr) {
-    profile->trace_id = trace_id;
-    profile->shards_total = map_.num_shards();
-    profile->total_us = total_us;
-    profile->result_count = sink.count();
-    profile->result_checksum = sink.checksum();
-  }
-  MaybeRecordSlow(cmd.c_str(), trace_id, total_us, shards_ok, gathered);
-  if (!gathered.ok()) {
-    queries_errors_->Inc();
-    query_latency_us_->Record(total_us);
-    return ErrResponse(gathered);
-  }
-  const std::string partial = PartialToken(shards_ok, map_.num_shards());
-  if (!partial.empty()) partial_total_->Inc();
-
-  char header[96];
-  std::snprintf(header, sizeof(header), "OK %llu %016llx SCATTER trace=%llu",
-                static_cast<unsigned long long>(sink.count()),
-                static_cast<unsigned long long>(sink.checksum()),
-                static_cast<unsigned long long>(trace_id));
-  std::string out = header;
-  out += partial;
-  out += '\n';
-  out += rows;
-  out += ".\n";
-  query_latency_us_->Record(NowMicros() - start_us);
-  return out;
-}
-
-Status CureRouter::ScatterGather(schema::NodeId node,
-                                 const std::string& backend_line,
-                                 int64_t min_count, int64_t deadline_us,
-                                 const ValueDecoder& decoder,
-                                 query::ResultSink* sink, std::string* rows,
-                                 int* shards_ok, ClusterProfile* profile,
-                                 int64_t profile_base_us) {
-  const std::vector<std::pair<int, int>> columns =
-      serve::GroupedColumns(codec_, node);
-  PartialMerger merger(*schema_, static_cast<int>(columns.size()));
   const int64_t scatter_start_us = NowMicros();
   const std::vector<ShardReply> replies =
-      Scatter(backend_line, deadline_us, profile, profile_base_us);
+      Scatter(backend_line, deadline_us, profile, start_us);
   const int64_t merge_start_us = NowMicros();
-  if (profile != nullptr) {
-    profile->scatter_us = merge_start_us - scatter_start_us;
-  }
-  int merged = 0;
-  Status degraded_error = Status::OK();
+  int shards_ok = 0;
+  Status status;
+  std::string body;
+  uint64_t count = 0, checksum = 0;
   {
     CURE_TRACE_SPAN("cure.router.merge");
-    for (int s = 0; s < map_.num_shards(); ++s) {
-      const ShardReply& reply = replies[s];
-      if (!reply.status.ok()) {
-        // Opt-in degradation: an unavailable shard is skipped and the
-        // answer marked PARTIAL; deterministic errors still fail the whole
-        // query (every shard would refuse the same way).
-        if (options_.allow_partial && PartialEligible(reply.status.code())) {
-          degraded_error = reply.status;
-          continue;
-        }
-        return reply.status;
+    status = Gather(replies, batch ? &specs : nullptr, &mergers, &shards_ok);
+    const ValueDecoder& decoder = request.codes ? kRawCodes : decoder_;
+    for (size_t i = 0; status.ok() && i < nodes.size(); ++i) {
+      query::ResultSink sink;
+      std::string rows;
+      status =
+          EmitMerged(request, nodes[i], &mergers[i], decoder, &sink, &rows);
+      if (batch) {
+        // One section per member; the top checksum is xor'd over them.
+        checksum ^= sink.checksum();
+        char section_header[128];
+        std::snprintf(section_header, sizeof(section_header),
+                      "= %s %llu %016llx SCATTER\n", specs[i].c_str(),
+                      static_cast<unsigned long long>(sink.count()),
+                      static_cast<unsigned long long>(sink.checksum()));
+        body += section_header;
+      } else {
+        count = sink.count();
+        checksum = sink.checksum();
       }
-      size_t pos = reply.body;
-      CURE_RETURN_IF_ERROR(
-          MergeShardRows(s, reply.text, &pos, UINT64_MAX, &merger).status());
-      ++merged;
+      body += rows;
     }
-  }
-  // Nothing survived: still an error.
-  const Status status =
-      merged == 0
-          ? degraded_error
-          : EmitMerged(&merger, min_count, columns, decoder, sink, rows);
-  if (profile != nullptr) {
-    profile->merge_us = NowMicros() - merge_start_us;
-    profile->shards_ok = merged;
-  }
-  if (status.ok() && shards_ok != nullptr) *shards_ok = merged;
-  return status;
-}
-
-Status CureRouter::EmitMerged(PartialMerger* merger, int64_t min_count,
-                              const std::vector<std::pair<int, int>>& columns,
-                              const ValueDecoder& decoder,
-                              query::ResultSink* sink,
-                              std::string* rows) const {
-  const size_t num_dims = columns.size();
-  const size_t num_aggrs = static_cast<size_t>(merger->num_aggregates());
-  return merger->ForEachGroup(
-      count_aggregate_, min_count,
-      [&](const uint32_t* dims, const int64_t* aggrs) {
-        sink->Emit(dims, static_cast<int>(num_dims), aggrs,
-                   static_cast<int>(num_aggrs));
-        if (rows != nullptr) {
-          serve::AppendRowText(columns, dims, num_dims, aggrs, num_aggrs,
-                               decoder, rows);
-        }
-      });
-}
-
-std::string CureRouter::HandleNavigate(const std::vector<std::string>& tokens_in,
-                                       const std::string& cmd,
-                                       ClusterProfile* profile) {
-  std::vector<std::string> tokens = tokens_in;
-  uint64_t trace_id = 0;
-  double deadline_seconds = 0;
-  std::string token_error;
-  bool codes = false;
-  if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error, nullptr, &codes)) {
-    return ErrResponse(StatusCode::kInvalidArgument, token_error);
-  }
-  if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
-  CURE_TRACE_SPAN("cure.router.navigate", "trace_id", trace_id);
-  const int64_t start_us = NowMicros();
-  const int64_t deadline_us =
-      deadline_seconds > 0
-          ? start_us + static_cast<int64_t>(deadline_seconds * 1e6)
-          : 0;
-  queries_total_->Inc();
-
-  if (tokens.size() < 3) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kInvalidArgument,
-                       "usage: " + cmd +
-                           " <node> <dim> [<level=value>...] [MINSUP <n>]");
-  }
-  Result<schema::NodeId> node =
-      serve::ParseNodeSpec(*schema_, codec_, tokens[1]);
-  if (!node.ok()) {
-    queries_errors_->Inc();
-    return ErrResponse(node.status());
-  }
-  int dim = -1;
-  for (int d = 0; d < schema_->num_dims(); ++d) {
-    if (schema_->dim(d).name() == tokens[2]) dim = d;
-  }
-  if (dim < 0) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kNotFound,
-                       "no dimension named '" + tokens[2] + "'");
-  }
-  // The navigation step resolves HERE, on the router's own lattice, so the
-  // backends only ever see plain QUERY/SLICE lines (and the landed node is
-  // announced to the client exactly as a single backend would).
-  const schema::Lattice lattice(schema_);
-  Result<schema::NodeId> target = cmd == "ROLLUP"
-                                      ? lattice.RollUpDim(*node, dim)
-                                      : lattice.DrillDownDim(*node, dim);
-  if (!target.ok()) {
-    queries_errors_->Inc();
-    return ErrResponse(target.status());
-  }
-  const std::string spec = serve::FormatNodeSpec(*schema_, codec_, *target);
-
-  // Slices pass through; MINSUP is stripped and applied post-merge.
-  int64_t min_count = 0;
-  std::vector<std::string> slices;
-  for (size_t arg = 3; arg < tokens.size(); ++arg) {
-    if (ToUpper(tokens[arg]) == "MINSUP") {
-      if (arg + 2 != tokens.size() || !ParseInt64(tokens[arg + 1], &min_count) ||
-          min_count < 1) {
-        queries_errors_->Inc();
-        return ErrResponse(StatusCode::kInvalidArgument,
-                           "MINSUP must be followed by a single positive "
-                           "integer at the end of the command");
-      }
-      break;
-    }
-    slices.push_back(tokens[arg]);
-  }
-  if (min_count > 1 && count_aggregate_ < 0) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kFailedPrecondition,
-                       "iceberg queries require a COUNT aggregate in the "
-                       "schema");
+    if (batch) count = nodes.size();
   }
 
-  std::string backend_line = slices.empty() ? "QUERY " : "SLICE ";
-  backend_line += spec;
-  for (const std::string& slice : slices) backend_line += ' ' + slice;
-  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
-  if (profile != nullptr) backend_line += " profile=1";
-
-  query::ResultSink sink;
-  std::string rows;
-  int shards_ok = map_.num_shards();
-  const Status gathered = ScatterGather(
-      *target, backend_line, min_count, deadline_us,
-      codes ? kRawCodes : decoder_, &sink, &rows, &shards_ok, profile,
-      start_us);
+  const int64_t end_us = NowMicros();
   if (profile != nullptr) {
     profile->trace_id = trace_id;
     profile->shards_total = map_.num_shards();
-    profile->total_us = NowMicros() - start_us;
-    profile->result_count = sink.count();
-    profile->result_checksum = sink.checksum();
+    profile->shards_ok = shards_ok;
+    profile->total_us = end_us - start_us;
+    profile->merge_us = end_us - merge_start_us;
+    profile->scatter_us = merge_start_us - scatter_start_us;
+    profile->result_count = count;
+    profile->result_checksum = checksum;
   }
-  MaybeRecordSlow(cmd.c_str(), trace_id, NowMicros() - start_us, shards_ok,
-                  gathered);
-  if (!gathered.ok()) {
+  MaybeRecordSlow(request.verb.c_str(), trace_id, end_us - start_us, shards_ok,
+                  status);
+  query_latency_us_->Record(end_us - start_us);
+  if (!status.ok()) {
     queries_errors_->Inc();
-    query_latency_us_->Record(NowMicros() - start_us);
-    return ErrResponse(gathered);
+    return ErrResponse(status);
   }
   const std::string partial = PartialToken(shards_ok, map_.num_shards());
   if (!partial.empty()) partial_total_->Inc();
-
-  char header[128];
-  std::snprintf(header, sizeof(header),
-                "OK %llu %016llx SCATTER trace=%llu node=%s",
-                static_cast<unsigned long long>(sink.count()),
-                static_cast<unsigned long long>(sink.checksum()),
-                static_cast<unsigned long long>(trace_id), spec.c_str());
-  std::string out = header;
-  out += partial;
-  out += '\n';
-  out += rows;
-  out += ".\n";
-  query_latency_us_->Record(NowMicros() - start_us);
-  return out;
-}
-
-std::string CureRouter::HandleTopK(const std::vector<std::string>& tokens_in,
-                                   ClusterProfile* profile) {
-  std::vector<std::string> tokens = tokens_in;
-  uint64_t trace_id = 0;
-  double deadline_seconds = 0;
-  std::string token_error;
-  bool codes = false;
-  if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error, nullptr, &codes)) {
-    return ErrResponse(StatusCode::kInvalidArgument, token_error);
-  }
-  if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
-  CURE_TRACE_SPAN("cure.router.topk", "trace_id", trace_id);
-  const int64_t start_us = NowMicros();
-  const int64_t deadline_us =
-      deadline_seconds > 0
-          ? start_us + static_cast<int64_t>(deadline_seconds * 1e6)
-          : 0;
-  queries_total_->Inc();
-
-  int64_t topk = 0;
-  if (tokens.size() < 3 || !ParseInt64(tokens[2], &topk) || topk < 1) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kInvalidArgument,
-                       "usage: TOPK <node> <k> [<level=value>...] with a "
-                       "positive k");
-  }
-  Result<schema::NodeId> node =
-      serve::ParseNodeSpec(*schema_, codec_, tokens[1]);
-  if (!node.ok()) {
-    queries_errors_->Inc();
-    return ErrResponse(node.status());
-  }
-  std::vector<std::string> slices;
-  for (size_t arg = 3; arg < tokens.size(); ++arg) {
-    if (ToUpper(tokens[arg]) == "MINSUP") {
-      queries_errors_->Inc();
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "TOPK does not take MINSUP");
-    }
-    slices.push_back(tokens[arg]);
-  }
-
-  // Top-k membership is not per-shard-decidable (a group can be globally
-  // hot while cold on every shard), so the FULL query is scattered and the
-  // selection happens after the merge — exactly like MINSUP.
-  std::string backend_line = slices.empty() ? "QUERY " : "SLICE ";
-  backend_line += tokens[1];
-  for (const std::string& slice : slices) backend_line += ' ' + slice;
-  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
-  if (profile != nullptr) backend_line += " profile=1";
-
-  query::ResultSink sink(/*retain=*/true);
-  int shards_ok = map_.num_shards();
-  const Status gathered =
-      ScatterGather(*node, backend_line, /*min_count=*/0, deadline_us,
-                    decoder_, &sink, /*rows=*/nullptr, &shards_ok, profile,
-                    start_us);
-  if (profile != nullptr) {
-    profile->trace_id = trace_id;
-    profile->shards_total = map_.num_shards();
-    profile->total_us = NowMicros() - start_us;
-    profile->result_count = sink.count();
-    profile->result_checksum = sink.checksum();
-  }
-  MaybeRecordSlow("TOPK", trace_id, NowMicros() - start_us, shards_ok,
-                  gathered);
-  if (!gathered.ok()) {
-    queries_errors_->Inc();
-    query_latency_us_->Record(NowMicros() - start_us);
-    return ErrResponse(gathered);
-  }
-  const std::string partial = PartialToken(shards_ok, map_.num_shards());
-  if (!partial.empty()) partial_total_->Inc();
-
-  const int order_aggregate = count_aggregate_ >= 0 ? count_aggregate_ : 0;
-  const std::vector<query::ResultSink::Row> selected = algebra::SelectTopK(
-      sink.rows(), static_cast<size_t>(topk), order_aggregate);
-  query::ResultSink top(/*retain=*/true);
-  for (const query::ResultSink::Row& row : selected) {
-    top.Emit(row.dims.data(), static_cast<int>(row.dims.size()),
-             row.aggrs.data(), static_cast<int>(row.aggrs.size()));
-  }
 
   char header[96];
-  std::snprintf(header, sizeof(header), "OK %llu %016llx SCATTER trace=%llu",
-                static_cast<unsigned long long>(top.count()),
-                static_cast<unsigned long long>(top.checksum()),
+  std::snprintf(header, sizeof(header), "OK %llu %016llx %s trace=%llu",
+                static_cast<unsigned long long>(count),
+                static_cast<unsigned long long>(checksum),
+                batch ? "BATCH" : "SCATTER",
                 static_cast<unsigned long long>(trace_id));
   std::string out = header;
+  out += request.node_echo;
   out += partial;
   out += '\n';
-  serve::AppendRowsText(serve::GroupedColumns(codec_, *node), top.rows(),
-                        codes ? kRawCodes : decoder_, &out);
+  out += body;
   out += ".\n";
-  query_latency_us_->Record(NowMicros() - start_us);
   return out;
 }
 
-std::string CureRouter::HandleBatch(const std::vector<std::string>& tokens_in) {
-  std::vector<std::string> tokens = tokens_in;
-  uint64_t trace_id = 0;
-  double deadline_seconds = 0;
-  std::string token_error;
-  bool codes = false;
-  if (!serve::TakeRequestTokens(&tokens, &trace_id, &deadline_seconds,
-                                &token_error, nullptr, &codes)) {
-    return ErrResponse(StatusCode::kInvalidArgument, token_error);
-  }
-  if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
-  CURE_TRACE_SPAN("cure.router.batch", "trace_id", trace_id, "nodes",
-                  static_cast<uint64_t>(tokens.size() - 1));
-  const int64_t start_us = NowMicros();
-  const int64_t deadline_us =
-      deadline_seconds > 0
-          ? start_us + static_cast<int64_t>(deadline_seconds * 1e6)
-          : 0;
-  queries_total_->Inc();
-
-  if (tokens.size() < 2) {
-    queries_errors_->Inc();
-    return ErrResponse(StatusCode::kInvalidArgument,
-                       "usage: BATCH <node> [<node>...]");
-  }
-  std::vector<schema::NodeId> nodes;
-  std::vector<std::string> specs;  // canonical, as the backends echo them
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    Result<schema::NodeId> node =
-        serve::ParseNodeSpec(*schema_, codec_, tokens[i]);
-    if (!node.ok()) {
-      queries_errors_->Inc();
-      return ErrResponse(node.status());
-    }
-    nodes.push_back(*node);
-    specs.push_back(serve::FormatNodeSpec(*schema_, codec_, *node));
-  }
-
-  // The whole batch is forwarded to every shard in ONE round trip (the
-  // backends keep their most-detailed-first execution order, so their
-  // semantic caches still chain within the batch); each section is then
-  // merged independently, exactly as if it had been scattered on its own.
-  std::string backend_line = "BATCH";
-  for (const std::string& spec : specs) backend_line += ' ' + spec;
-  backend_line += " trace=" + std::to_string(trace_id) + " codes=1";
-  const std::vector<ShardReply> replies = Scatter(backend_line, deadline_us);
-
-  std::vector<std::vector<std::pair<int, int>>> columns(nodes.size());
-  std::vector<PartialMerger> mergers;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    columns[i] = serve::GroupedColumns(codec_, nodes[i]);
-    mergers.emplace_back(*schema_, static_cast<int>(columns[i].size()));
-  }
-  const auto fail = [&](const Status& status) {
-    queries_errors_->Inc();
-    query_latency_us_->Record(NowMicros() - start_us);
-    return ErrResponse(status);
-  };
-
-  int shards_ok = 0;
+Status CureRouter::Gather(const std::vector<ShardReply>& replies,
+                          const std::vector<std::string>* sections,
+                          std::vector<PartialMerger>* mergers,
+                          int* shards_ok) const {
   Status degraded_error = Status::OK();
   for (int s = 0; s < map_.num_shards(); ++s) {
     const ShardReply& reply = replies[s];
     if (!reply.status.ok()) {
-      // Same degradation rule as ScatterGather: a whole unavailable shard
-      // may be skipped under allow_partial (every section loses its rows
-      // uniformly); anything else fails the batch.
+      // Opt-in degradation: an unavailable shard is skipped and the answer
+      // marked PARTIAL (every BATCH section loses its rows uniformly);
+      // deterministic errors still fail the whole query (every shard would
+      // refuse the same way).
       if (options_.allow_partial && PartialEligible(reply.status.code())) {
         degraded_error = reply.status;
         continue;
       }
-      return fail(reply.status);
+      return reply.status;
     }
-    ++shards_ok;
-    // Sections arrive in input order, each framed by its "= <spec> <count>
-    // <checksum> <token>" header; the count prefix delimits its rows.
-    const std::string shard = "shard " + std::to_string(s);
-    size_t pos = reply.body, section = 0;
-    std::string_view line;
-    while (NextReplyLine(reply.text, &pos, &line)) {
-      std::istringstream head{std::string(line)};
-      std::string marker, spec, checksum_hex, token;
-      uint64_t count = 0;
-      if (!(head >> marker >> spec >> count >> checksum_hex >> token) ||
-          marker != "=") {
-        return fail(Status::Internal(shard +
-                                     " returned a malformed BATCH section "
-                                     "header '" + std::string(line) + "'"));
-      }
-      if (section >= nodes.size() || spec != specs[section]) {
-        return fail(Status::Internal(shard +
-                                     " returned unexpected BATCH section '" +
-                                     spec + "'"));
-      }
-      const Result<uint64_t> merged =
-          MergeShardRows(s, reply.text, &pos, count, &mergers[section]);
-      if (!merged.ok()) return fail(merged.status());
-      if (*merged != count) {
-        return fail(Status::Internal(shard + " truncated BATCH section '" +
-                                     spec + "'"));
-      }
-      ++section;
-    }
-    if (section != nodes.size()) {
-      return fail(Status::Internal(
-          shard + " returned " + std::to_string(section) +
-          " BATCH sections, expected " + std::to_string(nodes.size())));
-    }
+    CURE_RETURN_IF_ERROR(
+        MergeShardReply(s, reply.text, reply.body, sections, mergers));
+    ++*shards_ok;
   }
-  if (shards_ok == 0) return fail(degraded_error);
-  const std::string partial = PartialToken(shards_ok, map_.num_shards());
-  if (!partial.empty()) partial_total_->Inc();
+  // Nothing survived: still an error.
+  return *shards_ok == 0 ? degraded_error : Status::OK();
+}
 
-  std::string sections_out;
-  uint64_t combined_checksum = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    query::ResultSink sink;
-    std::string rows;
-    const Status finish =
-        EmitMerged(&mergers[i], /*min_count=*/0, columns[i],
-                   codes ? kRawCodes : decoder_, &sink, &rows);
-    if (!finish.ok()) return fail(finish);
-    combined_checksum ^= sink.checksum();
-    char section_header[128];
-    std::snprintf(section_header, sizeof(section_header),
-                  "= %s %llu %016llx SCATTER\n", specs[i].c_str(),
-                  static_cast<unsigned long long>(sink.count()),
-                  static_cast<unsigned long long>(sink.checksum()));
-    sections_out += section_header;
-    sections_out += rows;
+Status CureRouter::EmitMerged(const serve::Request& request,
+                              schema::NodeId node, PartialMerger* merger,
+                              const ValueDecoder& decoder,
+                              query::ResultSink* sink,
+                              std::string* rows) const {
+  const std::vector<std::pair<int, int>> columns =
+      serve::GroupedColumns(codec_, node);
+  const size_t num_dims = columns.size();
+  const size_t num_aggrs = static_cast<size_t>(merger->num_aggregates());
+  if (request.top_k == 0) {
+    return merger->ForEachGroup(
+        count_aggregate_, request.min_count,
+        [&](const uint32_t* dims, const int64_t* aggrs) {
+          sink->Emit(dims, static_cast<int>(num_dims), aggrs,
+                     static_cast<int>(num_aggrs));
+          serve::AppendRowText(columns, dims, num_dims, aggrs, num_aggrs,
+                               decoder, rows);
+        });
   }
-
-  char header[96];
-  std::snprintf(header, sizeof(header), "OK %llu %016llx BATCH trace=%llu",
-                static_cast<unsigned long long>(nodes.size()),
-                static_cast<unsigned long long>(combined_checksum),
-                static_cast<unsigned long long>(trace_id));
-  std::string out = header;
-  out += partial;
-  out += '\n';
-  out += sections_out;
-  out += ".\n";
-  MaybeRecordSlow("BATCH", trace_id, NowMicros() - start_us, shards_ok,
-                  Status::OK());
-  query_latency_us_->Record(NowMicros() - start_us);
-  return out;
+  query::ResultSink all(/*retain=*/true);
+  CURE_RETURN_IF_ERROR(
+      merger->Finish(count_aggregate_, request.min_count, &all));
+  const std::vector<query::ResultSink::Row> top = algebra::SelectTopK(
+      all.TakeRows(), static_cast<size_t>(request.top_k),
+      count_aggregate_ >= 0 ? count_aggregate_ : 0);
+  for (const query::ResultSink::Row& row : top) {
+    sink->Emit(row.dims.data(), static_cast<int>(row.dims.size()),
+               row.aggrs.data(), static_cast<int>(row.aggrs.size()));
+  }
+  serve::AppendRowsText(columns, top, decoder, rows);
+  return Status::OK();
 }
 
 std::string CureRouter::HandleProfile(const std::vector<std::string>& tokens) {
@@ -1154,29 +747,21 @@ std::string CureRouter::HandleProfile(const std::vector<std::string>& tokens) {
                        "TOPK> ...");
   }
   const std::vector<std::string> inner(tokens.begin() + 1, tokens.end());
-  const std::string cmd = ToUpper(inner[0]);
-  ClusterProfile profile;
-  std::string response;
-  if (cmd == "QUERY" || cmd == "ICEBERG" || cmd == "SLICE") {
-    response = HandleQuery(inner, cmd, &profile);
-  } else if (cmd == "ROLLUP" || cmd == "DRILL") {
-    response = HandleNavigate(inner, cmd, &profile);
-  } else if (cmd == "TOPK") {
-    response = HandleTopK(inner, &profile);
-  } else {
+  const std::string cmd = serve::ToUpper(inner[0]);
+  if (!serve::IsQueryVerb(cmd) || cmd == "BATCH") {
     return ErrResponse(StatusCode::kInvalidArgument,
                        "PROFILE wraps QUERY, ICEBERG, SLICE, ROLLUP, DRILL "
                        "or TOPK, not '" + inner[0] + "'");
   }
+  ClusterProfile profile;
+  const std::string response = Route(inner, &profile);
   // A failed wrapped query keeps its ERR verbatim — the caller learns the
   // real error, not a profile of a non-answer.
   if (response.rfind("ERR", 0) == 0) return response;
-  std::string command;
   for (const std::string& token : inner) {
-    if (!command.empty()) command += ' ';
-    command += token;
+    if (!profile.command.empty()) profile.command += ' ';
+    profile.command += token;
   }
-  profile.command = command;
   char header[96];
   std::snprintf(header, sizeof(header), "OK %llu %016llx PROFILE trace=%llu\n",
                 static_cast<unsigned long long>(profile.result_count),
@@ -1340,10 +925,10 @@ std::string CureRouter::HandleLine(const std::string& line) {
   if (tokens.empty()) {
     return ErrResponse(StatusCode::kInvalidArgument, "empty command");
   }
-  const std::string cmd = ToUpper(tokens[0]);
+  const std::string cmd = serve::ToUpper(tokens[0]);
   if (cmd == "STATS") return "OK\n" + StatsText() + ".\n";
   if (cmd == "METRICS") {
-    if (tokens.size() == 2 && ToUpper(tokens[1]) == "CLUSTER") {
+    if (tokens.size() == 2 && serve::ToUpper(tokens[1]) == "CLUSTER") {
       return "OK\n" + ClusterMetricsText() + ".\n";
     }
     return "OK\n" + PrometheusText() + ".\n";
@@ -1351,12 +936,7 @@ std::string CureRouter::HandleLine(const std::string& line) {
   if (cmd == "SLOWLOG") return "OK\n" + slowlog_.Dump() + ".\n";
   if (cmd == "HEALTH") return HealthText();
   if (cmd == "PROFILE") return HandleProfile(tokens);
-  if (cmd == "QUERY" || cmd == "ICEBERG" || cmd == "SLICE") {
-    return HandleQuery(tokens, cmd);
-  }
-  if (cmd == "ROLLUP" || cmd == "DRILL") return HandleNavigate(tokens, cmd);
-  if (cmd == "TOPK") return HandleTopK(tokens);
-  if (cmd == "BATCH") return HandleBatch(tokens);
+  if (serve::IsQueryVerb(cmd)) return Route(std::move(tokens));
   return ErrResponse(StatusCode::kInvalidArgument,
                      "unknown command '" + tokens[0] +
                          "' (expected QUERY, ICEBERG, SLICE, ROLLUP, DRILL, "

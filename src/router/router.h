@@ -107,27 +107,25 @@ class CureRouter {
   /// drives the whole scatter itself: the router starts no threads per
   /// request or per backend attempt.
   ///
-  /// Verbs: QUERY/ICEBERG/SLICE (scattered; responses read
-  /// "OK <count> <checksum-hex> SCATTER trace=<id>" plus merged rows),
-  /// ROLLUP/DRILL (the navigation step is resolved HERE on the lattice,
-  /// then scattered as a plain query; the landed node is echoed as a
-  /// trailing `node=<spec>` header token), TOPK (scattered as the full
-  /// query — top-k membership is not per-shard-decidable — and selected
-  /// after the merge, like MINSUP), BATCH (the whole line is forwarded to
-  /// every shard in one round trip and each section merged independently;
-  /// sections read "= <spec> <count> <checksum-hex> SCATTER"), PROFILE
-  /// (wraps QUERY/ICEBERG/SLICE/ROLLUP/DRILL/TOPK; re-runs it with
-  /// `profile=1` on every backend line and answers with the cluster
-  /// profile — per-shard attempt log plus backend stage breakdowns —
-  /// instead of rows; see profile.h), STATS, METRICS (Prometheus,
-  /// cure_router_ prefix; `METRICS cluster` additionally scrapes every
-  /// serving replica and appends the federated shard/replica-labelled
-  /// exposition — see federation.h), SLOWLOG (the slow-query ring,
-  /// newest first), HEALTH (one line per replica: "shard <s> replica <r>
-  /// <addr> <UP|DOWN|EJECTED> version=<v> staleness=<s>"). The scattered
-  /// verbs take cure_serve's trailing control tokens (trace=, deadline=,
-  /// codes=1 — raw codes instead of dictionary-decoded rows, so routers
-  /// stack).
+  /// The query verbs and their control tokens follow the one request
+  /// grammar of serve::ParseRequest (protocol.h); a line it rejects fails
+  /// here with the same ERR a backend would send, and reaches no backend.
+  /// Slice values are forwarded as text (the backends own the
+  /// dictionaries). What is specific to this tier: answers read
+  /// "OK <count> <checksum-hex> SCATTER trace=<id>" plus the merged rows
+  /// (BATCH: "OK <n> <xor-checksum-hex> BATCH trace=<id>", sections
+  /// "= <spec> <count> <checksum-hex> SCATTER"), with a trailing
+  /// "PARTIAL shards=<k>/<n>" token when degraded; `profile=1` is ignored.
+  /// Further verbs: PROFILE (wraps QUERY/ICEBERG/SLICE/ROLLUP/DRILL/TOPK;
+  /// re-runs it with `profile=1` on every backend line and answers with
+  /// the cluster profile — per-shard attempt log plus backend stage
+  /// breakdowns — instead of rows; see profile.h), STATS, METRICS
+  /// (Prometheus, cure_router_ prefix; `METRICS cluster` additionally
+  /// scrapes every serving replica and appends the federated
+  /// shard/replica-labelled exposition — see federation.h), SLOWLOG (the
+  /// slow-query ring, newest first), HEALTH (one line per replica:
+  /// "shard <s> replica <r> <addr> <UP|DOWN|EJECTED> version=<v>
+  /// staleness=<s>").
   std::string HandleLine(const std::string& line);
 
   /// Probes every non-ejected replica's STATS once, updating health and
@@ -222,42 +220,33 @@ class CureRouter {
   /// (the shard is unavailable, not the request malformed).
   static bool PartialEligible(StatusCode code);
 
-  /// Scatter + gather + post-merge iceberg for one node query: every OK
-  /// shard reply's rows are parsed in place and merged; the merged,
-  /// deterministic relation's count and checksum land in `sink` and its row
-  /// text (through `decoder`) in `rows` when non-null. With allow_partial,
-  /// failover-class shard errors are skipped and `*shards_ok` reports how
-  /// many shards were merged (== num_shards when complete); a query where
-  /// EVERY shard failed still errors.
-  Status ScatterGather(schema::NodeId node, const std::string& backend_line,
-                       int64_t min_count, int64_t deadline_us,
-                       const ValueDecoder& decoder, query::ResultSink* sink,
-                       std::string* rows, int* shards_ok,
-                       ClusterProfile* profile = nullptr,
-                       int64_t profile_base_us = 0);
+  /// The one routed path of every scattered verb: parse (ParseRequest),
+  /// build the backend line (the plain node query, or the BATCH member
+  /// list), Scatter, merge every section, apply the post-merge step the
+  /// request carries (iceberg threshold, top-k cut, `node=` echo, BATCH
+  /// sectioning), then the shared bookkeeping (header, PARTIAL token,
+  /// slowlog, latency, error counters). A non-null `profile` switches the
+  /// backend line to `profile=1` and is filled with the router's stage
+  /// timings and the answer's count and checksum; the returned response is
+  /// unchanged — HandleProfile renders the profile instead of the rows.
+  std::string Route(std::vector<std::string> tokens,
+                    ClusterProfile* profile = nullptr);
 
-  /// Folds `merger` and emits the groups that clear `min_count` (post-merge
-  /// iceberg) into `sink` — count and checksum — and as row text into
-  /// `rows` when non-null.
-  Status EmitMerged(PartialMerger* merger, int64_t min_count,
-                    const std::vector<std::pair<int, int>>& columns,
-                    const ValueDecoder& decoder, query::ResultSink* sink,
-                    std::string* rows) const;
+  /// Merges every OK shard reply into `mergers` (see MergeShardReply;
+  /// `sections` is the BATCH member specs, else null). With allow_partial,
+  /// failover-class shard errors are skipped; `*shards_ok` counts the
+  /// shards merged, and a query where EVERY shard failed still errors.
+  Status Gather(const std::vector<ShardReply>& replies,
+                const std::vector<std::string>* sections,
+                std::vector<PartialMerger>* mergers, int* shards_ok) const;
 
-  /// The query handlers optionally fill a ClusterProfile: a non-null
-  /// `profile` switches the backend lines to `profile=1` and records the
-  /// router's own stage timings alongside the attempt logs. The returned
-  /// response text is unchanged — HandleProfile discards the rows and
-  /// renders the profile instead.
-  std::string HandleQuery(const std::vector<std::string>& tokens,
-                          const std::string& cmd,
-                          ClusterProfile* profile = nullptr);
-  std::string HandleNavigate(const std::vector<std::string>& tokens,
-                             const std::string& cmd,
-                             ClusterProfile* profile = nullptr);
-  std::string HandleTopK(const std::vector<std::string>& tokens,
-                         ClusterProfile* profile = nullptr);
-  std::string HandleBatch(const std::vector<std::string>& tokens);
+  /// Folds `merger` and emits `node`'s answer after the request's
+  /// post-merge step (iceberg threshold, then top-k cut) into `sink` —
+  /// count and checksum — and as row text through `decoder` into `rows`.
+  Status EmitMerged(const serve::Request& request, schema::NodeId node,
+                    PartialMerger* merger, const ValueDecoder& decoder,
+                    query::ResultSink* sink, std::string* rows) const;
+
   /// PROFILE <cmd>...: cluster-wide EXPLAIN ANALYZE (see HandleLine doc).
   std::string HandleProfile(const std::vector<std::string>& tokens);
   std::string HealthText();

@@ -135,9 +135,9 @@ Result<maintain::Freshness> CubeServer::GetFreshness() const {
   return live_->freshness();
 }
 
-Result<QueryKey> CubeServer::MakeKey(const QueryRequest& request,
-                                     uint64_t epoch) const {
-  QueryKey key;
+Result<algebra::QueryKey> CubeServer::MakeKey(const QueryRequest& request,
+                                              uint64_t epoch) const {
+  algebra::QueryKey key;
   key.node = request.node;
   key.slices = request.slices;
   key.min_count = request.min_count;
@@ -212,7 +212,7 @@ QueryResponse CubeServer::ExecuteInternal(const QueryRequest& request) {
   const std::shared_ptr<const maintain::CubeSnapshot> snapshot = Snapshot();
   response.version = snapshot->version;
 
-  Result<QueryKey> key = MakeKey(request, snapshot->version);
+  Result<algebra::QueryKey> key = MakeKey(request, snapshot->version);
   key_done_us = watch.ElapsedMicros();
   if (!key.ok()) {
     queries_errors_->Inc();
@@ -224,7 +224,8 @@ QueryResponse CubeServer::ExecuteInternal(const QueryRequest& request) {
 
   if (cache_.enabled()) {
     CURE_TRACE_SPAN("cure.serve.cache_lookup");
-    if (std::shared_ptr<const QueryResult> cached = cache_.Lookup(*key)) {
+    if (std::shared_ptr<const algebra::QueryResult> cached =
+            cache_.Lookup(*key)) {
       response.cache_hit = true;
       response.count = cached->count;
       response.checksum = cached->checksum;
@@ -256,7 +257,7 @@ QueryResponse CubeServer::ExecuteInternal(const QueryRequest& request) {
       scan_budget =
           std::max<uint64_t>(estimate / kDerivationRowCostFactor, 1);
     }
-    std::optional<SemanticCache::Derivation> derived;
+    std::optional<algebra::SemanticCache::Derivation> derived;
     if (probe) derived = cache_.DeriveFromCache(*key, scan_budget);
     if (derived) {
       response.semantic_hit = true;
@@ -290,7 +291,7 @@ QueryResponse CubeServer::ExecuteInternal(const QueryRequest& request) {
   response.count = sink.count();
   response.checksum = sink.checksum();
   if (retain) {
-    auto result = std::make_shared<QueryResult>();
+    auto result = std::make_shared<algebra::QueryResult>();
     result->count = sink.count();
     result->checksum = sink.checksum();
     result->rows = sink.TakeRows();
@@ -372,7 +373,7 @@ void CubeServer::UpdateDerivedMetrics() const {
   // Satellite: every point-in-time stat flows through the registry (one
   // uniform rendering path for STATS and METRICS) instead of ad-hoc
   // snprintf assembly.
-  const QueryCache::Stats stats = cache_.exact()->stats();
+  const algebra::QueryCache::Stats stats = cache_.exact()->stats();
   metrics_.gauge("cache_enabled")->Set(cache_.enabled() ? 1 : 0);
   metrics_.gauge("cache_hits")->Set(static_cast<double>(stats.hits));
   metrics_.gauge("cache_misses")->Set(static_cast<double>(stats.misses));
@@ -380,7 +381,7 @@ void CubeServer::UpdateDerivedMetrics() const {
   metrics_.gauge("cache_inserts")->Set(static_cast<double>(stats.inserts));
   metrics_.gauge("cache_bytes")->Set(static_cast<double>(stats.bytes));
   metrics_.gauge("cache_entries")->Set(static_cast<double>(stats.entries));
-  const SemanticCache::Stats sem = cache_.stats();
+  const algebra::SemanticCache::Stats sem = cache_.stats();
   metrics_.gauge("cache_semantic_enabled")
       ->Set(cache_.semantic_enabled() ? 1 : 0);
   metrics_.gauge("cache_semantic_hits")

@@ -9,14 +9,15 @@
 #include <string>
 #include <vector>
 
+#include "algebra/result_cache.h"
+#include "algebra/semantic_cache.h"
+#include "common/metrics.h"
 #include "common/slowlog.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "engine/cure.h"
 #include "maintain/live_cube.h"
 #include "query/node_query.h"
-#include "serve/metrics.h"
-#include "serve/query_cache.h"
 
 namespace cure {
 namespace serve {
@@ -87,7 +88,7 @@ struct QueryResponse {
   uint64_t count = 0;
   uint64_t checksum = 0;
   /// Rows, when retained or served from cache; may be null otherwise.
-  std::shared_ptr<const QueryResult> result;
+  std::shared_ptr<const algebra::QueryResult> result;
   bool cache_hit = false;
   /// Answered by rolling up a cached ancestor result (implies a cache miss
   /// on the exact key; mutually exclusive with cache_hit).
@@ -171,9 +172,9 @@ class CubeServer {
   /// SLOWLOG verb's body; populated when slow_query_seconds > 0).
   SlowQueryLog* slowlog() { return &slowlog_; }
   /// The exact-key layer of the result cache.
-  QueryCache* cache() { return cache_.exact(); }
+  algebra::QueryCache* cache() { return cache_.exact(); }
   /// The full semantic cache (containment index + roll-up derivation).
-  SemanticCache* semantic_cache() { return &cache_; }
+  algebra::SemanticCache* semantic_cache() { return &cache_; }
   maintain::LiveCube* live() { return live_; }
   const schema::CubeSchema& schema() const {
     return live_ != nullptr ? live_->schema() : cube_->schema();
@@ -208,7 +209,8 @@ class CubeServer {
   /// Canonicalizes the request into a cache key stamped with the snapshot
   /// epoch; fails on an iceberg request when the schema has no COUNT
   /// aggregate.
-  Result<QueryKey> MakeKey(const QueryRequest& request, uint64_t epoch) const;
+  Result<algebra::QueryKey> MakeKey(const QueryRequest& request,
+                                    uint64_t epoch) const;
   QueryResponse ExecuteInternal(const QueryRequest& request);
 
   /// Samples point-in-time state (cache, thread pool, buffer cache, live
@@ -223,7 +225,7 @@ class CubeServer {
   int count_aggregate_ = -1;
   // Depends on schema(): declared after cube_/live_ so the constructor's
   // member-init order hands it a live schema pointer.
-  SemanticCache cache_;
+  algebra::SemanticCache cache_;
   // mutable: StatsText()/PrometheusText() are logically const but sample
   // point-in-time gauges into the registry right before rendering.
   mutable MetricsRegistry metrics_;

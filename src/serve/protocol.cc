@@ -1,7 +1,10 @@
 #include "serve/protocol.h"
 
+#include <cctype>
 #include <charconv>
 #include <cstdlib>
+
+#include "schema/lattice.h"
 
 namespace cure {
 namespace serve {
@@ -28,7 +31,51 @@ Result<std::pair<int, int>> FindLevel(const schema::CubeSchema& schema,
   return Status::NotFound("no hierarchy level named '" + level_name + "'");
 }
 
+/// The (dim, level) a slice spec `[dim:]level=value` filters on, with the
+/// value text in *value.
+Result<std::pair<int, int>> SliceLevel(const schema::CubeSchema& schema,
+                                       const std::string& spec,
+                                       std::string* value) {
+  const size_t eq = spec.find('=');
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
+    return Status::InvalidArgument("slice spec '" + spec +
+                                   "' is not level=value");
+  }
+  std::string target = spec.substr(0, eq);
+  *value = spec.substr(eq + 1);
+  std::string dim_name;
+  const size_t colon = target.find(':');
+  if (colon != std::string::npos) {
+    dim_name = target.substr(0, colon);
+    target = target.substr(colon + 1);
+  }
+  return FindLevel(schema, dim_name, target);
+}
+
 }  // namespace
+
+std::string ToUpper(std::string s) {
+  for (char& c : s) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return s;
+}
+
+bool ParseInt64(const std::string& text, int64_t* out) {
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+std::string ErrResponse(const Status& status) {
+  return ErrResponse(status.code(), status.message());
+}
+
+std::string ErrResponse(StatusCode code, const std::string& message) {
+  return "ERR " + std::string(StatusCodeName(code)) + " " + message + "\n.\n";
+}
 
 std::vector<std::string> SplitTokens(const std::string& text) {
   std::vector<std::string> tokens;
@@ -197,20 +244,8 @@ std::string FormatNodeSpec(const schema::CubeSchema& schema,
 Result<query::CureQueryEngine::Slice> ParseSliceSpec(
     const schema::CubeSchema& schema, const std::string& spec,
     const SliceValueResolver& resolver) {
-  const size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-    return Status::InvalidArgument("slice spec '" + spec +
-                                   "' is not level=value");
-  }
-  std::string target = spec.substr(0, eq);
-  const std::string value = spec.substr(eq + 1);
-  std::string dim_name;
-  const size_t colon = target.find(':');
-  if (colon != std::string::npos) {
-    dim_name = target.substr(0, colon);
-    target = target.substr(colon + 1);
-  }
-  CURE_ASSIGN_OR_RETURN(auto found, FindLevel(schema, dim_name, target));
+  std::string value;
+  CURE_ASSIGN_OR_RETURN(auto found, SliceLevel(schema, spec, &value));
   query::CureQueryEngine::Slice slice;
   slice.dim = found.first;
   slice.level = found.second;
@@ -227,11 +262,119 @@ Result<query::CureQueryEngine::Slice> ParseSliceSpec(
   const uint32_t cardinality = schema.dim(slice.dim).cardinality(slice.level);
   if (code >= cardinality) {
     return Status::OutOfRange("slice code " + value + " out of range for '" +
-                              target + "' (cardinality " +
+                              schema.dim(slice.dim).level(slice.level).name +
+                              "' (cardinality " +
                               std::to_string(cardinality) + ")");
   }
   slice.code = static_cast<uint32_t>(code);
   return slice;
+}
+
+bool IsQueryVerb(const std::string& upper_verb) {
+  return upper_verb == "QUERY" || upper_verb == "ICEBERG" ||
+         upper_verb == "SLICE" || upper_verb == "ROLLUP" ||
+         upper_verb == "DRILL" || upper_verb == "TOPK" || upper_verb == "BATCH";
+}
+
+Result<Request> ParseRequest(const schema::CubeSchema& schema,
+                             const schema::NodeIdCodec& codec,
+                             std::vector<std::string> tokens) {
+  Request request;
+  if (tokens.empty()) return Status::InvalidArgument("empty command");
+  request.verb = ToUpper(tokens[0]);
+  const std::string& cmd = request.verb;
+  if (!IsQueryVerb(cmd)) {
+    return Status::InvalidArgument("'" + tokens[0] + "' is not a query verb");
+  }
+  std::string token_error;
+  if (!TakeRequestTokens(&tokens, &request.trace_id, &request.deadline_seconds,
+                         &token_error, &request.profile, &request.codes)) {
+    return Status::InvalidArgument(token_error);
+  }
+  if (tokens.size() < 2) {
+    return Status::InvalidArgument(cmd + " requires a node spec, e.g. " + cmd +
+                                   " city,category");
+  }
+  if (cmd == "BATCH") {
+    for (size_t i = 1; i < tokens.size(); ++i) {
+      CURE_ASSIGN_OR_RETURN(const schema::NodeId node,
+                            ParseNodeSpec(schema, codec, tokens[i]));
+      request.batch.push_back(node);
+    }
+    return request;
+  }
+  CURE_ASSIGN_OR_RETURN(request.node, ParseNodeSpec(schema, codec, tokens[1]));
+
+  size_t arg = 2;
+  if (cmd == "ICEBERG") {
+    if (tokens.size() != 3) {
+      return Status::InvalidArgument("usage: ICEBERG <node> <minsup>");
+    }
+    if (!ParseInt64(tokens[2], &request.min_count) || request.min_count < 1) {
+      return Status::InvalidArgument("minsup '" + tokens[2] +
+                                     "' is not a positive integer");
+    }
+    arg = 3;
+  } else if (cmd == "ROLLUP" || cmd == "DRILL") {
+    if (tokens.size() < 3) {
+      return Status::InvalidArgument(
+          "usage: " + cmd + " <node> <dim> [<level=value>...] [MINSUP <n>]");
+    }
+    int dim = -1;
+    for (int d = 0; d < schema.num_dims(); ++d) {
+      if (schema.dim(d).name() == tokens[2]) dim = d;
+    }
+    if (dim < 0) {
+      return Status::NotFound("no dimension named '" + tokens[2] + "'");
+    }
+    const schema::Lattice lattice(&schema);
+    CURE_ASSIGN_OR_RETURN(request.node,
+                          cmd == "ROLLUP"
+                              ? lattice.RollUpDim(request.node, dim)
+                              : lattice.DrillDownDim(request.node, dim));
+    request.node_echo = " node=" + FormatNodeSpec(schema, codec, request.node);
+    arg = 3;
+  } else if (cmd == "TOPK") {
+    if (tokens.size() < 3 || !ParseInt64(tokens[2], &request.top_k) ||
+        request.top_k < 1) {
+      return Status::InvalidArgument(
+          "usage: TOPK <node> <k> [<level=value>...] with a positive k");
+    }
+    arg = 3;
+  }
+  if (cmd != "QUERY" && cmd != "ICEBERG") {
+    if (cmd == "SLICE" && tokens.size() < 3) {
+      return Status::InvalidArgument(
+          "usage: SLICE <node> <level=value>... [MINSUP <n>]");
+    }
+    for (; arg < tokens.size(); ++arg) {
+      if (ToUpper(tokens[arg]) == "MINSUP") {
+        if (cmd == "TOPK") {
+          return Status::InvalidArgument("TOPK does not take MINSUP");
+        }
+        if (arg + 2 != tokens.size() ||
+            !ParseInt64(tokens[arg + 1], &request.min_count) ||
+            request.min_count < 1) {
+          return Status::InvalidArgument(
+              "MINSUP must be followed by a single positive integer at the "
+              "end of the command");
+        }
+        arg = tokens.size();
+        break;
+      }
+      std::string value;
+      CURE_RETURN_IF_ERROR(SliceLevel(schema, tokens[arg], &value).status());
+      request.slices.push_back(tokens[arg]);
+    }
+    if (cmd == "SLICE" && request.slices.empty()) {
+      return Status::InvalidArgument(
+          "SLICE requires at least one level=value predicate");
+    }
+  }
+  if (arg != tokens.size()) {
+    return Status::InvalidArgument("unexpected argument '" + tokens[arg] + "'");
+  }
+  return request;
 }
 
 }  // namespace serve

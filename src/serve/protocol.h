@@ -19,6 +19,17 @@ namespace serve {
 /// Splits `text` on whitespace (any run of spaces/tabs).
 std::vector<std::string> SplitTokens(const std::string& text);
 
+/// ASCII upper-case copy: verbs and keywords are case-insensitive.
+std::string ToUpper(std::string s);
+
+/// Parses a whole token as a signed decimal; false on empty input or any
+/// trailing character.
+bool ParseInt64(const std::string& text, int64_t* out);
+
+/// The error response of both tiers: "ERR <CodeName> <message>\n.\n".
+std::string ErrResponse(const Status& status);
+std::string ErrResponse(StatusCode code, const std::string& message);
+
 /// Strips the optional trailing request-control tokens `trace=<id>`,
 /// `deadline=<ms>`, `profile=1` and `codes=1` (in any order) from a query
 /// command's token list. A well-formed trace id is adopted so a router's
@@ -85,6 +96,80 @@ using SliceValueResolver =
 Result<query::CureQueryEngine::Slice> ParseSliceSpec(
     const schema::CubeSchema& schema, const std::string& spec,
     const SliceValueResolver& resolver = nullptr);
+
+/// One parsed query-verb line. Every verb is the paper's one query shape,
+/// a CURE node query (a lattice node, optional slices, optional iceberg
+/// threshold; Sec. 6), plus a navigation step before it (ROLLUP/DRILL) or
+/// a selection step after it (TOPK), or several whole-node queries at once
+/// (BATCH).
+struct Request {
+  std::string verb;  ///< upper-cased: QUERY, ICEBERG, SLICE, ROLLUP, ...
+  /// The node to query; for ROLLUP/DRILL the node the step landed on.
+  schema::NodeId node = 0;
+  /// " node=<spec>" header token announcing a navigation verb's landed
+  /// node; empty for every other verb.
+  std::string node_echo;
+  /// Slice predicates as their `[dim:]level=value` text. The level is
+  /// checked here; the value is resolved only by the tier that owns a
+  /// dictionary (ParseSliceSpec), a router forwards the text.
+  std::vector<std::string> slices;
+  int64_t min_count = 0;  ///< iceberg threshold (ICEBERG, MINSUP); 0 = none
+  int64_t top_k = 0;      ///< TOPK's k; 0 = no selection
+  std::vector<schema::NodeId> batch;  ///< BATCH members, input order
+  /// Control tokens, as TakeRequestTokens peels them.
+  uint64_t trace_id = 0;
+  double deadline_seconds = 0;
+  bool profile = false;
+  bool codes = false;
+};
+
+/// True for the verbs ParseRequest accepts.
+bool IsQueryVerb(const std::string& upper_verb);
+
+/// Parses a query-verb line, split into tokens — the one request grammar
+/// of cure_serve and cure_router:
+///
+///   QUERY <node>                      e.g. QUERY city,category  |  QUERY ALL
+///   ICEBERG <node> <minsup>           count-iceberg query
+///   SLICE <node> <level=value>... [MINSUP <n>]   sliced (optionally iceberg)
+///   ROLLUP <node> <dim> [<level=value>...] [MINSUP <n>]
+///                                     one roll-up step along <dim> (to the
+///                                     next coarser level, or ALL from the
+///                                     top), resolved here on the lattice;
+///                                     the landed node is queried and echoed
+///                                     as a trailing `node=<spec>` header
+///                                     token
+///   DRILL <node> <dim> [<level=value>...] [MINSUP <n>]
+///                                     the inverse step (one level finer;
+///                                     from ALL the dimension enters at its
+///                                     coarsest level)
+///   TOPK <node> <k> [<level=value>...]
+///                                     the k groups with the largest COUNT
+///                                     (deterministic ties: ascending dim
+///                                     codes), selected from the full
+///                                     result, so the selection is the same
+///                                     whichever path produced the rows
+///   BATCH <node> [<node>...]          several whole-node queries in one
+///                                     round trip; the response carries one
+///                                     "= <spec> <count> <checksum-hex>
+///                                     <token>" section per node, in input
+///                                     order, each followed by exactly
+///                                     <count> rows
+///
+/// A slice is `level=value` or `dim:level=value` (the explicit form
+/// disambiguates level names reused across dimensions). Every verb takes
+/// the optional trailing control tokens of TakeRequestTokens: `trace=<id>`
+/// (adopted for the trace spans and echoed in the header, so a router's
+/// fan-out shares one trace id), `deadline=<ms>` (the client's remaining
+/// budget), `profile=1` (stage profile lines after the rows) and `codes=1`
+/// (raw dimension codes instead of dictionary-decoded values).
+///
+/// Errors are what the client receives, on either tier: kInvalidArgument
+/// for a malformed line, kNotFound for an unknown level or dimension, and
+/// the lattice's error for a step off its edge.
+Result<Request> ParseRequest(const schema::CubeSchema& schema,
+                             const schema::NodeIdCodec& codec,
+                             std::vector<std::string> tokens);
 
 }  // namespace serve
 }  // namespace cure

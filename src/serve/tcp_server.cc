@@ -1,9 +1,7 @@
 #include "serve/tcp_server.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -15,32 +13,6 @@
 
 namespace cure {
 namespace serve {
-
-namespace {
-
-std::string ToUpper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return s;
-}
-
-std::string ErrResponse(const Status& status) {
-  return "ERR " + std::string(StatusCodeName(status.code())) + " " +
-         status.message() + "\n.\n";
-}
-
-std::string ErrResponse(StatusCode code, const std::string& message) {
-  return "ERR " + std::string(StatusCodeName(code)) + " " + message + "\n.\n";
-}
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<TcpLineServer>> TcpLineServer::Start(
     CubeServer* server, const TcpServerOptions& options, ValueDecoder decoder,
@@ -147,8 +119,7 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
                       : "NOOP");
     return header;
   }
-  if (cmd != "QUERY" && cmd != "ICEBERG" && cmd != "SLICE" &&
-      cmd != "ROLLUP" && cmd != "DRILL" && cmd != "TOPK" && cmd != "BATCH") {
+  if (!IsQueryVerb(cmd)) {
     return ErrResponse(StatusCode::kInvalidArgument,
                        "unknown command '" + tokens[0] +
                            "' (expected QUERY, ICEBERG, SLICE, ROLLUP, DRILL, "
@@ -156,132 +127,31 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
                            "SLOWLOG or QUIT)");
   }
 
-  QueryRequest request;
-  request.retain_rows = true;
+  Result<Request> parsed =
+      ParseRequest(server_->schema(), server_->codec(), std::move(tokens));
+  if (!parsed.ok()) return ErrResponse(parsed.status());
+  if (parsed->verb == "BATCH") return ExecuteBatch(*parsed);
   // trace= is adopted so the router's fan-out shares one trace id;
   // deadline= is the client's remaining budget, enforced by CubeServer's
   // admission queue (a query still queued past it fails kDeadlineExceeded).
-  std::string token_error;
-  bool codes = false;
-  if (!TakeRequestTokens(&tokens, &request.trace_id,
-                         &request.deadline_seconds, &token_error,
-                         &request.profile, &codes)) {
-    return ErrResponse(StatusCode::kInvalidArgument, token_error);
-  }
-  if (tokens.size() < 2) {
-    return ErrResponse(StatusCode::kInvalidArgument,
-                       cmd + " requires a node spec, e.g. " + cmd +
-                           " city,category");
-  }
-
-  if (cmd == "BATCH") {
-    std::vector<schema::NodeId> nodes;
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      Result<schema::NodeId> node =
-          ParseNodeSpec(server_->schema(), server_->codec(), tokens[i]);
-      if (!node.ok()) return ErrResponse(node.status());
-      nodes.push_back(*node);
-    }
-    return HandleBatch(nodes, request.trace_id, request.deadline_seconds,
-                       request.profile, codes);
+  QueryRequest request;
+  request.retain_rows = true;
+  request.node = parsed->node;
+  request.min_count = parsed->min_count;
+  request.trace_id = parsed->trace_id;
+  request.deadline_seconds = parsed->deadline_seconds;
+  request.profile = parsed->profile;
+  for (const std::string& spec : parsed->slices) {
+    Result<query::CureQueryEngine::Slice> slice =
+        ParseSliceSpec(server_->schema(), spec, resolver_);
+    if (!slice.ok()) return ErrResponse(slice.status());
+    request.slices.push_back(*slice);
   }
 
-  Result<schema::NodeId> node =
-      ParseNodeSpec(server_->schema(), server_->codec(), tokens[1]);
-  if (!node.ok()) return ErrResponse(node.status());
-  request.node = *node;
-
-  // Trailing header token announcing where a navigation verb landed.
-  std::string extra_token;
-  int64_t topk = 0;
-
-  size_t arg = 2;
-  if (cmd == "ICEBERG") {
-    if (tokens.size() != 3) {
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "usage: ICEBERG <node> <minsup>");
-    }
-    if (!ParseInt64(tokens[2], &request.min_count) || request.min_count < 1) {
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "minsup '" + tokens[2] + "' is not a positive integer");
-    }
-    arg = 3;
-  } else if (cmd == "ROLLUP" || cmd == "DRILL") {
-    if (tokens.size() < 3) {
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "usage: " + cmd +
-                             " <node> <dim> [<level=value>...] [MINSUP <n>]");
-    }
-    const schema::CubeSchema& schema = server_->schema();
-    int dim = -1;
-    for (int d = 0; d < schema.num_dims(); ++d) {
-      if (schema.dim(d).name() == tokens[2]) dim = d;
-    }
-    if (dim < 0) {
-      return ErrResponse(StatusCode::kNotFound,
-                         "no dimension named '" + tokens[2] + "'");
-    }
-    const schema::Lattice lattice(&schema);
-    Result<schema::NodeId> target =
-        cmd == "ROLLUP" ? lattice.RollUpDim(request.node, dim)
-                        : lattice.DrillDownDim(request.node, dim);
-    if (!target.ok()) return ErrResponse(target.status());
-    request.node = *target;
-    extra_token =
-        " node=" + FormatNodeSpec(schema, server_->codec(), request.node);
-    arg = 3;
-  } else if (cmd == "TOPK") {
-    if (tokens.size() < 3 || !ParseInt64(tokens[2], &topk) || topk < 1) {
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "usage: TOPK <node> <k> [<level=value>...] with a "
-                         "positive k");
-    }
-    arg = 3;
-  }
-  if (cmd == "SLICE" || cmd == "ROLLUP" || cmd == "DRILL" || cmd == "TOPK") {
-    if (cmd == "SLICE" && tokens.size() < 3) {
-      return ErrResponse(
-          StatusCode::kInvalidArgument,
-          "usage: SLICE <node> <level=value>... [MINSUP <n>]");
-    }
-    while (arg < tokens.size()) {
-      if (ToUpper(tokens[arg]) == "MINSUP") {
-        if (cmd == "TOPK") {
-          return ErrResponse(StatusCode::kInvalidArgument,
-                             "TOPK does not take MINSUP");
-        }
-        if (arg + 2 != tokens.size() ||
-            !ParseInt64(tokens[arg + 1], &request.min_count) ||
-            request.min_count < 1) {
-          return ErrResponse(StatusCode::kInvalidArgument,
-                             "MINSUP must be followed by a single positive "
-                             "integer at the end of the command");
-        }
-        arg = tokens.size();
-        break;
-      }
-      Result<query::CureQueryEngine::Slice> slice =
-          ParseSliceSpec(server_->schema(), tokens[arg], resolver_);
-      if (!slice.ok()) return ErrResponse(slice.status());
-      request.slices.push_back(*slice);
-      ++arg;
-    }
-    if (cmd == "SLICE" && request.slices.empty()) {
-      return ErrResponse(StatusCode::kInvalidArgument,
-                         "SLICE requires at least one level=value predicate");
-    }
-  }
-  if (arg != tokens.size()) {
-    return ErrResponse(StatusCode::kInvalidArgument,
-                       "unexpected argument '" + tokens[arg] + "'");
-  }
-
-  const schema::NodeId query_node = request.node;
-  const bool profile = request.profile;
   QueryResponse response = server_->Submit(std::move(request)).get();
   if (!response.status.ok()) return ErrResponse(response.status);
 
-  if (cmd == "TOPK") {
+  if (parsed->top_k > 0) {
     // Selection happens over the full, already-deterministic result, so
     // TOPK answers are identical whether the rows came from the engine, an
     // exact cache hit, or a semantic derivation.
@@ -292,13 +162,14 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
     const int order_aggregate =
         server_->count_aggregate() >= 0 ? server_->count_aggregate() : 0;
     std::vector<query::ResultSink::Row> rows = algebra::SelectTopK(
-        response.result->rows, static_cast<size_t>(topk), order_aggregate);
+        response.result->rows, static_cast<size_t>(parsed->top_k),
+        order_aggregate);
     query::ResultSink sink(/*retain=*/true);
     for (const query::ResultSink::Row& row : rows) {
       sink.Emit(row.dims.data(), static_cast<int>(row.dims.size()),
                 row.aggrs.data(), static_cast<int>(row.aggrs.size()));
     }
-    auto selected = std::make_shared<QueryResult>();
+    auto selected = std::make_shared<algebra::QueryResult>();
     selected->count = sink.count();
     selected->checksum = sink.checksum();
     selected->rows = sink.TakeRows();
@@ -307,14 +178,15 @@ std::string TcpLineServer::HandleLine(const std::string& line) {
     response.result = std::move(selected);
   }
 
-  return FormatQueryResponse(query_node, response, extra_token, profile,
-                             codes);
+  return FormatQueryResponse(parsed->node, response, parsed->node_echo,
+                             parsed->profile, parsed->codes);
 }
 
-std::string TcpLineServer::HandleBatch(
-    const std::vector<schema::NodeId>& nodes, uint64_t trace_id,
-    double deadline_seconds, bool profile, bool codes) {
-  if (trace_id == 0) trace_id = Tracer::Instance().NextTraceId();
+std::string TcpLineServer::ExecuteBatch(const Request& batch) {
+  const std::vector<schema::NodeId>& nodes = batch.batch;
+  const uint64_t trace_id = batch.trace_id != 0
+                                ? batch.trace_id
+                                : Tracer::Instance().NextTraceId();
   // Most-detailed-first execution order: once a fine node's result is
   // cached, every coarser member of the batch can be answered from it by
   // the semantic layer instead of its own cube scan. Sections are still
@@ -334,7 +206,7 @@ std::string TcpLineServer::HandleBatch(
     request.node = nodes[idx];
     request.retain_rows = true;
     request.trace_id = trace_id;
-    request.deadline_seconds = deadline_seconds;
+    request.deadline_seconds = batch.deadline_seconds;
     QueryResponse response = server_->Submit(std::move(request)).get();
     if (!response.status.ok()) return ErrResponse(response.status);
     combined_checksum ^= response.checksum;
@@ -352,10 +224,10 @@ std::string TcpLineServer::HandleBatch(
     int64_t encode_us = 0;
     if (response.result != nullptr) {
       Stopwatch encode_watch;
-      AppendRows(nodes[idx], *response.result, codes, &sections[idx]);
+      AppendRows(nodes[idx], *response.result, batch.codes, &sections[idx]);
       encode_us = encode_watch.ElapsedMicros();
     }
-    if (profile) {
+    if (batch.profile) {
       profile_section += FormatProfileSection(response, encode_us, spec);
     }
   }
@@ -437,8 +309,9 @@ std::string TcpLineServer::FormatProfileSection(
   return out;
 }
 
-void TcpLineServer::AppendRows(schema::NodeId node, const QueryResult& result,
-                               bool codes, std::string* out) const {
+void TcpLineServer::AppendRows(schema::NodeId node,
+                               const algebra::QueryResult& result, bool codes,
+                               std::string* out) const {
   // Result rows carry one code per *grouped* dimension, in dimension
   // order; the node id recovers the (dim, level) of each column.
   static const ValueDecoder kRawCodes;

@@ -29,39 +29,11 @@ struct TcpServerOptions {
 /// CubeServer::Submit, so the protocol path exercises the same pool, cache,
 /// admission control and metrics as embedded use.
 ///
-/// Protocol (one command per line; responses end with a lone "." line):
-///   QUERY <node>                      e.g. QUERY city,category  |  QUERY ALL
-///   ICEBERG <node> <minsup>           count-iceberg query
-///   SLICE <node> <level=value>... [MINSUP <n>]   sliced (optionally iceberg)
-///   ROLLUP <node> <dim> [<level=value>...] [MINSUP <n>]
-///                                     one roll-up step along <dim> (to the
-///                                     next coarser level, or ALL from the
-///                                     top); queries the landed node, which
-///                                     is echoed as a trailing `node=<spec>`
-///                                     header token
-///   DRILL <node> <dim> [<level=value>...] [MINSUP <n>]
-///                                     the inverse step (one level finer;
-///                                     from ALL the dimension enters at its
-///                                     coarsest level)
-///   TOPK <node> <k> [<level=value>...]
-///                                     the k groups with the largest COUNT
-///                                     (deterministic ties: ascending dim
-///                                     codes), selected server-side from the
-///                                     full result so the selection is
-///                                     identical no matter which path —
-///                                     engine, exact hit or semantic
-///                                     derivation — produced the rows
-///   BATCH <node> [<node>...]          several whole-node queries in one
-///                                     round trip, executed most-detailed-
-///                                     first so coarser members can be
-///                                     answered semantically from earlier
-///                                     ones. Response: "OK <n> <xor-of-
-///                                     section-checksums-hex> BATCH
-///                                     trace=<id>", then per requested node
-///                                     (input order) a section header
-///                                     "= <spec> <count> <checksum-hex>
-///                                     <HIT|SEMANTIC|MISS>" followed by
-///                                     exactly <count> rows
+/// One command per line; responses end with a lone "." line. The query
+/// verbs (QUERY, ICEBERG, SLICE, ROLLUP, DRILL, TOPK, BATCH) and their
+/// control tokens follow the one request grammar of ParseRequest
+/// (protocol.h); this tier resolves slice values through its dictionary
+/// and adds:
 ///   APPEND <int>...                   live mode: append k rows, each row
 ///                                     D leaf codes then M measures; durable
 ///                                     (WAL-fsynced) on OK. Response:
@@ -70,26 +42,24 @@ struct TcpServerOptions {
 ///                                     Response: "OK <version> <applied>
 ///                                     <DELTA|REBUILD|NOOP>"
 ///   STATS                             metrics text dump
+///   METRICS                           Prometheus text exposition
 ///   SLOWLOG                           flight recorder: the last N
 ///                                     over-threshold query profiles
 ///                                     (newest first; see --slow-ms)
 ///   QUIT                              closes the connection
-/// Every query verb accepts an optional trailing `trace=<id>` token: the
-/// supplied id is adopted for the query's trace spans and echoed back in
-/// the response header, so a scatter–gathering router's fan-out shares one
-/// trace id end-to-end instead of each backend minting its own. A trailing
-/// `profile=1` token appends a profile section after the rows: one
-/// "% profile ..." line with the per-stage breakdown in microseconds
-/// (queue_wait/key/cache/execute/encode/total), then — when the tracer is
-/// armed — one "% span name=<n> ts_us=<t> dur_us=<d>" line per recorded
-/// span tagged with the request's trace id (DESIGN.md §17). A trailing
-/// `codes=1` token skips the dictionary decoder: dimension fields go out as
-/// raw codes (the form a router scatters for, so it merges without
-/// re-encoding).
 /// Query responses: "OK <count> <checksum-hex> <HIT|SEMANTIC|MISS>
 /// trace=<id>" then one tab-separated row per line; SEMANTIC marks a result
 /// derived from a cached ancestor by the containment algebra (bit-identical
-/// to the engine path). Errors: "ERR <CodeName> <message>".
+/// to the engine path). BATCH answers "OK <n> <xor-of-section-checksums-hex>
+/// BATCH trace=<id>" and executes its members most-detailed-first, so
+/// coarser members can be answered semantically from earlier ones; each
+/// section header ends in that member's HIT|SEMANTIC|MISS. With
+/// `profile=1` a profile section follows the rows: one "% profile ..." line
+/// with the per-stage breakdown in microseconds
+/// (queue_wait/key/cache/execute/encode/total), then — when the tracer is
+/// armed — one "% span name=<n> ts_us=<t> dur_us=<d>" line per recorded
+/// span tagged with the request's trace id (DESIGN.md §17). Errors:
+/// "ERR <CodeName> <message>".
 class TcpLineServer {
  public:
   using ValueDecoder = serve::ValueDecoder;
@@ -130,17 +100,15 @@ class TcpLineServer {
                                   bool profile, bool codes) const;
   /// Tab-separated result rows (no header/terminator), dictionary-decoded
   /// unless the request asked for raw `codes`.
-  void AppendRows(schema::NodeId node, const QueryResult& result, bool codes,
-                  std::string* out) const;
+  void AppendRows(schema::NodeId node, const algebra::QueryResult& result,
+                  bool codes, std::string* out) const;
   /// One "% profile ..." line (plus "% span ..." lines when the tracer is
   /// armed) for a finished query; `encode_us` is the row-formatting time,
   /// `node_label` tags BATCH members ("" elsewhere).
   std::string FormatProfileSection(const QueryResponse& response,
                                    int64_t encode_us,
                                    const std::string& node_label) const;
-  std::string HandleBatch(const std::vector<schema::NodeId>& nodes,
-                          uint64_t trace_id, double deadline_seconds,
-                          bool profile, bool codes);
+  std::string ExecuteBatch(const Request& batch);
 
   CubeServer* server_;
   ValueDecoder decoder_;

@@ -371,6 +371,23 @@ TEST(RouterObservabilityTest, ProfileVerbReturnsClusterProfileEndToEnd) {
   EXPECT_EQ(profile_count, plain_count);
   EXPECT_STRCASEEQ(profile_checksum, plain_checksum);
 
+  // Likewise for a post-merge selection: PROFILE TOPK reports the selected
+  // k groups' count and checksum, not the full merged relation's.
+  const std::string profile_topk =
+      fx.router->HandleLine("PROFILE TOPK A_L0,B_L0 5");
+  const std::string plain_topk = fx.router->HandleLine("TOPK A_L0,B_L0 5");
+  ASSERT_EQ(std::sscanf(profile_topk.c_str(), "OK %llu %31s", &profile_count,
+                        profile_checksum),
+            2)
+      << profile_topk;
+  ASSERT_EQ(std::sscanf(plain_topk.c_str(), "OK %llu %31s", &plain_count,
+                        plain_checksum),
+            2)
+      << plain_topk;
+  EXPECT_EQ(plain_count, 5u);
+  EXPECT_EQ(profile_count, plain_count);
+  EXPECT_STRCASEEQ(profile_checksum, plain_checksum);
+
   ClusterProfile profile;
   ASSERT_TRUE(ParseClusterProfile(Body(response), &profile)) << response;
   EXPECT_EQ(profile.command, "QUERY A_L1,B_L1");
@@ -503,6 +520,22 @@ TEST(RouterObservabilityTest, SlowlogRecordsOverThresholdRoutedQueries) {
   EXPECT_NE(dump.find("trace=515"), std::string::npos) << dump;
   EXPECT_NE(dump.find("verb=QUERY"), std::string::npos) << dump;
   EXPECT_NE(dump.find("shards_ok=2/2"), std::string::npos) << dump;
+}
+
+TEST(RouterObservabilityTest, SlowlogRecordsFailedRoutedBatch) {
+  RouterOptions options;
+  options.slow_query_seconds = 1e-9;  // Everything is over threshold.
+  ObservabilityClusterFixture fx(options);
+  // Every replica of shard 1 is down: the BATCH fails with IOError, and
+  // the failure lands in the ring like a failed QUERY, ROLLUP or TOPK.
+  for (auto& tcp : fx.tcps[1]) tcp->Stop();
+  const std::string response =
+      fx.router->HandleLine("BATCH A_L1 A_L0,B_L0 trace=616");
+  ASSERT_EQ(response.rfind("ERR IOError", 0), 0u) << response;
+  const std::string dump = fx.router->HandleLine("SLOWLOG");
+  EXPECT_NE(dump.find("trace=616 verb=BATCH status=IOError"),
+            std::string::npos)
+      << dump;
 }
 
 }  // namespace

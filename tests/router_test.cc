@@ -726,6 +726,46 @@ TEST(RouterClusterTest, NavigationTopKAndBatchMatchSingleNode) {
             std::string::npos);
 }
 
+/// "ERR <Code>" of an error response ("" for anything else).
+std::string ErrPrefix(const std::string& response) {
+  if (response.rfind("ERR ", 0) != 0) return "";
+  return response.substr(0, response.find(' ', 4));
+}
+
+TEST(RouterClusterTest, MalformedLinesFailAlikeOnBothTiersAndReachNoBackend) {
+  ClusterFixture fx(600, 23);
+  const Counter* rpcs = fx.router->metrics()->counter("backend_rpcs_total");
+  const std::vector<std::string> lines = {
+      "QUERY",
+      "QUERY A_L0 junk",
+      "SLICE A_L0",
+      "SLICE A_L0 MINSUP 2",
+      "ICEBERG A_L0",
+      "ICEBERG A_L0 0",
+      "ROLLUP ALL A",
+      "ROLLUP A_L0 Z",
+      "TOPK A_L0 0",
+      "TOPK A_L0 5 MINSUP 2",
+      "BATCH",
+      "BATCH bogus",
+      "QUERY A_L0 trace=abc",
+  };
+  for (const std::string& line : lines) {
+    const uint64_t before = rpcs->value();
+    const std::string direct = fx.whole_tcp->HandleLine(line);
+    const std::string routed = fx.router->HandleLine(line);
+    ASSERT_NE(ErrPrefix(direct), "") << line << " -> " << direct;
+    EXPECT_EQ(ErrPrefix(routed), ErrPrefix(direct)) << line << " -> " << routed;
+    // One grammar: the message is the same too.
+    EXPECT_EQ(routed, direct) << line;
+    EXPECT_EQ(rpcs->value(), before) << line << " reached a backend";
+  }
+  // A well-formed line still scatters (one attempt per shard).
+  const uint64_t before = rpcs->value();
+  EXPECT_EQ(fx.router->HandleLine("QUERY A_L0").rfind("OK ", 0), 0u);
+  EXPECT_EQ(rpcs->value(), before + 3);
+}
+
 // ------------------------------------------------------ connection pooling
 
 TEST(BackendClientTest, ReusesPooledConnectionsAcrossRoundTrips) {
@@ -1075,6 +1115,30 @@ TEST(CureRouterTest, MalformedShardRepliesFailCleanAndWellFormedOnesMerge) {
   EXPECT_EQ(response.rfind("OK 1 ", 0), 0u) << response;
   EXPECT_NE(response.find("\n1\t10\t2\t3\t7\n"), std::string::npos)
       << response;
+
+  // Section header malformation: a missing "=" marker, a count that is no
+  // number or is negative, a section for a node that was not asked for,
+  // and fewer sections than requested all fail cleanly, naming the shard.
+  const std::string row = "1\t10\t2\t3\t7\n";
+  for (const std::string& script : {
+           batch + "A_L0 1 0000000000000001 MISS\n" + row + ".\n",
+           batch + "- A_L0 1 0000000000000001 MISS\n" + row + ".\n",
+           batch + "= A_L0 one 0000000000000001 MISS\n" + row + ".\n",
+           batch + "= A_L0 -1 0000000000000001 MISS\n" + row + ".\n",
+           batch + "= A_L0 1 0000000000000001\n" + row + ".\n",
+           batch + "= A_L1 1 0000000000000001 MISS\n" + row + ".\n",
+       }) {
+    response = ask(script, "BATCH A_L0");
+    EXPECT_EQ(response.rfind("ERR Internal shard 0 ", 0), 0u)
+        << script << " -> " << response;
+  }
+  EXPECT_EQ(ask(batch + "= A_L0 1 0000000000000001 MISS\n" + row + ".\n",
+                "BATCH A_L0 A_L1"),
+            "ERR Internal shard 0 returned 1 BATCH sections, expected 2\n.\n");
+  EXPECT_EQ(ask(batch + "= A_L1 1 0000000000000001 MISS\n" + row + ".\n",
+                "BATCH A_L0"),
+            "ERR Internal shard 0 returned unexpected BATCH section 'A_L1'\n"
+            ".\n");
 }
 
 // ------------------------------------------------------------ hedge storm

@@ -14,16 +14,16 @@
 #include <sstream>
 #include <thread>
 
+#include "algebra/result_cache.h"
 #include "common/histogram.h"
+#include "common/metrics.h"
 #include "engine/cure.h"
 #include "gen/datasets.h"
 #include "gen/random.h"
 #include "query/node_query.h"
 #include "query/reference.h"
 #include "serve/cube_server.h"
-#include "serve/metrics.h"
 #include "serve/protocol.h"
-#include "serve/query_cache.h"
 #include "serve/tcp_server.h"
 #include "storage/fault_injection.h"
 #include "storage/file_io.h"
@@ -31,6 +31,9 @@
 namespace cure {
 namespace {
 
+using algebra::QueryCache;
+using algebra::QueryKey;
+using algebra::QueryResult;
 using engine::BuildCure;
 using engine::CureOptions;
 using engine::FactInput;
@@ -39,11 +42,8 @@ using query::ResultSink;
 using schema::NodeId;
 using serve::CubeServer;
 using serve::CubeServerOptions;
-using serve::QueryCache;
-using serve::QueryKey;
 using serve::QueryRequest;
 using serve::QueryResponse;
-using serve::QueryResult;
 using serve::TcpLineServer;
 using serve::TcpServerOptions;
 
@@ -238,8 +238,8 @@ TEST(LogHistogramTest, ConcurrentRecordsAllLand) {
 // ------------------------------------------------------------------ metrics
 
 TEST(MetricsRegistryTest, CountersAndHistogramsAreStable) {
-  serve::MetricsRegistry registry;
-  serve::Counter* a = registry.counter("a");
+  MetricsRegistry registry;
+  Counter* a = registry.counter("a");
   a->Inc();
   a->Add(4);
   EXPECT_EQ(registry.counter("a"), a);  // Same instance on re-lookup.
