@@ -14,7 +14,7 @@ namespace cure {
 
 /// Low-overhead in-process span tracer.
 ///
-/// The design mirrors storage/fault_injection.*: a process-global singleton
+/// The design mirrors common/fault_injection.*: a process-global singleton
 /// whose hot path is ONE relaxed atomic load while disabled, so
 /// instrumentation can stay compiled into release binaries. When enabled,
 /// every thread records fixed-size events into its own ring buffer (no

@@ -19,7 +19,7 @@ struct BubstOptions {
   uint64_t min_support = 1;
   SortPolicy sort_policy = SortPolicy::kAuto;
   /// Batch scan path: same contract as CureOptions::batch_rows (1 =
-  /// scalar reference path, 0 = CURE_BATCH_ROWS env / default).
+  /// scalar reference path, 0 = the default).
   size_t batch_rows = 0;
 };
 

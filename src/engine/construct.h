@@ -43,8 +43,8 @@ Load LoadFromTable(const schema::FactTable& table,
 /// Scans a sealed binary fact relation ([D x u32][M x i64] records), lifting
 /// raw measures into aggregate space. `batch_rows` > 1 runs the block-
 /// oriented column-gather path (one contiguous gather per column per
-/// block); 1 the record-at-a-time reference path; 0 defers to
-/// CURE_BATCH_ROWS / the built-in default. Identical Loads either way.
+/// block); 1 the record-at-a-time reference path; 0 the built-in default.
+/// Identical Loads either way.
 Result<Load> LoadFromFactRelation(const storage::Relation& rel,
                                   const schema::CubeSchema& schema,
                                   size_t batch_rows = 0);

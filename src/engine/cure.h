@@ -46,16 +46,9 @@ struct CureOptions {
   /// relation scans run through Relation::BlockScanner in blocks of this
   /// many rows and the aggregation kernels run over contiguous column
   /// slices. 1 selects the record-at-a-time scalar reference path
-  /// (differential testing); 0 defers to the CURE_BATCH_ROWS environment
-  /// variable, then to storage::kDefaultBlockRows. Every setting produces
-  /// byte-identical cubes and query results.
+  /// (differential testing); 0 means storage::kDefaultBlockRows. Every
+  /// setting produces byte-identical cubes and query results.
   size_t batch_rows = 0;
-
-  /// Buffered-read size, in records, of legacy record-at-a-time scans
-  /// (Relation::Scanner) issued by the build. Blocks and legacy scans
-  /// share this one tuning surface; 0 defers to
-  /// storage::kDefaultScanBufferRecords.
-  size_t scan_buffer_records = 0;
 
   /// Base directory for build scratch files. Every build creates (and
   /// removes, on success and error alike) its own unique subdirectory here,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "common/env.h"
 #include "schema/cube_schema.h"
 #include "storage/row_block.h"
 
@@ -211,14 +210,11 @@ inline size_t SelectEqOrFlagU64(const uint64_t* v, size_t n, uint64_t value,
 }
 
 /// Resolves the effective block size of the batch scan path: an explicit
-/// option wins; 0 defers to the CURE_BATCH_ROWS environment variable and
-/// then the built-in default. A result of 1 selects the scalar
-/// record-at-a-time reference path everywhere (differential testing).
+/// option wins; 0 means the built-in default. A result of 1 selects the
+/// scalar record-at-a-time reference path everywhere (differential
+/// testing).
 inline size_t ResolveBatchRows(size_t option_value) {
-  if (option_value != 0) return option_value;
-  const int64_t env = EnvInt64("CURE_BATCH_ROWS", 0);
-  if (env > 0) return static_cast<size_t>(env);
-  return storage::kDefaultBlockRows;
+  return option_value != 0 ? option_value : storage::kDefaultBlockRows;
 }
 
 }  // namespace engine

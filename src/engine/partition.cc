@@ -65,15 +65,20 @@ std::vector<uint64_t> PackValuesFirstFitDecreasing(
   return bin_rows;
 }
 
+/// Partitions are packed to the budget divided by this, so up to this many
+/// can be resident concurrently within the budget. Deliberately a constant
+/// independent of the build's thread count: the partition layout — and
+/// therefore the cube bytes — must be identical for every num_threads
+/// setting. Level selection still checks value fit against the full budget.
+constexpr uint64_t kInFlightSubdivision = 8;
+
 /// Packing capacity in rows: the budget subdivided for concurrent residency,
 /// floored at the most frequent value of the level (a sound partition can
 /// never split a value).
 uint64_t PackCapacityRows(const std::vector<uint64_t>& counts,
-                          uint64_t budget_bytes, size_t record_size,
-                          const PartitionOptions& options) {
+                          uint64_t budget_bytes, size_t record_size) {
   const uint64_t full_rows = std::max<uint64_t>(1, budget_bytes / record_size);
-  const uint64_t subdivided =
-      full_rows / std::max(options.in_flight_subdivision, 1);
+  const uint64_t subdivided = full_rows / kInFlightSubdivision;
   uint64_t max_value = 0;
   for (uint64_t c : counts) max_value = std::max(max_value, c);
   return std::max<uint64_t>({1, subdivided, max_value});
@@ -170,7 +175,7 @@ Result<LevelChoice> SelectPartitionLevel(
         PackValuesFirstFitDecreasing(
             level_histograms[l],
             PackCapacityRows(level_histograms[l], options.memory_budget_bytes,
-                             rec, options),
+                             rec),
             nullptr)
             .size();
     return best;
@@ -201,8 +206,8 @@ Result<PartitionOutcome> PartitionFact(
   // Assign values of A_level to partitions: first-fit-decreasing at the
   // subdivided (concurrency-ready) capacity.
   const std::vector<uint64_t>& counts = level_histograms[level];
-  const uint64_t part_capacity_rows = PackCapacityRows(
-      counts, options.memory_budget_bytes, part_rec, options);
+  const uint64_t part_capacity_rows =
+      PackCapacityRows(counts, options.memory_budget_bytes, part_rec);
   std::vector<uint32_t> value_to_partition;
   const std::vector<uint64_t> bin_rows = PackValuesFirstFitDecreasing(
       counts, part_capacity_rows, &value_to_partition);

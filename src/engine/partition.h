@@ -23,14 +23,6 @@ struct PartitionOptions {
   /// Safety factor applied to the estimated in-memory footprint of N
   /// (hash-table overhead).
   double n_overhead_factor = 2.0;
-  /// Partitions are packed to memory_budget_bytes / in_flight_subdivision
-  /// (floored at the largest single-value row count, a soundness lower
-  /// bound), so up to this many partitions can be resident concurrently
-  /// within the budget. Deliberately a constant independent of the build's
-  /// thread count: the partition layout — and therefore the cube bytes —
-  /// must be identical for every num_threads setting. Level selection still
-  /// checks value fit against the full budget.
-  int in_flight_subdivision = 8;
 };
 
 /// Outcome of SelectPartitionLevel: the maximum level L of the first
@@ -71,7 +63,7 @@ Result<LevelChoice> SelectPartitionLevel(
 
 /// Computes the per-level histograms of dimension 0 with one sequential
 /// scan of the fact relation. `batch_rows` follows the CureOptions contract
-/// (1 = record-at-a-time reference path; 0 = CURE_BATCH_ROWS env / default);
+/// (1 = record-at-a-time reference path; 0 = the default);
 /// > 1 scans in blocks and fills the histograms from a gathered leaf-code
 /// slice. Identical histograms either way.
 Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(

@@ -23,6 +23,9 @@ double UnixSeconds() {
 constexpr int kBusyPollMicros = 200;
 constexpr int kBusyPollLimit = 50;  // 10 ms
 
+/// Cap of the refresh retry's exponential backoff.
+constexpr uint64_t kIoRetryBackoffCapMs = 100;
+
 }  // namespace
 
 LiveCube::LiveCube(const schema::CubeSchema& schema,
@@ -226,7 +229,7 @@ Result<RefreshStats> LiveCube::RefreshWithRetry(bool wait_for_standby) {
       return result;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    backoff_ms = std::min(backoff_ms * 2, options_.io_retry_backoff_cap_ms);
+    backoff_ms = std::min(backoff_ms * 2, kIoRetryBackoffCapMs);
   }
 }
 

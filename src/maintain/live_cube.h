@@ -79,13 +79,12 @@ struct MaintainOptions {
   bool allow_delta = true;
   /// Transient-I/O resilience: a refresh attempt failing with kIoError is
   /// retried up to `io_retry_attempts` total attempts with exponential
-  /// backoff starting at `io_retry_backoff_ms` and capped at
-  /// `io_retry_backoff_cap_ms`. Non-I/O errors never retry. On persistent
-  /// failure the published snapshot stays untouched and refresh_failed
-  /// counts every failed attempt (surfaced in STATS).
+  /// backoff starting at `io_retry_backoff_ms` and capped at 100 ms.
+  /// Non-I/O errors never retry. On persistent failure the published
+  /// snapshot stays untouched and refresh_failed counts every failed
+  /// attempt (surfaced in STATS).
   int io_retry_attempts = 3;
   uint64_t io_retry_backoff_ms = 1;
-  uint64_t io_retry_backoff_cap_ms = 100;
 };
 
 /// A live, crash-safe CURE cube: durable row ingest through a delta WAL,

@@ -119,7 +119,7 @@ class CureQueryEngine {
 
   /// Batch scan path of the readers, same contract as
   /// CureOptions::batch_rows: 1 = record-at-a-time reference path, 0 =
-  /// CURE_BATCH_ROWS env / built-in default. Identical results either way.
+  /// built-in default. Identical results either way.
   void set_batch_rows(size_t batch_rows) { batch_rows_ = batch_rows; }
 
  private:

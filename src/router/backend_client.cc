@@ -15,7 +15,7 @@
 #include <sstream>
 #include <utility>
 
-#include "common/net_fault.h"
+#include "common/fault_injection.h"
 
 namespace cure {
 namespace router {
@@ -186,8 +186,7 @@ void BackendClient::StartConnect(Exchange* exchange) const {
   exchange->sent_ = 0;
   // Fault shim: an injected connect fault fires before the syscall, so a
   // "refused" plan behaves like nothing is listening on the port.
-  const int injected =
-      net::NetFaultInjector::Instance().Consult("connect", endpoint);
+  const int injected = FaultInjector::Net().Consult("connect", endpoint);
   if (injected != 0) {
     Fail(exchange,
          injected == ETIMEDOUT
@@ -231,8 +230,8 @@ void BackendClient::TrySend(Exchange* exchange) const {
   const std::string& request = exchange->request_;
   while (exchange->sent_ < request.size()) {
     size_t chunk = request.size() - exchange->sent_;
-    const int injected = net::NetFaultInjector::Instance().ConsultWrite(
-        exchange->endpoint_, &chunk);
+    const int injected = FaultInjector::Net().Consult(
+        "write", exchange->endpoint_, &chunk);
     ssize_t n = -1;
     if (injected != 0) {
       errno = injected;
@@ -260,7 +259,7 @@ void BackendClient::TryRecv(Exchange* exchange) const {
   char buffer[kRecvChunk];
   ssize_t n = -1;
   const int injected =
-      net::NetFaultInjector::Instance().Consult("read", exchange->endpoint_);
+      FaultInjector::Net().Consult("read", exchange->endpoint_);
   if (injected != 0) {
     errno = injected;
   } else {

@@ -144,7 +144,7 @@ class BackendClient {
 
   /// Moves `exchange` forward after poll() reported `revents` on its fd, or
   /// times it out when `revents` is 0 and expires_us() has passed. Each
-  /// socket operation consults the NetFaultInjector once.
+  /// socket operation consults FaultInjector::Net() once.
   void Advance(Exchange* exchange, short revents) const;
 
   /// Sends `line` and returns the raw response text up to and excluding the

@@ -186,21 +186,6 @@ double CureRouter::NextJitter() {
   return static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
 }
 
-double CureRouter::HedgeDelaySeconds() const {
-  if (options_.hedge_percentile > 0) {
-    LogHistogram cluster;
-    MergeBackendLatency(&cluster);
-    const LogHistogram::Snapshot snap = cluster.TakeSnapshot();
-    // Percentiles of a handful of samples are noise; fall back to the
-    // fixed delay until the distribution means something.
-    if (snap.count >= 16) {
-      return static_cast<double>(snap.Percentile(options_.hedge_percentile)) *
-             1e-6;
-    }
-  }
-  return options_.hedge_seconds;
-}
-
 void CureRouter::RecordBackendSuccess(int shard, int replica) {
   std::lock_guard<std::mutex> lock(mu_);
   ReplicaState& state = replicas_[shard][replica];
@@ -313,7 +298,7 @@ std::vector<CureRouter::ShardReply> CureRouter::Scatter(
   std::vector<ShardCall> calls(static_cast<size_t>(num_shards));
   std::vector<std::unique_ptr<Attempt>> attempts;
   const int max_launches = 1 + std::max(0, options_.retry_budget);
-  const double hedge_delay = HedgeDelaySeconds();
+  const double hedge_delay = options_.hedge_seconds;
 
   const auto finish = [&](int s, Status status) {
     calls[s].done = true;

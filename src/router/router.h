@@ -37,10 +37,6 @@ struct RouterOptions {
   /// disables hedging (the default — tests and latency-insensitive callers
   /// keep strictly sequential failover).
   double hedge_seconds = -1;
-  /// When > 0, the hedge delay is this percentile (e.g. 0.95) of the
-  /// cluster-wide backend latency distribution instead of the fixed delay;
-  /// falls back to hedge_seconds until enough samples accumulate.
-  double hedge_percentile = 0;
   /// Max relaunches (retries + hedges) beyond the first attempt per shard
   /// per request. Candidate replicas are still each tried at most once.
   int retry_budget = 3;
@@ -188,9 +184,6 @@ class CureRouter {
   /// half-open probe candidates, then suspects, then open-breaker replicas
   /// as last resort.
   std::vector<int> PickOrder(int shard);
-
-  /// The hedge delay in effect right now, in seconds; < 0 = disabled.
-  double HedgeDelaySeconds() const;
 
   /// Cheap thread-safe uniform [0, 1) for backoff jitter.
   double NextJitter();

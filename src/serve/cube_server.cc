@@ -42,6 +42,9 @@ uint64_t EngineScanRowsEstimate(const engine::CureCube& cube,
 /// so derivation only replaces engine scans it genuinely undercuts.
 constexpr uint64_t kDerivationRowCostFactor = 4;
 
+/// Result-cache lock shards: independent mutex + LRU each.
+constexpr int kCacheShards = 8;
+
 }  // namespace
 
 CubeServer::CubeServer(
@@ -52,7 +55,7 @@ CubeServer::CubeServer(
       live_(live),
       options_(options),
       static_snapshot_(std::move(static_snapshot)),
-      cache_(&this->schema(), options.cache_bytes, options.cache_shards,
+      cache_(&this->schema(), options.cache_bytes, kCacheShards,
              options.semantic_cache),
       pool_(std::make_unique<ThreadPool>(options.num_threads)) {
   const schema::CubeSchema& schema = this->schema();
@@ -96,7 +99,6 @@ Result<std::unique_ptr<CubeServer>> CubeServer::Create(
   CURE_ASSIGN_OR_RETURN(
       snapshot->engine,
       query::CureQueryEngine::Create(cube, options.fact_cache_fraction));
-  snapshot->engine->set_batch_rows(options.batch_rows);
   return std::unique_ptr<CubeServer>(
       new CubeServer(cube, nullptr, options, std::move(snapshot)));
 }

@@ -31,7 +31,6 @@ struct CubeServerOptions {
   int max_inflight = 128;
   /// Result-cache byte budget; 0 disables the cache.
   uint64_t cache_bytes = 0;
-  int cache_shards = 8;
   /// Semantic answering: when the exact key misses, try to derive the
   /// result from a cached ancestor via the containment algebra (DESIGN.md
   /// §15). false degrades to the plain exact-key cache (--no-semantic).
@@ -51,14 +50,8 @@ struct CubeServerOptions {
   double default_deadline_seconds = 0;
   /// Slow-query log threshold: queries slower than this log a
   /// CURE_LOG(kWarning) line with the per-stage breakdown (key/cache/
-  /// execute micros) and the trace id. 0 disables the log. Overridable via
-  /// the CURE_SLOW_QUERY_MS environment variable in cure_serve.
+  /// execute micros) and the trace id. 0 disables the log.
   double slow_query_seconds = 0;
-  /// Batch scan path of the query engines (CureOptions::batch_rows
-  /// contract): 1 = record-at-a-time reference path, 0 = the
-  /// CURE_BATCH_ROWS environment variable then the built-in block size.
-  /// Identical query results at every setting.
-  size_t batch_rows = 0;
 };
 
 /// One query against the served cube. `min_count > 1` makes it an iceberg

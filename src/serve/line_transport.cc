@@ -11,12 +11,16 @@
 #include <cstring>
 #include <utility>
 
-#include "common/net_fault.h"
+#include "common/fault_injection.h"
 
 namespace cure {
 namespace serve {
 
 namespace {
+
+/// Sent to a connection turned away by the connection cap.
+constexpr char kRejectResponse[] =
+    "ERR ResourceExhausted connection limit reached\n.\n";
 
 /// True when the first whitespace-delimited token of `line` is "QUIT"
 /// (case-insensitive) — the one command the transport interprets itself.
@@ -63,7 +67,7 @@ bool WriteAllToFd(int fd, const char* data, size_t len,
   while (sent < len) {
     size_t chunk = len - sent;
     const int injected =
-        net::NetFaultInjector::Instance().ConsultWrite(endpoint, &chunk);
+        FaultInjector::Net().Consult("write", endpoint, &chunk);
     if (injected != 0) {
       errno = injected;
       return false;
@@ -82,7 +86,7 @@ Result<std::unique_ptr<LineTransport>> LineTransport::Start(
     return Status::InvalidArgument("LineTransport requires a line handler");
   }
   auto self = std::unique_ptr<LineTransport>(
-      new LineTransport(std::move(handler), options.reject_response));
+      new LineTransport(std::move(handler)));
   self->max_connections_ = options.max_connections;
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -159,13 +163,13 @@ void LineTransport::AcceptLoop() {
     // Fault shim: an injected accept fault is connection-scoped — the
     // accepted socket is dropped (the client sees EOF/RST on its first
     // read) but the accept loop, and so the server, stays alive.
-    if (net::NetFaultInjector::Instance().Consult("accept", endpoint_) != 0) {
+    if (FaultInjector::Net().Consult("accept", endpoint_) != 0) {
       ::close(fd);
       continue;
     }
     if (active_connections_.load(std::memory_order_relaxed) >=
         max_connections_) {
-      WriteAllToFd(fd, reject_response_.data(), reject_response_.size());
+      WriteAllToFd(fd, kRejectResponse, sizeof(kRejectResponse) - 1);
       ::close(fd);
       continue;
     }
@@ -199,7 +203,7 @@ void LineTransport::HandleConnection(int fd) {
   while (open && !stopping_.load(std::memory_order_relaxed)) {
     // Fault shim: an injected read fault closes this connection (the
     // standard server reaction to a receive error), never the server.
-    if (net::NetFaultInjector::Instance().Consult("read", endpoint_) != 0) {
+    if (FaultInjector::Net().Consult("read", endpoint_) != 0) {
       break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);

@@ -18,10 +18,8 @@ struct LineTransportOptions {
   /// Listening port on 127.0.0.1; 0 picks an ephemeral port (see port()).
   int port = 0;
   /// Concurrent connection cap; excess connections are turned away with
-  /// `reject_response` and closed.
+  /// "ERR ResourceExhausted connection limit reached" and closed.
   int max_connections = 64;
-  /// Response sent to a connection rejected by the connection cap.
-  std::string reject_response = "ERR ResourceExhausted connection limit reached\n.\n";
 };
 
 /// Reusable blocking line-protocol TCP listener: accept loop, one thread
@@ -60,15 +58,12 @@ class LineTransport {
   void Stop();
 
  private:
-  explicit LineTransport(LineHandler handler, std::string reject_response)
-      : handler_(std::move(handler)),
-        reject_response_(std::move(reject_response)) {}
+  explicit LineTransport(LineHandler handler) : handler_(std::move(handler)) {}
 
   void AcceptLoop();
   void HandleConnection(int fd);
 
   LineHandler handler_;
-  std::string reject_response_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::string endpoint_;

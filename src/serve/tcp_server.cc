@@ -22,8 +22,6 @@ Result<std::unique_ptr<TcpLineServer>> TcpLineServer::Start(
   LineTransportOptions transport_options;
   transport_options.port = options.port;
   transport_options.max_connections = options.max_connections;
-  transport_options.reject_response =
-      ErrResponse(StatusCode::kResourceExhausted, "connection limit reached");
   CURE_ASSIGN_OR_RETURN(
       self->transport_,
       LineTransport::Start(

@@ -9,8 +9,8 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/fault_injection.h"
 #include "common/metrics.h"
-#include "storage/fault_injection.h"
 
 namespace cure {
 namespace storage {
@@ -53,7 +53,7 @@ Status ErrnoStatus(const std::string& op, const std::string& path) {
 /// Fault-injection shim for non-write operations: returns the errno to
 /// inject, or 0 to proceed with the real syscall.
 int Inject(const char* op, const std::string& path) {
-  return FaultInjector::Instance().Consult(op, path);
+  return FaultInjector::Disk().Consult(op, path);
 }
 
 }  // namespace
@@ -118,7 +118,7 @@ Status FileWriter::Flush() {
     // The shim may shorten `want` (a kernel-style short write the loop
     // absorbs) or inject an errno outright.
     size_t want = buffer_used_ - off;
-    const int inj = FaultInjector::Instance().ConsultWrite(path_, &want);
+    const int inj = FaultInjector::Disk().Consult("write", path_, &want);
     ssize_t n;
     if (inj != 0) {
       errno = inj;

@@ -15,9 +15,7 @@ namespace cure {
 namespace storage {
 
 /// Default buffered-read size, in records, of the legacy record-at-a-time
-/// Scanner. The one tuning knob shared by legacy and block scans: callers
-/// with access to engine options pass CureOptions::scan_buffer_records /
-/// batch_rows through; everyone else inherits this default.
+/// Scanner.
 inline constexpr size_t kDefaultScanBufferRecords = 4096;
 
 /// A relation of fixed-width binary records, the universal container of the

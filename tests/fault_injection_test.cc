@@ -7,17 +7,14 @@
 #include <thread>
 #include <vector>
 
-#include "storage/fault_injection.h"
+#include "common/fault_injection.h"
 #include "storage/file_io.h"
 
 namespace cure {
 namespace {
 
-using storage::FaultInjector;
-using storage::FaultPlan;
 using storage::FileReader;
 using storage::FileWriter;
-using storage::ScopedFaultInjection;
 
 std::string TestPath(const char* tag) {
   return "/tmp/cure_fault_injection_" + std::to_string(::getpid()) + "_" +
@@ -45,7 +42,7 @@ Result<std::string> ReadFileBack(const std::string& path, size_t len) {
 
 TEST(FaultInjectionTest, DisarmedInjectorIsInert) {
   const std::string path = TestPath("inert");
-  ASSERT_FALSE(FaultInjector::Instance().armed());
+  ASSERT_FALSE(FaultInjector::Disk().armed());
   ASSERT_TRUE(WriteFile(path, "hello fault world").ok());
   auto back = ReadFileBack(path, 17);
   ASSERT_TRUE(back.ok());
@@ -59,12 +56,12 @@ TEST(FaultInjectionTest, CountingModeCountsWithoutFiring) {
   plan.op = "write";
   plan.fail_index = UINT64_MAX;  // Pure counter.
   {
-    ScopedFaultInjection fault(plan);
+    ScopedFaultInjection fault(FaultInjector::Disk(), plan);
     ASSERT_TRUE(WriteFile(path, std::string(100, 'x')).ok());
     EXPECT_GE(fault.ops_matched(), 1u);
     EXPECT_EQ(fault.faults_injected(), 0u);
   }
-  EXPECT_FALSE(FaultInjector::Instance().armed());
+  EXPECT_FALSE(FaultInjector::Disk().armed());
   ASSERT_TRUE(storage::RemoveFile(path).ok());
 }
 
@@ -72,9 +69,9 @@ TEST(FaultInjectionTest, StickyWriteFaultFailsTheWorkload) {
   const std::string path = TestPath("sticky");
   FaultPlan plan;
   plan.op = "write";
-  plan.path_substr = path;
+  plan.target_substr = path;
   plan.error = EIO;
-  ScopedFaultInjection fault(plan);
+  ScopedFaultInjection fault(FaultInjector::Disk(), plan);
   const Status s = WriteFile(path, std::string(64, 'y'));
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
@@ -86,10 +83,10 @@ TEST(FaultInjectionTest, OnceFaultFailsThenRecovers) {
   const std::string path = TestPath("once");
   FaultPlan plan;
   plan.op = "open";
-  plan.path_substr = path;
+  plan.target_substr = path;
   plan.error = EACCES;
   plan.once = true;
-  ScopedFaultInjection fault(plan);
+  ScopedFaultInjection fault(FaultInjector::Disk(), plan);
   FileWriter writer;
   const Status first = writer.Open(path);
   EXPECT_FALSE(first.ok());
@@ -105,10 +102,10 @@ TEST(FaultInjectionTest, FailIndexSkipsEarlierOps) {
   const std::string path = TestPath("index");
   FaultPlan plan;
   plan.op = "fsync";
-  plan.path_substr = path;
+  plan.target_substr = path;
   plan.fail_index = 1;  // First fsync succeeds, second fails.
   plan.error = EIO;
-  ScopedFaultInjection fault(plan);
+  ScopedFaultInjection fault(FaultInjector::Disk(), plan);
   FileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append("a", 1).ok());
@@ -132,9 +129,9 @@ TEST(FaultInjectionTest, ShortWritesSucceedByteIdentically) {
     // short write the Flush loop must absorb.
     FaultPlan plan;
     plan.op = "write";
-    plan.path_substr = path;
+    plan.target_substr = path;
     plan.short_fraction = 0.5;
-    ScopedFaultInjection fault(plan);
+    ScopedFaultInjection fault(FaultInjector::Disk(), plan);
     ASSERT_TRUE(WriteFile(path, payload).ok());
     EXPECT_GE(fault.faults_injected(), 2u);
   }
@@ -151,9 +148,9 @@ TEST(FaultInjectionTest, EnospcGetsActionableMessage) {
   const std::string path = TestPath("enospc");
   FaultPlan plan;
   plan.op = "write";
-  plan.path_substr = path;
+  plan.target_substr = path;
   plan.error = ENOSPC;
-  ScopedFaultInjection fault(plan);
+  ScopedFaultInjection fault(FaultInjector::Disk(), plan);
   const Status s = WriteFile(path, std::string(64, 'z'));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
@@ -167,9 +164,9 @@ TEST(FaultInjectionTest, PathSubstringScopesTheFault) {
   const std::string bystander = TestPath("scoped_bystander");
   FaultPlan plan;
   plan.op = "write";
-  plan.path_substr = "scoped_victim";
+  plan.target_substr = "scoped_victim";
   plan.error = EIO;
-  ScopedFaultInjection fault(plan);
+  ScopedFaultInjection fault(FaultInjector::Disk(), plan);
   EXPECT_FALSE(WriteFile(victim, "doomed").ok());
   EXPECT_TRUE(WriteFile(bystander, "fine").ok());
   (void)storage::RemoveFile(victim);
@@ -182,7 +179,7 @@ TEST(FaultInjectionTest, ConcurrentConsultsAreRaceFree) {
   FaultPlan plan;
   plan.op = "write";
   plan.fail_index = UINT64_MAX;
-  FaultInjector::Instance().Arm(plan);
+  FaultInjector::Disk().Arm(plan);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 500;
   std::vector<std::thread> threads;
@@ -192,20 +189,90 @@ TEST(FaultInjectionTest, ConcurrentConsultsAreRaceFree) {
       const std::string path = "/tmp/thread_" + std::to_string(t);
       for (int i = 0; i < kOpsPerThread; ++i) {
         size_t len = 64;
-        FaultInjector::Instance().ConsultWrite(path, &len);
-        FaultInjector::Instance().Consult("read", path);
+        FaultInjector::Disk().Consult("write", path, &len);
+        FaultInjector::Disk().Consult("read", path);
       }
     });
   }
   for (int i = 0; i < 50; ++i) {
-    (void)FaultInjector::Instance().ops_matched();
-    (void)FaultInjector::Instance().armed();
+    (void)FaultInjector::Disk().ops_matched();
+    (void)FaultInjector::Disk().armed();
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(FaultInjector::Instance().ops_matched(),
+  EXPECT_EQ(FaultInjector::Disk().ops_matched(),
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(FaultInjector::Instance().faults_injected(), 0u);
-  FaultInjector::Instance().Disarm();
+  EXPECT_EQ(FaultInjector::Disk().faults_injected(), 0u);
+  FaultInjector::Disk().Disarm();
+}
+
+// CURE_NET_FAULT specs map onto plan fields through the kind table:
+// refused/reset/stall set the errno, shortwrite the fraction, delay/stall
+// the sleep (defaults 20 ms and 0.5).
+TEST(FaultInjectionTest, NetworkSpecMapsToPlanFields) {
+  struct Case {
+    const char* spec;
+    int error;
+    double short_fraction;
+    double delay_seconds;
+  };
+  const Case cases[] = {
+      {"", ECONNRESET, 0, 0},
+      {"kind=refused", ECONNREFUSED, 0, 0},
+      {"kind=reset", ECONNRESET, 0, 0},
+      {"kind=shortwrite", 0, 0.5, 0},
+      {"kind=shortwrite;frac=0.25", 0, 0.25, 0},
+      {"kind=delay", 0, 0, 0.02},
+      {"op=read;kind=delay;delay_ms=120", 0, 0, 0.12},
+      {"delay_ms=120;kind=delay;", 0, 0, 0.12},
+      {"kind=stall;delay_ms=5", ETIMEDOUT, 0, 0.005},
+      {"kind=reset;delay_ms=50;frac=0.3", ECONNRESET, 0, 0},
+  };
+  for (const Case& c : cases) {
+    Result<FaultPlan> plan = ParseNetFaultSpec(c.spec);
+    ASSERT_TRUE(plan.ok()) << c.spec << ": " << plan.status().ToString();
+    EXPECT_EQ(plan->error, c.error) << c.spec;
+    EXPECT_DOUBLE_EQ(plan->short_fraction, c.short_fraction) << c.spec;
+    EXPECT_DOUBLE_EQ(plan->delay_seconds, c.delay_seconds) << c.spec;
+    EXPECT_EQ(plan->fail_index, 0u) << c.spec;
+    EXPECT_FALSE(plan->once) << c.spec;
+  }
+
+  Result<FaultPlan> full =
+      ParseNetFaultSpec("op=connect;endpoint=:7101;index=3;once=1");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->op, "connect");
+  EXPECT_EQ(full->target_substr, ":7101");
+  EXPECT_EQ(full->fail_index, 3u);
+  EXPECT_TRUE(full->once);
+}
+
+TEST(FaultInjectionTest, MalformedNetworkSpecIsRejected) {
+  const struct {
+    const char* spec;
+    const char* bad_pair;
+  } cases[] = {
+      {"kind=dealy", "kind=dealy"},
+      {"ops=read;kind=delay", "ops=read"},
+      {"op=read;kind", "kind"},
+      {"op=raed", "op=raed"},
+      {"kind=delay;delay_ms=fast", "delay_ms=fast"},
+      {"delay_ms=-5", "delay_ms=-5"},
+      {"kind=shortwrite;frac=half", "frac=half"},
+      {"frac=1.5", "frac=1.5"},
+      {"index=abc", "index=abc"},
+      {"index=-1", "index=-1"},
+      {"index=", "index="},
+      {"once=yes", "once=yes"},
+  };
+  for (const auto& c : cases) {
+    Result<FaultPlan> plan = ParseNetFaultSpec(c.spec);
+    ASSERT_FALSE(plan.ok()) << c.spec;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << c.spec;
+    EXPECT_NE(plan.status().message().find("'" + std::string(c.bad_pair) +
+                                           "'"),
+              std::string::npos)
+        << c.spec << ": " << plan.status().ToString();
+  }
 }
 
 }  // namespace

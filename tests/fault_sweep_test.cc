@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "cube/cube_store.h"
 #include "engine/cure.h"
 #include "gen/datasets.h"
 #include "gen/random.h"
 #include "maintain/live_cube.h"
-#include "storage/fault_injection.h"
 #include "storage/file_io.h"
 
 namespace cure {
@@ -34,9 +34,6 @@ using engine::FactInput;
 using maintain::LiveCube;
 using maintain::MaintainOptions;
 using maintain::RowBatch;
-using storage::FaultInjector;
-using storage::FaultPlan;
-using storage::ScopedFaultInjection;
 
 std::string SweepDir(const char* tag) {
   return "/tmp/cure_fault_sweep_" + std::to_string(::getpid()) + "_" + tag;
@@ -135,10 +132,10 @@ class FaultSweepTest : public ::testing::Test {
 
     // Enumerate the workload's I/O points (counting mode never fires).
     FaultPlan counter;
-    counter.path_substr = "cure_fault_sweep_";
+    counter.target_substr = "cure_fault_sweep_";
     counter.fail_index = UINT64_MAX;
     {
-      ScopedFaultInjection count(counter);
+      ScopedFaultInjection count(FaultInjector::Disk(), counter);
       const std::string path = SweepDir("count") + ".bin";
       ASSERT_TRUE(BuildPersistOpen(ds_, rel_, temp_dir_, path).ok());
       num_ops_ = count.ops_matched();
@@ -159,12 +156,12 @@ class FaultSweepTest : public ::testing::Test {
     uint64_t failures = 0;
     for (uint64_t i = 0; i < num_ops_; ++i) {
       FaultPlan plan;
-      plan.path_substr = "cure_fault_sweep_";
+      plan.target_substr = "cure_fault_sweep_";
       plan.fail_index = i;
       plan.error = error;
       Status status;
       {
-        ScopedFaultInjection fault(plan);
+        ScopedFaultInjection fault(FaultInjector::Disk(), plan);
         status = BuildPersistOpen(ds_, rel_, temp_dir_, out_path);
       }
       if (!status.ok()) {
@@ -201,11 +198,11 @@ TEST_F(FaultSweepTest, ShortWritesAtEveryIndexStayByteIdentical) {
   // writes are not errors, so every run must succeed byte-identically.
   FaultPlan counter;
   counter.op = "write";
-  counter.path_substr = "cure_fault_sweep_";
+  counter.target_substr = "cure_fault_sweep_";
   counter.fail_index = UINT64_MAX;
   uint64_t num_writes = 0;
   {
-    ScopedFaultInjection count(counter);
+    ScopedFaultInjection count(FaultInjector::Disk(), counter);
     const std::string path = SweepDir("wcount") + ".bin";
     ASSERT_TRUE(BuildPersistOpen(ds_, rel_, temp_dir_, path).ok());
     num_writes = count.ops_matched();
@@ -218,12 +215,12 @@ TEST_F(FaultSweepTest, ShortWritesAtEveryIndexStayByteIdentical) {
   for (uint64_t i = 0; i < num_writes; ++i) {
     FaultPlan plan;
     plan.op = "write";
-    plan.path_substr = "cure_fault_sweep_";
+    plan.target_substr = "cure_fault_sweep_";
     plan.fail_index = i;
     plan.short_fraction = 0.3;
     Status status;
     {
-      ScopedFaultInjection fault(plan);
+      ScopedFaultInjection fault(FaultInjector::Disk(), plan);
       status = BuildPersistOpen(ds_, rel_, temp_dir_, out_path);
     }
     ASSERT_TRUE(status.ok()) << "op " << i << ": " << status.ToString();
@@ -238,12 +235,12 @@ TEST_F(FaultSweepTest, TransientFaultAtEveryOpRecoversOnRetry) {
   const std::string out_path = SweepDir("transient") + ".bin";
   for (uint64_t i = 0; i < num_ops_; i += 7) {
     FaultPlan plan;
-    plan.path_substr = "cure_fault_sweep_";
+    plan.target_substr = "cure_fault_sweep_";
     plan.fail_index = i;
     plan.error = EIO;
     plan.once = true;
     {
-      ScopedFaultInjection fault(plan);
+      ScopedFaultInjection fault(FaultInjector::Disk(), plan);
       const Status status = BuildPersistOpen(ds_, rel_, temp_dir_, out_path);
       ExpectCleanOutcome(status, temp_dir_, out_path, reference_, i);
     }
@@ -252,6 +249,25 @@ TEST_F(FaultSweepTest, TransientFaultAtEveryOpRecoversOnRetry) {
     EXPECT_EQ(ReadBytes(out_path), reference_) << "op " << i;
     ASSERT_TRUE(storage::RemoveFile(out_path).ok());
   }
+}
+
+TEST_F(FaultSweepTest, BuildPersistOpenNeverReachesTheNetInjector) {
+  // Counting plans on both injectors, every op name: the build's file I/O
+  // lands on Disk() only, even though "read" and "write" are net ops too.
+  FaultPlan counter;
+  counter.fail_index = UINT64_MAX;
+  const std::string out_path = SweepDir("domains") + ".bin";
+  uint64_t disk_ops = 0;
+  {
+    ScopedFaultInjection net(FaultInjector::Net(), counter);
+    ScopedFaultInjection disk(FaultInjector::Disk(), counter);
+    ASSERT_TRUE(BuildPersistOpen(ds_, rel_, temp_dir_, out_path).ok());
+    disk_ops = disk.ops_matched();
+    EXPECT_EQ(net.ops_matched(), 0u);
+  }
+  EXPECT_GE(disk_ops, num_ops_);
+  EXPECT_EQ(ReadBytes(out_path), reference_);
+  ASSERT_TRUE(storage::RemoveFile(out_path).ok());
 }
 
 // ------------------------------------------------------ WAL / refresh sweep
@@ -304,9 +320,9 @@ TEST(FaultSweepWalTest, StickyEioAtEveryWalOpFailsCleanly) {
   uint64_t num_ops = 0;
   {
     FaultPlan counter;
-    counter.path_substr = "cure_fault_sweep_";
+    counter.target_substr = "cure_fault_sweep_";
     counter.fail_index = UINT64_MAX;
-    ScopedFaultInjection count(counter);
+    ScopedFaultInjection count(FaultInjector::Disk(), counter);
     (void)storage::RemoveFile(wal_path);
     ASSERT_TRUE(workload().ok());
     num_ops = count.ops_matched();
@@ -316,13 +332,13 @@ TEST(FaultSweepWalTest, StickyEioAtEveryWalOpFailsCleanly) {
   uint64_t failures = 0;
   for (uint64_t i = 0; i < num_ops; ++i) {
     FaultPlan plan;
-    plan.path_substr = "cure_fault_sweep_";
+    plan.target_substr = "cure_fault_sweep_";
     plan.fail_index = i;
     plan.error = EIO;
     (void)storage::RemoveFile(wal_path);
     Status status;
     {
-      ScopedFaultInjection fault(plan);
+      ScopedFaultInjection fault(FaultInjector::Disk(), plan);
       status = workload();
     }
     if (!status.ok()) {

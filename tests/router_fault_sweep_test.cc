@@ -26,13 +26,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/net_fault.h"
+#include "common/fault_injection.h"
 #include "engine/cure.h"
 #include "gen/datasets.h"
 #include "gen/random.h"
@@ -48,9 +49,6 @@ namespace {
 using engine::BuildCure;
 using engine::CureOptions;
 using engine::FactInput;
-using net::NetFaultKind;
-using net::NetFaultPlan;
-using net::ScopedNetFaultInjection;
 using router::BackendAddress;
 using router::CureRouter;
 using router::RouterOptions;
@@ -226,15 +224,27 @@ struct SweepCluster {
 
 const char kSweepQuery[] = "QUERY A_L1,B_L1";
 
-// Every fault kind the injector speaks, with sleeps shrunk so a sweep of
-// hundreds of cases stays inside a CI-friendly budget.
-NetFaultPlan PlanFor(NetFaultKind kind, uint64_t index, bool once) {
-  NetFaultPlan plan;
+// Every network fault kind as plan fields (DESIGN.md §11), with sleeps
+// shrunk so a sweep of hundreds of cases stays inside a CI-friendly budget.
+struct FaultKind {
+  const char* name;
+  int error;
+  double short_fraction;
+  double delay_seconds;
+};
+const FaultKind kRefused = {"refused", ECONNREFUSED, 0, 0};
+const FaultKind kReset = {"reset", ECONNRESET, 0, 0};
+const FaultKind kShortWrite = {"shortwrite", 0, 0.5, 0};
+const FaultKind kDelay = {"delay", 0, 0, 0.001};
+const FaultKind kStall = {"stall", ETIMEDOUT, 0, 0.001};
+
+FaultPlan PlanFor(const FaultKind& kind, uint64_t index, bool once) {
+  FaultPlan plan;
   plan.fail_index = index;
-  plan.kind = kind;
   plan.once = once;
-  plan.delay_seconds = 0.001;
-  plan.short_fraction = 0.5;
+  plan.error = kind.error;
+  plan.short_fraction = kind.short_fraction;
+  plan.delay_seconds = kind.delay_seconds;
   return plan;
 }
 
@@ -249,8 +259,8 @@ TEST(RouterFaultSweepTest, EveryNetworkOpFailsCleanOrHeals) {
   // counts the session's matching socket operations.
   uint64_t total_ops = 0;
   {
-    ScopedNetFaultInjection scoped(PlanFor(NetFaultKind::kReset, UINT64_MAX,
-                                           /*once=*/false));
+    ScopedFaultInjection scoped(FaultInjector::Net(),
+                                PlanFor(kReset, UINT64_MAX, /*once=*/false));
     auto router = fx.MakeRouter(fx.map, SweepCluster::SweepOptions());
     const Fingerprint counted = FingerprintOf(router->HandleLine(kSweepQuery));
     EXPECT_EQ(counted, reference);
@@ -265,19 +275,16 @@ TEST(RouterFaultSweepTest, EveryNetworkOpFailsCleanOrHeals) {
   // against 2-replica shards must NEVER surface: short writes heal in the
   // write loop, delays just slow the exchange, refused/reset/stall fail
   // over to the sibling replica. Bit-identical result required every time.
-  const NetFaultKind all_kinds[] = {
-      NetFaultKind::kRefused, NetFaultKind::kReset, NetFaultKind::kShortWrite,
-      NetFaultKind::kDelay, NetFaultKind::kStall};
-  const char* kind_names[] = {"refused", "reset", "shortwrite", "delay",
-                              "stall"};
+  const FaultKind all_kinds[] = {kRefused, kReset, kShortWrite, kDelay,
+                                 kStall};
   for (size_t k = 0; k < 5; ++k) {
     for (uint64_t index = 0; index < total_ops; ++index) {
-      ScopedNetFaultInjection scoped(
-          PlanFor(all_kinds[k], index, /*once=*/true));
+      ScopedFaultInjection scoped(
+          FaultInjector::Net(), PlanFor(all_kinds[k], index, /*once=*/true));
       auto router = fx.MakeRouter(fx.map, SweepCluster::SweepOptions());
       const Fingerprint got = FingerprintOf(router->HandleLine(kSweepQuery));
       EXPECT_EQ(got, reference)
-          << "transient " << kind_names[k] << " at op " << index
+          << "transient " << all_kinds[k].name << " at op " << index
           << (got.ok ? " garbled the relation" : " leaked an ERR to the client");
     }
   }
@@ -288,24 +295,40 @@ TEST(RouterFaultSweepTest, EveryNetworkOpFailsCleanOrHeals) {
   // Sticky shortwrite/delay never break an exchange, so they must stay
   // bit-identical even when applied forever.
   for (size_t k = 0; k < 5; ++k) {
-    const bool lossless = all_kinds[k] == NetFaultKind::kShortWrite ||
-                          all_kinds[k] == NetFaultKind::kDelay;
+    const bool lossless = all_kinds[k].error == 0;
     for (uint64_t index = 0; index < total_ops; ++index) {
-      ScopedNetFaultInjection scoped(
-          PlanFor(all_kinds[k], index, /*once=*/false));
+      ScopedFaultInjection scoped(
+          FaultInjector::Net(), PlanFor(all_kinds[k], index, /*once=*/false));
       auto router = fx.MakeRouter(fx.map, SweepCluster::SweepOptions());
       const Fingerprint got = FingerprintOf(router->HandleLine(kSweepQuery));
       if (lossless || got.ok) {
         EXPECT_EQ(got, reference)
-            << "sticky " << kind_names[k] << " at op " << index;
+            << "sticky " << all_kinds[k].name << " at op " << index;
       } else {
         EXPECT_TRUE(got.err_code == "IOError" ||
                     got.err_code == "DeadlineExceeded")
-            << "sticky " << kind_names[k] << " at op " << index
+            << "sticky " << all_kinds[k].name << " at op " << index
             << " produced unclean failure: " << got.err_code;
       }
     }
   }
+}
+
+TEST(RouterFaultSweepTest, RoutedQueryNeverReachesTheDiskInjector) {
+  // Counting plans on both injectors, every op name: a routed query's
+  // socket ops land on Net() only, even though "read" and "write" are disk
+  // ops too.
+  SweepCluster fx;
+  FaultPlan counter;
+  counter.fail_index = UINT64_MAX;
+  ScopedFaultInjection disk(FaultInjector::Disk(), counter);
+  ScopedFaultInjection net(FaultInjector::Net(), counter);
+  auto router = fx.MakeRouter(fx.map, SweepCluster::SweepOptions());
+  const Fingerprint got = FingerprintOf(router->HandleLine(kSweepQuery));
+  EXPECT_TRUE(got.ok);
+  router.reset();
+  EXPECT_GT(net.ops_matched(), 6u);
+  EXPECT_EQ(disk.ops_matched(), 0u);
 }
 
 TEST(RouterFaultSweepTest, PartialAnswersEqualSurvivingShardsMerge) {
@@ -337,30 +360,24 @@ TEST(RouterFaultSweepTest, PartialAnswersEqualSurvivingShardsMerge) {
     }
   }
 
-  const NetFaultKind shard_killers[] = {
-      NetFaultKind::kRefused, NetFaultKind::kReset, NetFaultKind::kStall};
-  const char* killer_names[] = {"refused", "reset", "stall"};
+  const FaultKind shard_killers[] = {kRefused, kReset, kStall};
   RouterOptions partial_options = SweepCluster::SweepOptions();
   partial_options.allow_partial = true;
   partial_options.retry_budget = 1;
   for (int down = 0; down < solo.num_shards(); ++down) {
-    NetFaultPlan plan;
-    plan.endpoint_substr = ":" + std::to_string(solo.shards[down][0].port);
-    plan.fail_index = 0;
-    plan.once = false;
-    plan.delay_seconds = 0.001;
     for (size_t k = 0; k < 3; ++k) {
-      plan.kind = shard_killers[k];
-      ScopedNetFaultInjection scoped(plan);
+      FaultPlan plan = PlanFor(shard_killers[k], 0, /*once=*/false);
+      plan.target_substr = ":" + std::to_string(solo.shards[down][0].port);
+      ScopedFaultInjection scoped(FaultInjector::Net(), plan);
       auto router = fx.MakeRouter(solo, partial_options);
       for (size_t q = 0; q < workload.size(); ++q) {
         const std::string response = router->HandleLine(workload[q]);
         EXPECT_NE(response.find(" PARTIAL shards=2/3"), std::string::npos)
-            << "shard " << down << " down via " << killer_names[k] << ": "
+            << "shard " << down << " down via " << shard_killers[k].name << ": "
             << response;
         EXPECT_EQ(FingerprintOf(response), leave_one_out[down][q])
             << "degraded answer drifted from the surviving shards' merge "
-            << "(shard " << down << " down via " << killer_names[k] << ", "
+            << "(shard " << down << " down via " << shard_killers[k].name << ", "
             << workload[q] << ")";
       }
       EXPECT_GT(router->metrics()->counter("partial_total")->value(), 0u);
@@ -369,12 +386,9 @@ TEST(RouterFaultSweepTest, PartialAnswersEqualSurvivingShardsMerge) {
 
   // Strict mode (the default) refuses to degrade: same dead shard, ERR.
   {
-    NetFaultPlan plan;
-    plan.endpoint_substr = ":" + std::to_string(solo.shards[1][0].port);
-    plan.fail_index = 0;
-    plan.once = false;
-    plan.kind = NetFaultKind::kRefused;
-    ScopedNetFaultInjection scoped(plan);
+    FaultPlan plan = PlanFor(kRefused, 0, /*once=*/false);
+    plan.target_substr = ":" + std::to_string(solo.shards[1][0].port);
+    ScopedFaultInjection scoped(FaultInjector::Net(), plan);
     auto router = fx.MakeRouter(solo, SweepCluster::SweepOptions());
     const Fingerprint got = FingerprintOf(router->HandleLine("QUERY ALL"));
     EXPECT_FALSE(got.ok);

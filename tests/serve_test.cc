@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "algebra/result_cache.h"
+#include "common/fault_injection.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
 #include "engine/cure.h"
@@ -25,7 +26,6 @@
 #include "serve/cube_server.h"
 #include "serve/protocol.h"
 #include "serve/tcp_server.h"
-#include "storage/fault_injection.h"
 #include "storage/file_io.h"
 
 namespace cure {
@@ -558,11 +558,11 @@ TEST(CubeServerTest, StorageFaultsAreClassifiedAndRecoverable) {
   request.node = server->codec().Encode({0, 0, 1});
 
   {
-    storage::FaultPlan plan;
+    FaultPlan plan;
     plan.op = "read";
-    plan.path_substr = path;
+    plan.target_substr = path;
     plan.error = EIO;
-    storage::ScopedFaultInjection fault(plan);
+    ScopedFaultInjection fault(FaultInjector::Disk(), plan);
     QueryResponse faulted = server->Execute(request);
     ASSERT_FALSE(faulted.status.ok());
     EXPECT_EQ(faulted.status.code(), StatusCode::kIoError)

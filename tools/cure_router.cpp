@@ -30,7 +30,8 @@
 // token when some shards are down (strict ERR otherwise). A client
 // `deadline=<ms>` token bounds the whole request; retries spend the one
 // budget. CURE_NET_FAULT=op=...;kind=... arms the deterministic network
-// fault injector for chaos drills (see src/common/net_fault.h).
+// fault injector for chaos drills (see src/common/fault_injection.h);
+// a malformed spec exits 2 without arming.
 //
 // Observability: PROFILE <cmd>... re-runs the wrapped query with profiling
 // armed on every backend and answers with the cluster profile (per-shard
@@ -44,7 +45,7 @@
 #include <cstring>
 #include <string>
 
-#include "common/net_fault.h"
+#include "common/fault_injection.h"
 #include "common/trace.h"
 #include "router/router.h"
 #include "serve/line_transport.h"
@@ -130,7 +131,14 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (cure::net::NetFaultInjector::ArmFromEnv()) {
+  const char* fault_spec = std::getenv("CURE_NET_FAULT");
+  if (fault_spec != nullptr && fault_spec[0] != '\0') {
+    cure::Result<cure::FaultPlan> plan = cure::ParseNetFaultSpec(fault_spec);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "error: %s\n", plan.status().ToString().c_str());
+      return 2;
+    }
+    cure::FaultInjector::Net().Arm(plan.value());
     std::fprintf(stderr, "network fault injector armed from CURE_NET_FAULT\n");
   }
 

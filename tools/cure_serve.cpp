@@ -18,9 +18,9 @@
 //
 // Observability: the METRICS verb returns Prometheus text exposition
 // (including `# BUCKETS` histogram lines for the router's cluster
-// federation); --slow-ms (or CURE_SLOW_QUERY_MS) logs queries slower than
-// the threshold with a per-stage breakdown AND records them into a bounded
-// ring dumped by the SLOWLOG verb; a `profile=1` request token attaches a
+// federation); --slow-ms logs queries slower than the threshold with a
+// per-stage breakdown AND records them into a bounded ring dumped by the
+// SLOWLOG verb; a `profile=1` request token attaches a
 // "% profile ..." stage breakdown (queue wait, key, cache, execute,
 // encode) to that reply; CURE_TRACE=1 + CURE_TRACE_OUT=<file>.json records
 // spans for every request and writes a Chrome trace at exit.
@@ -61,9 +61,6 @@ int main(int argc, char** argv) {
   cure::serve::CubeServerOptions server_options;
   cure::serve::TcpServerOptions tcp_options;
   cure::maintain::MaintainOptions maintain_options;
-  if (const char* slow_ms = std::getenv("CURE_SLOW_QUERY_MS")) {
-    server_options.slow_query_seconds = std::atof(slow_ms) / 1000.0;
-  }
   bool live = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {

@@ -8,7 +8,6 @@
 //                                          e.g.  country,category
 //                                          or    city,category  or  ALL
 //   cure_tool verify <outdir|cube.bin>
-//   cure_tool serve <outdir> [--port P] [--threads N] [--cache-mb M]
 //
 // The spec file (see etl/loader.h):
 //   dim region city country continent
@@ -68,8 +67,6 @@ int Usage() {
                "<command>...\n"
                "        (PROFILE via a router; --trace-out exports the "
                "merged cluster profile as a Chrome trace)\n"
-               "  cure_tool slowlog <host:port>        (dump a server's or "
-               "router's slow-query ring)\n"
                "  cure_tool info  <outdir>\n"
                "  cure_tool verify <outdir|cube.bin>   (checksum audit; exit "
                "1 on corruption)\n"
@@ -79,11 +76,7 @@ int Usage() {
                "  cure_tool tracecheck <trace.json>    (validate a Chrome "
                "trace; exit 1 on malformed JSON)\n"
                "  cure_tool append <outdir> <dim>... <measure>...  "
-               "(k rows of D+M values; dims by name or code)\n"
-               "  cure_tool serve <outdir> [--port P] [--threads N] "
-               "[--cache-mb M] [--max-inflight N]\n"
-               "                  [--live] [--refresh-rows N] [--refresh-ms D] "
-               "[--no-delta]\n");
+               "(k rows of D+M values; dims by name or code)\n");
   return 2;
 }
 
@@ -428,25 +421,6 @@ int RunProfile(int argc, char** argv) {
   return 0;
 }
 
-// SLOWLOG client: dumps a cure_serve or cure_router slow-query ring.
-int RunSlowlog(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  Result<cure::router::BackendAddress> addr =
-      cure::router::ParseBackendAddress(argv[2]);
-  if (!addr.ok()) {
-    Fail(addr.status());
-    return 3;
-  }
-  cure::router::BackendClient client(30.0);
-  Result<std::string> response = client.RoundTrip(*addr, "SLOWLOG");
-  if (!response.ok()) {
-    Fail(response.status());
-    return 3;
-  }
-  std::fputs(response->c_str(), stdout);
-  return response->rfind("ERR", 0) == 0 ? 1 : 0;
-}
-
 using cure::tools::OpenCubeDir;
 using cure::tools::OpenedCube;
 
@@ -702,64 +676,21 @@ int RunAppend(int argc, char** argv) {
   return 0;
 }
 
-int RunServe(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  cure::serve::CubeServerOptions server_options;
-  cure::serve::TcpServerOptions tcp_options;
-  cure::maintain::MaintainOptions maintain_options;
-  bool live = false;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      tcp_options.port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      server_options.num_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
-      server_options.cache_bytes = std::strtoull(argv[++i], nullptr, 10) << 20;
-    } else if (std::strcmp(argv[i], "--max-inflight") == 0 && i + 1 < argc) {
-      server_options.max_inflight = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--slow-ms") == 0 && i + 1 < argc) {
-      server_options.slow_query_seconds = std::atof(argv[++i]) / 1000.0;
-    } else if (std::strcmp(argv[i], "--live") == 0) {
-      live = true;
-    } else if (std::strcmp(argv[i], "--refresh-rows") == 0 && i + 1 < argc) {
-      maintain_options.refresh_rows = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--refresh-ms") == 0 && i + 1 < argc) {
-      maintain_options.refresh_seconds = std::atof(argv[++i]) / 1000.0;
-    } else if (std::strcmp(argv[i], "--no-delta") == 0) {
-      maintain_options.allow_delta = false;
-    } else {
-      return Usage();
-    }
-  }
-  if (live) {
-    Result<std::unique_ptr<cure::tools::OpenedLiveCube>> opened =
-        cure::tools::OpenLiveCubeDir(argv[2], maintain_options);
-    if (!opened.ok()) return Fail(opened.status());
-    return cure::tools::RunLiveServeLoop(opened->get(), server_options,
-                                         tcp_options);
-  }
-  Result<std::unique_ptr<OpenedCube>> opened = OpenCubeDir(argv[2]);
-  if (!opened.ok()) return Fail(opened.status());
-  return cure::tools::RunServeLoop(opened->get(), server_options, tcp_options);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  // CURE_TRACE=1 (+ CURE_TRACE_OUT=<file>) traces any subcommand, including
-  // serve, without touching its flags.
+  // CURE_TRACE=1 (+ CURE_TRACE_OUT=<file>) traces any subcommand without
+  // touching its flags.
   cure::Tracer::ArmFromEnv();
   if (std::strcmp(argv[1], "build") == 0) return RunBuild(argc, argv);
   if (std::strcmp(argv[1], "shard") == 0) return RunShard(argc, argv);
   if (std::strcmp(argv[1], "send") == 0) return RunSend(argc, argv);
   if (std::strcmp(argv[1], "profile") == 0) return RunProfile(argc, argv);
-  if (std::strcmp(argv[1], "slowlog") == 0) return RunSlowlog(argc, argv);
   if (std::strcmp(argv[1], "info") == 0) return RunInfo(argc, argv);
   if (std::strcmp(argv[1], "verify") == 0) return RunVerify(argc, argv);
   if (std::strcmp(argv[1], "query") == 0) return RunQuery(argc, argv);
   if (std::strcmp(argv[1], "append") == 0) return RunAppend(argc, argv);
-  if (std::strcmp(argv[1], "serve") == 0) return RunServe(argc, argv);
   if (std::strcmp(argv[1], "tracecheck") == 0) return RunTraceCheck(argc, argv);
   return Usage();
 }

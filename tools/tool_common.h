@@ -1,6 +1,6 @@
 // Shared helpers for the command-line tools: opening a persisted cube
 // directory (cube + fact relation + schema + dictionaries) and running the
-// TCP serving loop used by both `cure_serve` and `cure_tool serve`.
+// TCP serving loop used by `cure_serve`.
 #ifndef CURE_TOOLS_TOOL_COMMON_H_
 #define CURE_TOOLS_TOOL_COMMON_H_
 
@@ -124,7 +124,7 @@ inline serve::TcpLineServer::ValueDecoder MakeDictDecoder(
 }
 
 /// Serves over the TCP line protocol until stdin reaches EOF (or a lone
-/// "quit" line). Shared by `cure_serve` and `cure_tool serve`.
+/// "quit" line). Used by `cure_serve`.
 inline int RunTcpLoop(
     serve::CubeServer* server, const serve::TcpServerOptions& tcp_options,
     const std::vector<std::vector<etl::Dictionary>>* dictionaries) {
