@@ -28,12 +28,20 @@ const char* CatFormatName(CatFormat format) {
 }
 
 CubeStore::CubeStore(const schema::CubeSchema* schema, const Options& options)
-    : schema_(schema), options_(options) {
+    : CubeStore(schema, options,
+                RecordLayout::Wide(schema != nullptr ? schema->num_aggregates()
+                                                     : 0)) {}
+
+CubeStore::CubeStore(const schema::CubeSchema* schema, const Options& options,
+                     const RecordLayout& layout)
+    : schema_(schema), options_(options), layout_(layout) {
   // A null schema builds an empty placeholder store (move-assign target).
   if (schema != nullptr) {
     codec_ = schema::NodeIdCodec(*schema);
     num_aggregates_ = schema->num_aggregates();
   }
+  CURE_CHECK_EQ(layout_.num_aggregates(), num_aggregates_)
+      << "record layout / schema aggregate count mismatch";
   if (options.forced_cat_format != CatFormat::kUndecided) {
     cat_format_ = options.forced_cat_format;
   }
@@ -50,21 +58,33 @@ CubeStore::NodeData* CubeStore::GetNode(NodeId id) {
   return &node;
 }
 
+size_t CubeStore::NtAggregatesOffset(int num_grouping) const {
+  return options_.dims_in_nt ? 4ull * num_grouping : layout_.rowid_width();
+}
+
 size_t CubeStore::NtRecordSize(int num_grouping) const {
-  if (options_.dims_in_nt) return 4ull * num_grouping + 8ull * num_aggregates_;
-  return 8 + 8ull * num_aggregates_;
+  return NtAggregatesOffset(num_grouping) + layout_.aggregates_bytes();
+}
+
+size_t CubeStore::CatArowidOffset() const {
+  return cat_format_ == CatFormat::kFormatB ? layout_.rowid_width() : 0;
 }
 
 size_t CubeStore::CatRecordSize() const {
-  return cat_format_ == CatFormat::kFormatB ? 16 : 8;
+  return CatArowidOffset() + layout_.arowid_width();
 }
 
 size_t CubeStore::PlainRecordSize(int num_grouping) const {
-  return 4ull * num_grouping + 8ull * num_aggregates_;
+  return 4ull * num_grouping + layout_.aggregates_bytes();
+}
+
+size_t CubeStore::AggregatesAggrOffset() const {
+  return cat_format_ == CatFormat::kFormatA ? layout_.rowid_width() : 0;
 }
 
 size_t CubeStore::AggregatesRecordSize(CatFormat format) const {
-  return (format == CatFormat::kFormatA ? 8 : 0) + 8ull * num_aggregates_;
+  return (format == CatFormat::kFormatA ? layout_.rowid_width() : 0) +
+         layout_.aggregates_bytes();
 }
 
 Status CubeStore::WriteTT(NodeId id, RowId rowid) {
@@ -77,7 +97,9 @@ Status CubeStore::WriteTT(NodeId id, RowId rowid) {
     CURE_CHECK_EQ(node->tt_source, RowIdSource(rowid))
         << "TT source mismatch within a node";
   }
-  return node->tt.Append(&rowid);
+  uint8_t rec[8];
+  layout_.PutRowId(rec, rowid);
+  return node->tt.Append(rec);
 }
 
 Status CubeStore::WriteNT(NodeId id, RowId rowid, const int64_t* aggrs,
@@ -98,10 +120,10 @@ Status CubeStore::WriteNT(NodeId id, RowId rowid, const int64_t* aggrs,
       p += 4;
     }
   } else {
-    std::memcpy(p, &rowid, 8);
-    p += 8;
+    layout_.PutRowId(p, rowid);
+    p += layout_.rowid_width();
   }
-  std::memcpy(p, aggrs, 8ull * num_aggregates_);
+  layout_.PutAggregates(p, aggrs);
   return node->nt.Append(rec);
 }
 
@@ -143,8 +165,9 @@ Result<uint64_t> CubeStore::AppendAggregateA(RowId rowid, const int64_t* aggrs) 
     aggregates_init_ = true;
   }
   uint8_t rec[512];
-  std::memcpy(rec, &rowid, 8);
-  std::memcpy(rec + 8, aggrs, 8ull * num_aggregates_);
+  CURE_CHECK_LE(aggregates_.record_size(), sizeof(rec));
+  layout_.PutRowId(rec, rowid);
+  layout_.PutAggregates(rec + layout_.rowid_width(), aggrs);
   const uint64_t arowid = aggregates_.num_rows();
   CURE_RETURN_IF_ERROR(aggregates_.Append(rec));
   return arowid;
@@ -156,7 +179,9 @@ Status CubeStore::WriteCatA(NodeId id, uint64_t arowid) {
     node->cat = storage::Relation::Memory(CatRecordSize());
     node->has_cat = true;
   }
-  return node->cat.Append(&arowid);
+  uint8_t rec[8];
+  layout_.PutArowid(rec, arowid);
+  return node->cat.Append(rec);
 }
 
 Result<uint64_t> CubeStore::AppendAggregateB(const int64_t* aggrs) {
@@ -165,8 +190,11 @@ Result<uint64_t> CubeStore::AppendAggregateB(const int64_t* aggrs) {
     aggregates_ = storage::Relation::Memory(AggregatesRecordSize(cat_format_));
     aggregates_init_ = true;
   }
+  uint8_t rec[512];
+  CURE_CHECK_LE(aggregates_.record_size(), sizeof(rec));
+  layout_.PutAggregates(rec, aggrs);
   const uint64_t arowid = aggregates_.num_rows();
-  CURE_RETURN_IF_ERROR(aggregates_.Append(aggrs));
+  CURE_RETURN_IF_ERROR(aggregates_.Append(rec));
   return arowid;
 }
 
@@ -177,8 +205,8 @@ Status CubeStore::WriteCatB(NodeId id, RowId rowid, uint64_t arowid) {
     node->has_cat = true;
   }
   uint8_t rec[16];
-  std::memcpy(rec, &rowid, 8);
-  std::memcpy(rec + 8, &arowid, 8);
+  layout_.PutRowId(rec, rowid);
+  layout_.PutArowid(rec + layout_.rowid_width(), arowid);
   return node->cat.Append(rec);
 }
 
@@ -197,7 +225,7 @@ Status CubeStore::WritePlain(NodeId id, const uint32_t* full_dims,
     std::memcpy(p, &full_dims[d], 4);
     p += 4;
   }
-  std::memcpy(p, aggrs, 8ull * num_aggregates_);
+  layout_.PutAggregates(p, aggrs);
   return node->plain.Append(rec);
 }
 
@@ -218,6 +246,7 @@ Status AppendAllRecords(const storage::Relation& from, storage::Relation* to) {
 Status CubeStore::MergeShard(CubeStore&& shard) {
   CURE_CHECK_EQ(options_.dims_in_nt, shard.options_.dims_in_nt)
       << "shard/store option mismatch";
+  CURE_CHECK(layout_ == shard.layout_) << "shard/store record layout mismatch";
   if (shard.cat_format_ != CatFormat::kUndecided) {
     if (cat_format_ == CatFormat::kUndecided) {
       cat_format_ = shard.cat_format_;
@@ -266,18 +295,16 @@ Status CubeStore::MergeShard(CubeStore&& shard) {
         node->cat = storage::Relation::Memory(snode.cat.record_size());
         node->has_cat = true;
       }
-      // Rebase the A-rowid reference: format (a) rows are [arowid:u64],
-      // format (b) rows are [R-rowid:u64][arowid:u64].
-      const size_t arowid_offset = cat_format_ == CatFormat::kFormatB ? 8 : 0;
+      // Rebase the A-rowid reference: format (a) rows are [arowid],
+      // format (b) rows are [R-rowid][arowid].
+      const size_t arowid_offset = CatArowidOffset();
       uint8_t rec[16];
       CURE_CHECK_LE(snode.cat.record_size(), sizeof(rec));
       storage::Relation::Scanner scan(snode.cat);
       while (const uint8_t* src = scan.Next()) {
         std::memcpy(rec, src, snode.cat.record_size());
-        uint64_t arowid;
-        std::memcpy(&arowid, rec + arowid_offset, 8);
-        arowid += arowid_base;
-        std::memcpy(rec + arowid_offset, &arowid, 8);
+        layout_.PutArowid(rec + arowid_offset,
+                          layout_.GetArowid(rec + arowid_offset) + arowid_base);
         CURE_RETURN_IF_ERROR(node->cat.Append(rec));
       }
       CURE_RETURN_IF_ERROR(scan.status());
@@ -305,16 +332,16 @@ Status CubeStore::PostProcess(const SourceSet& sources,
       rowids.reserve(count);
       storage::Relation::Scanner scan(node.tt);
       while (const uint8_t* rec = scan.Next()) {
-        RowId r;
-        std::memcpy(&r, rec, 8);
-        rowids.push_back(r);
+        rowids.push_back(layout_.GetRowId(rec));
       }
       CURE_RETURN_IF_ERROR(scan.status());
       std::sort(rowids.begin(), rowids.end());
       const SourceAccessor* src = sources.Get(node.tt_source);
       const uint64_t universe = src != nullptr ? src->num_rows() : 0;
-      const bool bitmap_wins =
-          options.use_bitmaps && universe > 0 && (universe + 7) / 8 < count * 8;
+      // Compare stored bytes: the bitmap's whole words against the list at
+      // this layout's row-id width.
+      const bool bitmap_wins = options.use_bitmaps && universe > 0 &&
+                               (universe + 63) / 64 * 8 < count * TtRecordSize();
       if (bitmap_wins) {
         node.tt_bitmap = std::make_unique<storage::Bitmap>(universe);
         for (RowId r : rowids) node.tt_bitmap->Set(RowIdOrdinal(r));
@@ -322,7 +349,11 @@ Status CubeStore::PostProcess(const SourceSet& sources,
         node.has_tt = false;
       } else {
         storage::Relation sorted = storage::Relation::Memory(TtRecordSize());
-        for (RowId r : rowids) CURE_RETURN_IF_ERROR(sorted.Append(&r));
+        uint8_t rec[8];
+        for (RowId r : rowids) {
+          layout_.PutRowId(rec, r);
+          CURE_RETURN_IF_ERROR(sorted.Append(rec));
+        }
         node.tt = std::move(sorted);
       }
     }
@@ -331,14 +362,16 @@ Status CubeStore::PostProcess(const SourceSet& sources,
       arowids.reserve(node.cat.num_rows());
       storage::Relation::Scanner scan(node.cat);
       while (const uint8_t* rec = scan.Next()) {
-        uint64_t a;
-        std::memcpy(&a, rec, 8);
-        arowids.push_back(a);
+        arowids.push_back(layout_.GetArowid(rec));
       }
       CURE_RETURN_IF_ERROR(scan.status());
       std::sort(arowids.begin(), arowids.end());
       storage::Relation sorted = storage::Relation::Memory(CatRecordSize());
-      for (uint64_t a : arowids) CURE_RETURN_IF_ERROR(sorted.Append(&a));
+      uint8_t rec[8];
+      for (uint64_t a : arowids) {
+        layout_.PutArowid(rec, a);
+        CURE_RETURN_IF_ERROR(sorted.Append(rec));
+      }
       node.cat = std::move(sorted);
     }
   }
@@ -348,11 +381,13 @@ Status CubeStore::PostProcess(const SourceSet& sources,
 namespace {
 
 // Packed cube file layout: header, manifest (section table), data sections.
-// Version 2 adds crash consistency: per-section FNV-1a checksums, a
+// Version 2 added crash consistency: per-section FNV-1a checksums, a
 // checksummed manifest, and the total file size, all verified at open.
+// Version 3 records the record widths (RecordLayout::WidthBits) in the
+// header; older files have all-8-byte records and are rejected with a
+// rebuild hint.
 constexpr uint64_t kPackedMagic = 0x4342554345525543ull;  // "CURECUBC"
-constexpr uint32_t kPackedVersion = 2;
-constexpr uint32_t kPackedVersionLegacy = 1;  // pre-manifest, no checksums
+constexpr uint32_t kPackedVersion = 3;
 
 enum PackedKind : uint32_t {
   kPackedNt = 0,
@@ -382,7 +417,7 @@ struct PackedHeader {
   uint32_t version;
   uint32_t dims_in_nt;
   uint32_t cat_format;
-  uint32_t reserved;
+  uint32_t widths;             ///< RecordLayout::WidthBits()
   uint64_t num_entries;
   uint64_t total_size;         ///< whole-file byte length (truncation check)
   uint64_t manifest_checksum;  ///< FNV-1a of header (this field zeroed) + entries
@@ -464,13 +499,15 @@ Status DataLossAt(const std::string& path, const std::string& what) {
   return Status::DataLoss("packed cube '" + path + "': " + what);
 }
 
-/// Reads and structurally verifies the manifest: magic, version (legacy v1
-/// gets a distinct actionable error), total size vs the real file size,
-/// manifest checksum, and per-entry bounds. Section *data* checksums are
-/// the caller's job (OpenPacked fails fast; VerifyPacked reports each).
+/// Reads and structurally verifies the manifest: magic, version (legacy
+/// v1/v2 get a distinct actionable error), total size vs the real file
+/// size, manifest checksum, record widths, and per-entry bounds. Section
+/// *data* checksums are the caller's job (OpenPacked fails fast;
+/// VerifyPacked reports each).
 Status ReadPackedManifest(const storage::FileReader& reader,
                           const std::string& path, PackedHeader* header,
-                          std::vector<PackedEntry>* entries) {
+                          std::vector<PackedEntry>* entries,
+                          RecordLayout* layout) {
   const uint64_t file_size = reader.file_size();
   // Magic + version first: they sit at the same offsets in every version,
   // so a legacy cube is told apart from garbage before the v2-sized header
@@ -488,11 +525,14 @@ Status ReadPackedManifest(const storage::FileReader& reader,
     return DataLossAt(path, "bad magic: not a packed cube file or its header "
                             "was overwritten");
   }
-  if (prefix.version == kPackedVersionLegacy) {
+  header->version = prefix.version;
+  if (prefix.version < kPackedVersion) {
     return Status::InvalidArgument(
-        "'" + path + "' is a legacy (v1) packed cube written before "
-        "checksummed manifests; it cannot be verified — rebuild it with "
-        "`cure_tool build` to upgrade");
+        "'" + path + "' is a legacy packed cube (format v" +
+        std::to_string(prefix.version) + ", all-8-byte records" +
+        (prefix.version < 2 ? ", no checksummed manifest" : "") +
+        "); this build reads only v" + std::to_string(kPackedVersion) +
+        " — rebuild it with `cure_tool build` to upgrade");
   }
   if (prefix.version != kPackedVersion) {
     return DataLossAt(path, "unsupported format version " +
@@ -523,6 +563,9 @@ Status ReadPackedManifest(const storage::FileReader& reader,
     return DataLossAt(path, "manifest checksum mismatch (header or section "
                             "table corrupted)");
   }
+  Result<RecordLayout> widths = RecordLayout::FromWidthBits(header->widths);
+  if (!widths.ok()) return DataLossAt(path, widths.status().message());
+  *layout = std::move(widths).value();
   // Entry bounds: every section must lie inside [manifest_end, total_size)
   // without arithmetic wrap-around.
   for (size_t i = 0; i < entries->size(); ++i) {
@@ -549,6 +592,23 @@ Status ReadPackedManifest(const storage::FileReader& reader,
 }
 
 }  // namespace
+
+size_t CubeStore::PackedRecordSize(uint32_t kind, uint64_t node) const {
+  if (kind == kPackedAggregates) return AggregatesRecordSize(cat_format_);
+  if (node >= codec_.num_nodes()) return 0;
+  int g = 0;
+  const std::vector<int> levels = codec_.Decode(node);
+  for (int d = 0; d < schema_->num_dims(); ++d) {
+    if (levels[d] != codec_.all_level(d)) ++g;
+  }
+  switch (kind) {
+    case kPackedNt: return NtRecordSize(g);
+    case kPackedTt: return TtRecordSize();
+    case kPackedCat: return CatRecordSize();
+    case kPackedPlain: return PlainRecordSize(g);
+  }
+  return 0;
+}
 
 Status CubeStore::PersistPacked(const std::string& path) const {
   // Manifest first (sizes of everything are known up front).
@@ -617,6 +677,7 @@ Status CubeStore::PersistPacked(const std::string& path) const {
   header.version = kPackedVersion;
   header.dims_in_nt = options_.dims_in_nt ? 1 : 0;
   header.cat_format = static_cast<uint32_t>(cat_format_);
+  header.widths = layout_.WidthBits();
   header.num_entries = entries.size();
   header.total_size = offset;
   header.manifest_checksum = ManifestChecksum(header, entries);
@@ -662,7 +723,16 @@ Result<CubeStore> CubeStore::OpenPacked(const std::string& path,
   CURE_RETURN_IF_ERROR(reader->Open(path));
   PackedHeader header;
   std::vector<PackedEntry> entries;
-  CURE_RETURN_IF_ERROR(ReadPackedManifest(*reader, path, &header, &entries));
+  RecordLayout layout;
+  CURE_RETURN_IF_ERROR(
+      ReadPackedManifest(*reader, path, &header, &entries, &layout));
+  if (layout.num_aggregates() != schema->num_aggregates()) {
+    return Status::InvalidArgument(
+        "packed cube '" + path + "' stores " +
+        std::to_string(layout.num_aggregates()) +
+        " aggregates but the schema declares " +
+        std::to_string(schema->num_aggregates()));
+  }
   // Verify every section's checksum before handing out views: a bit flip
   // or torn write must surface as kDataLoss at open, never as wrong rows
   // at query time.
@@ -678,9 +748,19 @@ Result<CubeStore> CubeStore::OpenPacked(const std::string& path,
   }
   Options options;
   options.dims_in_nt = header.dims_in_nt != 0;
-  CubeStore store(schema, options);
+  CubeStore store(schema, options, layout);
   store.cat_format_ = static_cast<CatFormat>(header.cat_format);
   for (const PackedEntry& entry : entries) {
+    if (entry.kind != kPackedTtBitmap &&
+        entry.record_size != store.PackedRecordSize(entry.kind, entry.node_id)) {
+      return DataLossAt(path, std::string(PackedKindName(entry.kind)) +
+                                  " section of node " +
+                                  std::to_string(entry.node_id) +
+                                  " has record size " +
+                                  std::to_string(entry.record_size) +
+                                  ", not the " + layout.ToString() +
+                                  " layout's");
+    }
     if (entry.kind == kPackedAggregates) {
       store.aggregates_ = storage::Relation::FileView(reader, entry.offset,
                                                       entry.rows,
@@ -738,14 +818,14 @@ CubeStore::PackedVerifyReport CubeStore::VerifyPacked(const std::string& path) {
     return report;
   }
   report.file_size = reader.file_size();
-  PackedHeader header;
+  PackedHeader header{};
   std::vector<PackedEntry> entries;
-  s = ReadPackedManifest(reader, path, &header, &entries);
+  s = ReadPackedManifest(reader, path, &header, &entries, &report.layout);
+  report.version = header.version;
   if (!s.ok()) {
     report.status = s;
     return report;
   }
-  report.version = header.version;
   report.manifest_ok = true;
   uint64_t bad_sections = 0;
   for (const PackedEntry& entry : entries) {

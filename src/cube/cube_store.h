@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "cube/record_layout.h"
 #include "cube/rowid.h"
 #include "cube/source.h"
 #include "schema/cube_schema.h"
@@ -78,7 +79,12 @@ class CubeStore {
     std::vector<int> grouping_dims;
   };
 
+  /// A store with all-8-byte fields (no width bounds known).
   CubeStore(const schema::CubeSchema* schema, const Options& options);
+  /// A store whose records use `layout` (ChooseRecordLayout over the build's
+  /// bounds); its aggregate count must match the schema's.
+  CubeStore(const schema::CubeSchema* schema, const Options& options,
+            const RecordLayout& layout);
 
   CubeStore(CubeStore&&) = default;
   CubeStore& operator=(CubeStore&&) = default;
@@ -86,6 +92,7 @@ class CubeStore {
   const schema::CubeSchema& schema() const { return *schema_; }
   const schema::NodeIdCodec& codec() const { return codec_; }
   const Options& options() const { return options_; }
+  const RecordLayout& layout() const { return layout_; }
 
   // ------- write path (engines + signature-pool flushes) -------
 
@@ -120,7 +127,7 @@ class CubeStore {
   void AccumulateCatStats(const CatStats& stats);
 
   /// Appends every relation of `shard` — a per-partition store built over
-  /// the same schema and options — into this store, in shard call order.
+  /// the same schema, options and record layout — into this store, in shard call order.
   /// Format A/B A-rowid references inside shard CAT relations are rebased
   /// past this store's current AGGREGATES rows, so merging shards in
   /// partition order reproduces byte-for-byte the store a serial build
@@ -151,8 +158,9 @@ class CubeStore {
   };
 
   /// Sorts TT row-id lists (and CAT format-(a) A-rowid lists) into access
-  /// order and optionally converts TT lists to bitmap indexes. `sources`
-  /// provides the bitmap universes.
+  /// order and optionally converts TT lists to bitmap indexes where the
+  /// bitmap is smaller than the list at this layout's row-id width.
+  /// `sources` provides the bitmap universes.
   Status PostProcess(const SourceSet& sources, const PostProcessOptions& options);
 
   // ------- persistence -------
@@ -187,6 +195,7 @@ class CubeStore {
   struct PackedVerifyReport {
     Status status;          ///< OK only when the whole file verified
     uint32_t version = 0;
+    RecordLayout layout;    ///< the record widths the manifest records
     uint64_t file_size = 0;
     bool manifest_ok = false;
     std::vector<PackedSectionReport> sections;
@@ -231,21 +240,31 @@ class CubeStore {
   /// Number of nodes with at least one relation.
   uint64_t NumNonEmptyNodes() const { return nodes_.size(); }
 
-  // Record widths.
+  // Record widths (from the layout).
   size_t NtRecordSize(int num_grouping) const;
-  size_t TtRecordSize() const { return 8; }
+  size_t TtRecordSize() const { return layout_.rowid_width(); }
   size_t CatRecordSize() const;
   size_t PlainRecordSize(int num_grouping) const;
   size_t AggregatesRecordSize(CatFormat format) const;
+  /// Offset of the aggregate block inside an NT record.
+  size_t NtAggregatesOffset(int num_grouping) const;
+  /// Offset of the aggregate block inside an AGGREGATES record.
+  size_t AggregatesAggrOffset() const;
+  /// Offset of the A-rowid inside a CAT record.
+  size_t CatArowidOffset() const;
 
   int num_aggregates() const { return num_aggregates_; }
 
  private:
   NodeData* GetNode(schema::NodeId id);
+  /// Record size this store's layout gives a packed section of `kind` at
+  /// `node` (0 for a node id outside the lattice).
+  size_t PackedRecordSize(uint32_t kind, uint64_t node) const;
 
   const schema::CubeSchema* schema_;
   schema::NodeIdCodec codec_;
   Options options_;
+  RecordLayout layout_;
   int num_aggregates_ = 0;
   std::unordered_map<schema::NodeId, NodeData> nodes_;
   storage::Relation aggregates_;

@@ -20,17 +20,19 @@ namespace {
 class BubstExecutor {
  public:
   BubstExecutor(const CubeSchema* schema, const FactTable* table,
-                const BubstOptions* options, storage::Relation* out,
-                BuildStats* stats)
+                const BubstOptions* options, const cube::RecordLayout* layout,
+                size_t tag_width, storage::Relation* out, BuildStats* stats)
       : schema_(schema),
         table_(table),
         options_(options),
+        layout_(layout),
+        tag_width_(tag_width),
         out_(out),
         stats_(stats),
         codec_(*schema),
         num_dims_(schema->num_dims()),
         y_(schema->num_aggregates()),
-        record_(BubstRecord::Size(num_dims_, y_)) {
+        record_(BubstRecord::Size(num_dims_, *layout, tag_width)) {
     idx_.resize(table->num_rows());
     for (size_t i = 0; i < idx_.size(); ++i) idx_[i] = static_cast<uint32_t>(i);
     included_.assign(num_dims_, false);
@@ -70,10 +72,10 @@ class BubstExecutor {
       std::memcpy(p, &code, 4);
       p += 4;
     }
-    std::memcpy(p, aggrs, 8ull * y_);
-    p += 8ull * y_;
-    const uint64_t tag = CurrentNode() | (bst ? BubstRecord::kBstFlag : 0);
-    std::memcpy(p, &tag, 8);
+    layout_->PutAggregates(p, aggrs);
+    p += layout_->aggregates_bytes();
+    BubstRecord::PutTag(p, CurrentNode() | (bst ? BubstRecord::kBstFlag : 0),
+                        tag_width_);
     if (bst) {
       ++stats_->tt;
     } else {
@@ -155,6 +157,8 @@ class BubstExecutor {
   const CubeSchema* schema_;
   const FactTable* table_;
   const BubstOptions* options_;
+  const cube::RecordLayout* layout_;
+  size_t tag_width_;
   storage::Relation* out_;
   BuildStats* stats_;
   schema::NodeIdCodec codec_;
@@ -178,14 +182,18 @@ Result<std::unique_ptr<BubstCube>> BuildBubst(const CubeSchema& schema,
                                               const BubstOptions& options) {
   std::unique_ptr<BubstCube> cube(new BubstCube());
   cube->schema_ = schema.Flattened();
-  cube->monolithic_ = storage::Relation::Memory(
-      BubstRecord::Size(cube->schema_.num_dims(), cube->schema_.num_aggregates()));
+  const uint64_t num_nodes = schema::NodeIdCodec(cube->schema_).num_nodes();
+  cube->layout_ = cube::ChooseRecordLayout(
+      cube->schema_.aggregates(), cube::BoundsForTable(table, num_nodes));
+  cube->tag_width_ = BubstRecord::TagWidth(num_nodes);
+  cube->monolithic_ = storage::Relation::Memory(BubstRecord::Size(
+      cube->schema_.num_dims(), cube->layout_, cube->tag_width_));
   cube->stats_.input_rows = table.num_rows();
 
   Stopwatch watch;
   CURE_TRACE_SPAN("cure.baseline.bubst_build", "rows", table.num_rows());
-  BubstExecutor executor(&cube->schema_, &table, &options, &cube->monolithic_,
-                         &cube->stats_);
+  BubstExecutor executor(&cube->schema_, &table, &options, &cube->layout_,
+                         cube->tag_width_, &cube->monolithic_, &cube->stats_);
   CURE_RETURN_IF_ERROR(executor.Run());
   cube->stats_.build_seconds = watch.ElapsedSeconds();
   cube->stats_.cube_bytes = cube->TotalBytes();

@@ -139,7 +139,13 @@ Result<std::unique_ptr<BucCube>> BuildBuc(const CubeSchema& schema,
                                           const BucOptions& options) {
   std::unique_ptr<BucCube> cube(new BucCube());
   cube->schema_ = schema.Flattened();
-  cube->store_ = cube::CubeStore(&cube->schema_, {});
+  // PLAIN records take the aggregate widths CURE's width rule picks for
+  // the same data, so size comparisons stay like for like.
+  cube->store_ = cube::CubeStore(
+      &cube->schema_, {},
+      cube::ChooseRecordLayout(
+          cube->schema_.aggregates(),
+          cube::BoundsForTable(table, schema::NodeIdCodec(cube->schema_).num_nodes())));
   cube->stats_.input_rows = table.num_rows();
 
   Stopwatch watch;

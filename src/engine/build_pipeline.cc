@@ -108,6 +108,7 @@ Status BuildPipeline::LoadStage() {
                                       ctx_.options->batch_rows));
     }
     load_ready_ = true;
+    FixRecordLayout(load_.measure_ranges, 0);
     return Status::OK();
   }
   // External path: partitions are loaded lazily by the construct stage, one
@@ -129,10 +130,11 @@ Status BuildPipeline::PartitionStage() {
   PartitionOptions popts;
   popts.memory_budget_bytes = ctx_.options->memory_budget_bytes;
   popts.temp_dir = ctx_.scratch_dir;
+  std::vector<cube::ValueRange> measure_ranges;
   CURE_ASSIGN_OR_RETURN(
       std::vector<std::vector<uint64_t>> hist,
       ComputeLevelHistograms(*ctx_.input->relation, *ctx_.schema,
-                             ctx_.options->batch_rows));
+                             ctx_.options->batch_rows, &measure_ranges));
   CURE_ASSIGN_OR_RETURN(
       LevelChoice choice,
       SelectPartitionLevel(*ctx_.schema, hist, ctx_.input->relation->num_rows(),
@@ -145,7 +147,18 @@ Status BuildPipeline::PartitionStage() {
   stats_->n_rows = outcome_.n_table->num_rows;
   stats_->n_bytes = outcome_.n_table->bytes();
   stats_->partition_write_bytes = outcome_.write_bytes;
+  FixRecordLayout(std::move(measure_ranges), outcome_.n_table->num_rows);
   return Status::OK();
+}
+
+void BuildPipeline::FixRecordLayout(std::vector<cube::ValueRange> measure_ranges,
+                                    uint64_t n_rows) {
+  cube::WidthBounds bounds = cube::BoundsForRows(
+      ctx_.input->num_rows(), store_->codec().num_nodes(),
+      std::move(measure_ranges));
+  bounds.rowid_rows = std::max(bounds.rowid_rows, n_rows);
+  layout_ = cube::ChooseRecordLayout(ctx_.schema->aggregates(), bounds);
+  *store_ = CubeStore(ctx_.schema, store_->options(), layout_);
 }
 
 Status BuildPipeline::ConstructOnePartition(size_t index,
@@ -223,10 +236,8 @@ Status BuildPipeline::ConstructParallel() {
     futures.push_back(pool.Submit([this, p, &arbiter, &slots]() -> Status {
       ThreadCpuStopwatch cpu;
       BuildStats local;
-      auto shard = std::make_unique<CubeStore>(
-          ctx_.schema, CubeStore::Options{
-                           .dims_in_nt = ctx_.options->dims_in_nt,
-                           .forced_cat_format = ctx_.options->forced_cat_format});
+      auto shard = std::make_unique<CubeStore>(ctx_.schema, store_->options(),
+                                               layout_);
       SignaturePool shard_pool(ctx_.schema->num_aggregates(),
                                ctx_.options->dims_in_nt ? ctx_.schema->num_dims()
                                                         : 0,

@@ -96,6 +96,12 @@ class BuildPipeline {
   Status MergeStage();
   Status PersistStage();
 
+  /// Fixes the build's record widths from the bounds the load or partition
+  /// pass gathered, and resets the (still empty) target store to them.
+  /// Every shard uses the same layout, so MergeShard stays a byte copy.
+  void FixRecordLayout(std::vector<cube::ValueRange> measure_ranges,
+                       uint64_t n_rows);
+
   /// Builds one sound partition into `store` with `pool`, flushing the pool
   /// at the partition boundary, and deletes the partition file. Used by the
   /// serial path (shared store/pool) and by parallel workers (private
@@ -106,6 +112,9 @@ class BuildPipeline {
   const BuildContext ctx_;
   cube::CubeStore* store_;
   BuildStats* stats_;
+
+  // The record widths of the target store and every shard.
+  cube::RecordLayout layout_;
 
   // Shared main-path signature pool (in-memory construction, serial
   // external construction, and the node-N region).

@@ -42,6 +42,10 @@ Load LoadFromTable(const schema::FactTable& table, const CubeSchema& schema) {
   for (size_t i = 0; i < load.n; ++i) {
     load.rowids[i] = cube::MakeRowId(cube::kSourceFact, i);
   }
+  load.measure_ranges.resize(table.num_measures());
+  for (int m = 0; m < table.num_measures(); ++m) {
+    load.measure_ranges[m] = {table.measure_min(m), table.measure_max(m)};
+  }
   return load;
 }
 
@@ -57,6 +61,7 @@ Result<Load> LoadFromFactRelation(const storage::Relation& rel,
   load.own_dims.assign(d, {});
   load.own_aggrs.assign(y, {});
   load.rowids.resize(load.n);
+  load.measure_ranges.assign(raw, {});
   if (batch > 1) {
     // Block path: one contiguous gather per column per block; COUNT
     // aggregates lift to a constant fill, others to a measure-column
@@ -80,6 +85,8 @@ Result<Load> LoadFromFactRelation(const storage::Relation& rel,
         } else {
           storage::GatherBlockI64(block, 4ull * d + 8ull * spec.measure_index,
                                   out);
+          cube::ValueRange& range = load.measure_ranges[spec.measure_index];
+          for (size_t i = 0; i < block.rows; ++i) range.Add(out[i]);
         }
       }
     }
@@ -99,6 +106,7 @@ Result<Load> LoadFromFactRelation(const storage::Relation& rel,
         load.own_dims[k].push_back(code);
       }
       std::memcpy(raw_buf.data(), rec + 4ull * d, 8ull * raw);
+      for (int m = 0; m < raw; ++m) load.measure_ranges[m].Add(raw_buf[m]);
       aggregator.Lift(raw_buf.data(), lifted.data());
       for (int a = 0; a < y; ++a) load.own_aggrs[a].push_back(lifted[a]);
     }

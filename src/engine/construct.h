@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "cube/cube_store.h"
 #include "cube/measures.h"
+#include "cube/record_layout.h"
 #include "cube/rowid.h"
 #include "cube/signature.h"
 #include "engine/cube_build.h"
@@ -29,6 +30,9 @@ struct Load {
   std::vector<cube::RowId> rowids;
   std::vector<int> native_level;        // per dimension; kNativeAll possible
   size_t n = 0;
+  /// Per raw measure: the value range seen while loading fact data (the
+  /// record-width bounds; empty for partition and node-N loads).
+  std::vector<cube::ValueRange> measure_ranges;
 
   // Owned backing storage (when not aliasing).
   std::vector<std::vector<uint32_t>> own_dims;
@@ -36,12 +40,13 @@ struct Load {
 };
 
 /// Aliases the in-memory fact table's columns (COUNT aggregates get an
-/// owned all-ones column).
+/// owned all-ones column); measure ranges come from the table's tracking.
 Load LoadFromTable(const schema::FactTable& table,
                    const schema::CubeSchema& schema);
 
 /// Scans a sealed binary fact relation ([D x u32][M x i64] records), lifting
-/// raw measures into aggregate space. `batch_rows` > 1 runs the block-
+/// raw measures into aggregate space and recording the range of every
+/// measure an aggregate reads. `batch_rows` > 1 runs the block-
 /// oriented column-gather path (one contiguous gather per column per
 /// block); 1 the record-at-a-time reference path; 0 the built-in default.
 /// Identical Loads either way.

@@ -159,22 +159,24 @@ class DeltaUpdater {
       return PackKey(codes, n);
     };
 
+    const cube::RecordLayout& layout = store_->layout();
     if (data->has_nt) {
       storage::Relation::Scanner scan(data->nt);
       const bool dr = store_->options().dims_in_nt;
+      const size_t aggrs_offset =
+          store_->NtAggregatesOffset(static_cast<int>(grouping.size()));
       while (const uint8_t* rec = scan.Next()) {
         OldTuple tuple;
         tuple.kind = OldTuple::kNt;
         tuple.relation_row = scan.row();
         tuple.aggrs.resize(y_);
+        layout.GetAggregates(rec + aggrs_offset, tuple.aggrs.data());
         std::string key;
         if (dr) {
           key.assign(reinterpret_cast<const char*>(rec), 4 * grouping.size());
-          std::memcpy(tuple.aggrs.data(), rec + 4 * grouping.size(), 8ull * y_);
           tuple.rowid_ref = std::numeric_limits<RowId>::max();
         } else {
-          std::memcpy(&tuple.rowid_ref, rec, 8);
-          std::memcpy(tuple.aggrs.data(), rec + 8, 8ull * y_);
+          tuple.rowid_ref = layout.GetRowId(rec);
           key = key_of_rowid(tuple.rowid_ref);
         }
         if (!relevant(key)) continue;
@@ -186,23 +188,18 @@ class DeltaUpdater {
       const storage::Relation& aggregates = store_->aggregates();
       storage::Relation::Scanner scan(data->cat);
       std::vector<uint8_t> agg_rec(aggregates.record_size());
+      const size_t arowid_offset = store_->CatArowidOffset();
+      const size_t agg_offset = store_->AggregatesAggrOffset();
+      const bool format_a = store_->cat_format() == cube::CatFormat::kFormatA;
       while (const uint8_t* rec = scan.Next()) {
         OldTuple tuple;
         tuple.kind = OldTuple::kCat;
         tuple.relation_row = scan.row();
         tuple.aggrs.resize(y_);
-        uint64_t arowid = 0;
-        if (store_->cat_format() == cube::CatFormat::kFormatA) {
-          std::memcpy(&arowid, rec, 8);
-          CURE_RETURN_IF_ERROR(aggregates.Read(arowid, agg_rec.data()));
-          std::memcpy(&tuple.rowid_ref, agg_rec.data(), 8);
-          std::memcpy(tuple.aggrs.data(), agg_rec.data() + 8, 8ull * y_);
-        } else {
-          std::memcpy(&tuple.rowid_ref, rec, 8);
-          std::memcpy(&arowid, rec + 8, 8);
-          CURE_RETURN_IF_ERROR(aggregates.Read(arowid, agg_rec.data()));
-          std::memcpy(tuple.aggrs.data(), agg_rec.data(), 8ull * y_);
-        }
+        CURE_RETURN_IF_ERROR(aggregates.Read(
+            layout.GetArowid(rec + arowid_offset), agg_rec.data()));
+        tuple.rowid_ref = layout.GetRowId(format_a ? agg_rec.data() : rec);
+        layout.GetAggregates(agg_rec.data() + agg_offset, tuple.aggrs.data());
         std::string key = key_of_rowid(tuple.rowid_ref);
         if (!relevant(key)) continue;
         probe.tuples.emplace(std::move(key), std::move(tuple));
@@ -226,7 +223,7 @@ class DeltaUpdater {
         OldTuple tuple;
         tuple.kind = OldTuple::kTt;
         tuple.relation_row = scan.row();
-        std::memcpy(&tuple.rowid_ref, rec, 8);
+        tuple.rowid_ref = layout.GetRowId(rec);
         std::string key = key_of_rowid(tuple.rowid_ref);
         if (!relevant(key)) continue;
         probe.tuples.emplace(std::move(key), std::move(tuple));
@@ -373,13 +370,16 @@ class DeltaUpdater {
         data->cat = std::move(rebuilt);
       }
       if (!probe.consumed_tt.empty()) {
-        storage::Relation rebuilt = storage::Relation::Memory(8);
+        storage::Relation rebuilt =
+            storage::Relation::Memory(store_->TtRecordSize());
         if (probe.tt_was_bitmap) {
           Status status = Status::OK();
+          uint8_t rec[8];
           data->tt_bitmap->ForEach([&](uint64_t ordinal) {
             if (!status.ok() || probe.consumed_tt.count(ordinal) != 0) return;
-            const RowId rowid = cube::MakeRowId(data->tt_source, ordinal);
-            status = rebuilt.Append(&rowid);
+            store_->layout().PutRowId(rec,
+                                      cube::MakeRowId(data->tt_source, ordinal));
+            status = rebuilt.Append(rec);
           });
           CURE_RETURN_IF_ERROR(status);
           data->tt_bitmap.reset();
@@ -453,6 +453,29 @@ Result<UpdateStats> ApplyDelta(CureCube* cube, const FactTable& table,
     return Status::InvalidArgument("old_rows exceeds the table size");
   }
   if (table.num_rows() == old_rows) return UpdateStats{};
+  // Width precondition, checked before the first mutation: the post-delta
+  // bounds must still fit the cube's record widths. Every new AGGREGATES
+  // row comes from a delta row's signature at some node.
+  const cube::CubeStore& store = cube->store();
+  cube::WidthBounds bounds =
+      cube::BoundsForTable(table, store.codec().num_nodes());
+  const uint64_t old_aggregates = store.aggregates().num_rows();
+  const uint64_t new_aggregates =
+      cube::BoundsForRows(table.num_rows() - old_rows,
+                          store.codec().num_nodes(), {})
+          .aggregate_rows;
+  bounds.aggregate_rows =
+      new_aggregates > std::numeric_limits<uint64_t>::max() - old_aggregates
+          ? std::numeric_limits<uint64_t>::max()
+          : old_aggregates + new_aggregates;
+  const std::string wider = store.layout().FirstWiderField(
+      cube::ChooseRecordLayout(cube->schema().aggregates(), bounds),
+      cube->schema());
+  if (!wider.empty()) {
+    return Status::FailedPrecondition(
+        "ApplyDelta requires the post-delta bounds to fit the cube's record "
+        "widths: " + wider + " no longer fits " + store.layout().ToString());
+  }
 
   Stopwatch watch;
   DeltaUpdater updater(cube, &cube->mutable_store(), table, old_rows);

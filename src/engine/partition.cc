@@ -88,10 +88,13 @@ uint64_t PackCapacityRows(const std::vector<uint64_t>& counts,
 
 Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
     const storage::Relation& fact, const CubeSchema& schema,
-    size_t batch_rows) {
+    size_t batch_rows, std::vector<cube::ValueRange>* measure_ranges) {
   const Dimension& dim0 = schema.dim(0);
   std::vector<std::vector<uint64_t>> hist(dim0.num_levels());
   for (int l = 0; l < dim0.num_levels(); ++l) hist[l].assign(dim0.cardinality(l), 0);
+  const int raw = schema.num_raw_measures();
+  const size_t measures_offset = 4ull * schema.num_dims();
+  if (measure_ranges != nullptr) measure_ranges->assign(raw, {});
 
   const size_t block_rows = ResolveBatchRows(batch_rows);
   if (block_rows > 1) {
@@ -103,6 +106,7 @@ Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
     storage::Relation::BlockScanner scan(fact, block_rows);
     storage::RowBlock block;
     std::vector<uint32_t> leaves(block_rows);
+    std::vector<int64_t> values(measure_ranges != nullptr ? block_rows : 0);
     const uint32_t leaf_cardinality = dim0.leaf_cardinality();
     while (scan.Next(&block)) {
       storage::GatherBlockU32(block, 0, leaves.data());
@@ -118,6 +122,11 @@ Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
         uint64_t* CURE_RESTRICT h = hist[l].data();
         for (size_t i = 0; i < block.rows; ++i) ++h[dim0.CodeAt(codes[i], l)];
       }
+      for (int m = 0; measure_ranges != nullptr && m < raw; ++m) {
+        storage::GatherBlockI64(block, measures_offset + 8ull * m, values.data());
+        cube::ValueRange& range = (*measure_ranges)[m];
+        for (size_t i = 0; i < block.rows; ++i) range.Add(values[i]);
+      }
     }
     CURE_RETURN_IF_ERROR(scan.status());
     return hist;
@@ -131,6 +140,11 @@ Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
       return Status::InvalidArgument("dim0 code out of range in fact relation");
     }
     for (int l = 0; l < dim0.num_levels(); ++l) ++hist[l][dim0.CodeAt(leaf, l)];
+    for (int m = 0; measure_ranges != nullptr && m < raw; ++m) {
+      int64_t v;
+      std::memcpy(&v, rec + measures_offset + 8ull * m, 8);
+      (*measure_ranges)[m].Add(v);
+    }
   }
   CURE_RETURN_IF_ERROR(scan.status());
   return hist;

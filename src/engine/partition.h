@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "cube/measures.h"
+#include "cube/record_layout.h"
 #include "cube/source.h"
 #include "schema/cube_schema.h"
 #include "storage/relation.h"
@@ -65,10 +66,13 @@ Result<LevelChoice> SelectPartitionLevel(
 /// scan of the fact relation. `batch_rows` follows the CureOptions contract
 /// (1 = record-at-a-time reference path; 0 = the default);
 /// > 1 scans in blocks and fills the histograms from a gathered leaf-code
-/// slice. Identical histograms either way.
+/// slice. Identical histograms either way. When `measure_ranges` is set,
+/// the same scan also records the value range of every raw measure (the
+/// record-width bounds of the external build).
 Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
     const storage::Relation& fact, const schema::CubeSchema& schema,
-    size_t batch_rows = 0);
+    size_t batch_rows = 0,
+    std::vector<cube::ValueRange>* measure_ranges = nullptr);
 
 /// Runs the partitioning pass: scans `fact` once, routes each row to its
 /// sound partition file, and simultaneously hash-builds node N.

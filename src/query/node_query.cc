@@ -119,6 +119,8 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
 
   const CubeStore::NodeData* node = store.node(id);
   const size_t block_rows = engine::ResolveBatchRows(batch_rows_);
+  const cube::RecordLayout& layout = store.layout();
+  const size_t nt_aggrs_offset = store.NtAggregatesOffset(g);
 
   // Normal tuples.
   if (node != nullptr && node->has_nt && block_rows > 1) {
@@ -138,9 +140,8 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
       if (iceberg) {
         // Iceberg prefilter before any per-row work: in the row-id scheme
         // this skips the source dereference for sub-threshold groups.
-        const size_t off =
-            (dims_in_nt ? 4ull * g : 8ull) + 8ull * count_aggregate;
-        storage::GatherBlockI64(block, off, count_col.data());
+        layout.GatherAggregate(block, nt_aggrs_offset, count_aggregate,
+                               count_col.data());
         n = engine::SelectGeI64(count_col.data(), block.rows, min_count,
                                 sel.data());
       } else {
@@ -159,13 +160,11 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
       }
       for (size_t j = 0; j < n; ++j) {
         const uint8_t* rec = block.record(sel[j]);
+        layout.GetAggregates(rec + nt_aggrs_offset, aggrs);
         if (dims_in_nt) {
           std::memcpy(dims, rec, 4ull * g);
-          std::memcpy(aggrs, rec + 4ull * g, 8ull * y);
         } else {
-          RowId rowid;
-          std::memcpy(&rowid, rec, 8);
-          std::memcpy(aggrs, rec + 8, 8ull * y);
+          const RowId rowid = layout.GetRowId(rec);
           CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
           CURE_RETURN_IF_ERROR(sources_.ProjectDims(cube::RowIdSource(rowid),
                                                     native, levels, dims));
@@ -178,13 +177,11 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
   } else if (node != nullptr && node->has_nt) {
     storage::Relation::Scanner scan(node->nt);
     while (const uint8_t* rec = scan.Next()) {
+      layout.GetAggregates(rec + nt_aggrs_offset, aggrs);
       if (store.options().dims_in_nt) {
         std::memcpy(dims, rec, 4ull * g);
-        std::memcpy(aggrs, rec + 4ull * g, 8ull * y);
       } else {
-        RowId rowid;
-        std::memcpy(&rowid, rec, 8);
-        std::memcpy(aggrs, rec + 8, 8ull * y);
+        const RowId rowid = layout.GetRowId(rec);
         CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
         CURE_RETURN_IF_ERROR(
             sources_.ProjectDims(cube::RowIdSource(rowid), native, levels, dims));
@@ -203,20 +200,15 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
     const storage::Relation& aggregates = store.aggregates();
     uint8_t agg_rec[256];
     CURE_CHECK_LE(aggregates.record_size(), sizeof(agg_rec));
+    const size_t arowid_offset = store.CatArowidOffset();
+    const size_t agg_offset = store.AggregatesAggrOffset();
     auto emit_cat = [&](const uint8_t* rec) -> Status {
-      RowId rowid = 0;
-      uint64_t arowid = 0;
-      if (store.cat_format() == CatFormat::kFormatA) {
-        std::memcpy(&arowid, rec, 8);
-        CURE_RETURN_IF_ERROR(aggregates.Read(arowid, agg_rec));
-        std::memcpy(&rowid, agg_rec, 8);
-        std::memcpy(aggrs, agg_rec + 8, 8ull * y);
-      } else {  // kFormatB
-        std::memcpy(&rowid, rec, 8);
-        std::memcpy(&arowid, rec + 8, 8);
-        CURE_RETURN_IF_ERROR(aggregates.Read(arowid, agg_rec));
-        std::memcpy(aggrs, agg_rec, 8ull * y);
-      }
+      CURE_RETURN_IF_ERROR(
+          aggregates.Read(layout.GetArowid(rec + arowid_offset), agg_rec));
+      // Format (a) keeps the R-rowid in AGGREGATES, format (b) in the CAT.
+      const RowId rowid = layout.GetRowId(
+          store.cat_format() == CatFormat::kFormatA ? agg_rec : rec);
+      layout.GetAggregates(agg_rec + agg_offset, aggrs);
       if (iceberg && aggrs[count_aggregate] < min_count) return Status::OK();
       CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
       CURE_RETURN_IF_ERROR(
@@ -270,9 +262,9 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
         // scalar per-row dereference/emit.
         storage::Relation::BlockScanner scan(pd->tt, block_rows);
         storage::RowBlock block;
-        std::vector<uint64_t> rowids(block_rows);
+        std::vector<RowId> rowids(block_rows);
         while (scan.Next(&block)) {
-          storage::GatherBlockU64(block, 0, rowids.data());
+          layout.GatherRowIds(block, 0, rowids.data());
           for (size_t i = 0; i < block.rows; ++i) {
             CURE_RETURN_IF_ERROR(emit_tt(rowids[i]));
           }
@@ -281,9 +273,7 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
       } else if (pd->has_tt) {
         storage::Relation::Scanner scan(pd->tt);
         while (const uint8_t* rec = scan.Next()) {
-          RowId rowid;
-          std::memcpy(&rowid, rec, 8);
-          CURE_RETURN_IF_ERROR(emit_tt(rowid));
+          CURE_RETURN_IF_ERROR(emit_tt(layout.GetRowId(rec)));
         }
         CURE_RETURN_IF_ERROR(scan.status());
       }
@@ -301,6 +291,7 @@ Status BucQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
   const int g = static_cast<int>(node->grouping_dims.size());
   uint32_t dims[64];
   int64_t aggrs[16];
+  const cube::RecordLayout& layout = store.layout();
   const size_t block_rows = engine::ResolveBatchRows(batch_rows_);
   if (block_rows > 1) {
     storage::Relation::BlockScanner scan(node->plain, block_rows);
@@ -309,7 +300,7 @@ Status BucQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
       for (size_t i = 0; i < block.rows; ++i) {
         const uint8_t* rec = block.record(i);
         std::memcpy(dims, rec, 4ull * g);
-        std::memcpy(aggrs, rec + 4ull * g, 8ull * y);
+        layout.GetAggregates(rec + 4ull * g, aggrs);
         sink->Emit(dims, g, aggrs, y);
       }
     }
@@ -318,7 +309,7 @@ Status BucQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
   storage::Relation::Scanner scan(node->plain);
   while (const uint8_t* rec = scan.Next()) {
     std::memcpy(dims, rec, 4ull * g);
-    std::memcpy(aggrs, rec + 4ull * g, 8ull * y);
+    layout.GetAggregates(rec + 4ull * g, aggrs);
     sink->Emit(dims, g, aggrs, y);
   }
   return scan.status();
@@ -340,12 +331,13 @@ Status BubstQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
   uint32_t out_dims[64];
   int64_t aggrs[16];
   std::vector<int> row_levels(num_dims);
-  const size_t tag_offset = 4ull * num_dims + 8ull * y;
+  const cube::RecordLayout& layout = cube_->layout();
+  const size_t tag_offset = 4ull * num_dims + layout.aggregates_bytes();
+  const size_t tag_width = cube_->tag_width();
   auto emit_row = [&](const uint8_t* rec) {
     std::memcpy(row_dims, rec, 4ull * num_dims);
-    std::memcpy(aggrs, rec + 4ull * num_dims, 8ull * y);
-    uint64_t tag;
-    std::memcpy(&tag, rec + tag_offset, 8);
+    layout.GetAggregates(rec + 4ull * num_dims, aggrs);
+    const uint64_t tag = engine::BubstRecord::GetTag(rec + tag_offset, tag_width);
     const bool bst = (tag & engine::BubstRecord::kBstFlag) != 0;
     const NodeId row_node = tag & ~engine::BubstRecord::kBstFlag;
     bool matches;
@@ -394,7 +386,7 @@ Status BubstQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
     std::vector<uint64_t> tags(block_rows);
     storage::SelectionVector sel(block_rows);
     while (scan.Next(&block)) {
-      storage::GatherBlockU64(block, tag_offset, tags.data());
+      engine::BubstRecord::GatherTags(block, tag_offset, tag_width, tags.data());
       const size_t n = engine::SelectEqOrFlagU64(
           tags.data(), block.rows, id, engine::BubstRecord::kBstFlag,
           sel.data());

@@ -1,7 +1,9 @@
 #ifndef CURE_SCHEMA_FACT_TABLE_H_
 #define CURE_SCHEMA_FACT_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -16,7 +18,10 @@ namespace schema {
 class FactTable {
  public:
   FactTable(int num_dims, int num_measures)
-      : dims_(num_dims), measures_(num_measures) {}
+      : dims_(num_dims),
+        measures_(num_measures),
+        measure_min_(num_measures, std::numeric_limits<int64_t>::max()),
+        measure_max_(num_measures, std::numeric_limits<int64_t>::min()) {}
 
   int num_dims() const { return static_cast<int>(dims_.size()); }
   int num_measures() const { return static_cast<int>(measures_.size()); }
@@ -29,9 +34,19 @@ class FactTable {
 
   void AppendRow(const uint32_t* dims, const int64_t* measures) {
     for (size_t d = 0; d < dims_.size(); ++d) dims_[d].push_back(dims[d]);
-    for (size_t m = 0; m < measures_.size(); ++m) measures_[m].push_back(measures[m]);
+    for (size_t m = 0; m < measures_.size(); ++m) {
+      measures_[m].push_back(measures[m]);
+      measure_min_[m] = std::min(measure_min_[m], measures[m]);
+      measure_max_[m] = std::max(measure_max_[m], measures[m]);
+    }
     ++num_rows_;
   }
+
+  /// Smallest / largest value of measure m over all rows, tracked at
+  /// append (INT64_MAX / INT64_MIN while empty). The cube builds size their
+  /// aggregate fields from these without another scan.
+  int64_t measure_min(int m) const { return measure_min_[m]; }
+  int64_t measure_max(int m) const { return measure_max_[m]; }
 
   uint32_t dim(int d, uint64_t row) const { return dims_[d][row]; }
   int64_t measure(int m, uint64_t row) const { return measures_[m][row]; }
@@ -58,6 +73,8 @@ class FactTable {
  private:
   std::vector<std::vector<uint32_t>> dims_;
   std::vector<std::vector<int64_t>> measures_;
+  std::vector<int64_t> measure_min_;
+  std::vector<int64_t> measure_max_;
   uint64_t num_rows_ = 0;
 };
 

@@ -73,6 +73,34 @@ inline void GatherBlockU64(const RowBlock& block, size_t byte_offset,
   }
 }
 
+/// Widening gather: the strided 4-byte signed field at `byte_offset`,
+/// sign-extended into an i64 slice (narrow aggregate columns).
+inline void GatherBlockI32ToI64(const RowBlock& block, size_t byte_offset,
+                                int64_t* out) {
+  const uint8_t* CURE_RESTRICT src = block.data + byte_offset;
+  int64_t* CURE_RESTRICT dst = out;
+  const size_t stride = block.record_size;
+  for (size_t i = 0; i < block.rows; ++i) {
+    int32_t v;
+    std::memcpy(&v, src + i * stride, 4);
+    dst[i] = v;
+  }
+}
+
+/// Widening gather: the strided 4-byte unsigned field at `byte_offset`,
+/// zero-extended into a u64 slice (narrow row-id columns).
+inline void GatherBlockU32ToU64(const RowBlock& block, size_t byte_offset,
+                                uint64_t* out) {
+  const uint8_t* CURE_RESTRICT src = block.data + byte_offset;
+  uint64_t* CURE_RESTRICT dst = out;
+  const size_t stride = block.record_size;
+  for (size_t i = 0; i < block.rows; ++i) {
+    uint32_t v;
+    std::memcpy(&v, src + i * stride, 4);
+    dst[i] = v;
+  }
+}
+
 /// Materializes one fixed-width column of a RowBlock as a contiguous,
 /// naturally-aligned slice (the "ColumnSlice" of the batch kernels): the
 /// strided field at `byte_offset` of every record is gathered once per

@@ -87,8 +87,7 @@ TEST(CurePaperExampleTest, TrivialTupleSharedAcrossSubtree) {
   if (ab_data != nullptr && ab_data->has_tt) {
     storage::Relation::Scanner scan(ab_data->tt);
     while (const uint8_t* rec = scan.Next()) {
-      cube::RowId rowid;
-      memcpy(&rowid, rec, 8);
+      const cube::RowId rowid = (*cube)->store().layout().GetRowId(rec);
       EXPECT_NE(cube::RowIdOrdinal(rowid), 2u)
           << "TT for fact row 2 duplicated in node AB";
     }

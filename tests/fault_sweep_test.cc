@@ -185,6 +185,16 @@ class FaultSweepTest : public ::testing::Test {
   uint64_t num_ops_ = 0;
 };
 
+TEST_F(FaultSweepTest, SweptCubeHasNarrowRecords) {
+  // The sweep runs on the paper-width records (format v3): every field of
+  // this 500-row cube fits 4 bytes.
+  const CubeStore::PackedVerifyReport report =
+      CubeStore::VerifyPacked(reference_path_);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_EQ(report.version, 3u);
+  EXPECT_EQ(report.layout.ToString(), "row-id 4 B, A-rowid 4 B, aggregates 4/4 B");
+}
+
 TEST_F(FaultSweepTest, StickyEioAtEveryOpFailsCleanOrByteIdentical) {
   SweepErrno(EIO, "eio");
 }

@@ -224,6 +224,50 @@ TEST(LiveCubeTest, DeltaRefreshMatchesColdRebuild) {
   ASSERT_TRUE(storage::RemoveFile((*live)->options().wal_path).ok());
 }
 
+TEST(LiveCubeTest, WidthOverflowFallsBackToWideningRebuild) {
+  schema::CubeSchema schema = MakeSchema();
+  schema::FactTable base(kDims, kMeasures);
+  AppendRandomRows(&base, 800, 9400);
+  schema::FactTable reference(kDims, kMeasures);
+  AppendRandomRows(&reference, 800, 9400);
+  auto live = LiveCube::Open(schema, std::move(base), MakeOptions("widen"));
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ((*live)->snapshot()->cube->store().layout().aggregate_width(0), 4u);
+
+  // Two refreshes give both replicas a cube; the second takes the delta
+  // path, so the third reaches ApplyDelta's width precondition.
+  for (uint64_t seed : {9401, 9402}) {
+    const RowBatch batch = MakeBatch(30, seed);
+    ApplyBatchToTable(batch, &reference);
+    ASSERT_TRUE((*live)->Append(batch).ok());
+    ASSERT_TRUE((*live)->Flush().ok());
+  }
+  ASSERT_EQ((*live)->counters().refresh_delta, 1u);
+
+  // One row whose measure alone pushes the SUM bound past 2^31 - 1.
+  RowBatch big(kDims, kMeasures);
+  const uint32_t row[kDims] = {3, 4, 1};
+  const int64_t measure = int64_t{1} << 31;
+  big.Add(row, &measure);
+  ApplyBatchToTable(big, &reference);
+  ASSERT_TRUE((*live)->Append(big).ok());
+  auto stats = (*live)->Flush();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->refreshed);
+  EXPECT_FALSE(stats->used_delta);
+  EXPECT_NE(stats->fallback_reason.find("record widths"), std::string::npos)
+      << stats->fallback_reason;
+  EXPECT_NE(stats->fallback_reason.find("aggregate 's'"), std::string::npos)
+      << stats->fallback_reason;
+  ExpectSnapshotMatchesColdRebuild(**live, schema, reference);
+  // The rebuild picked the wider SUM; COUNT still fits 4 bytes.
+  const cube::RecordLayout& layout =
+      (*live)->snapshot()->cube->store().layout();
+  EXPECT_EQ(layout.aggregate_width(0), 8u);
+  EXPECT_EQ(layout.aggregate_width(1), 4u);
+  ASSERT_TRUE(storage::RemoveFile((*live)->options().wal_path).ok());
+}
+
 TEST(LiveCubeTest, IcebergBuildFallsBackToRebuildWithReason) {
   schema::CubeSchema schema = MakeSchema();
   schema::FactTable base(kDims, kMeasures);

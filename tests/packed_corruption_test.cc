@@ -1,4 +1,4 @@
-// Adversarial tests for the v2 packed cube format: every corruption —
+// Adversarial tests for the v3 packed cube format: every corruption —
 // truncation at arbitrary and section-aligned offsets, bit flips in the
 // header, section table, and every data section, garbage magic, legacy
 // headers, zero-byte files — must surface as a clean kDataLoss (or the
@@ -120,7 +120,9 @@ TEST(PackedCorruptionTest, PristineFileOpensAndVerifies) {
   const auto report = CubeStore::VerifyPacked(fx.path);
   EXPECT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_TRUE(report.manifest_ok);
-  EXPECT_EQ(report.version, 2u);
+  EXPECT_EQ(report.version, 3u);
+  // 600 rows with measures below 100: every field of this cube is narrow.
+  EXPECT_EQ(report.layout.ToString(), "row-id 4 B, A-rowid 4 B, aggregates 4/4 B");
   EXPECT_EQ(report.file_size, fx.pristine.size());
   EXPECT_EQ(report.sections.size(), fx.num_entries);
   for (const auto& section : report.sections) {
@@ -157,6 +159,52 @@ TEST(PackedCorruptionTest, LegacyVersionGetsActionableError) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.message().find("legacy"), std::string::npos) << s.ToString();
   EXPECT_NE(s.message().find("rebuild"), std::string::npos) << s.ToString();
+}
+
+TEST(PackedCorruptionTest, V2HeaderGetsTheRebuildMessage) {
+  // A v2 file (all-8-byte records, no width word) is told apart from
+  // corruption: the same legacy error as v1, naming the upgrade path.
+  PackedFixture fx("v2");
+  std::string bytes = fx.pristine;
+  const uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 8, &v2, 4);
+  std::memset(bytes.data() + 20, 0, 4);  // v2's zeroed reserved word
+  WriteBytes(fx.path, bytes);
+  for (const Status& s :
+       {fx.Open(), CubeStore::VerifyPacked(fx.path).status}) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("legacy packed cube"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("rebuild it with `cure_tool build` to upgrade"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(PackedCorruptionTest, BitFlipInWidthWordIsDataLoss) {
+  PackedFixture fx("widthflip");
+  for (const uint8_t mask : {0x01, 0x04, 0x80}) {
+    std::string bytes = fx.pristine;
+    bytes[20] = static_cast<char>(bytes[20] ^ mask);
+    WriteBytes(fx.path, bytes);
+    const Status s = fx.Open();
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  }
+}
+
+TEST(PackedCorruptionTest, SchemaWithOtherAggregatesIsRejected) {
+  // The v3 width word records the aggregate count: a schema that does not
+  // match the file cannot misread its narrow records.
+  PackedFixture fx("schema");
+  std::vector<schema::Dimension> dims;
+  dims.push_back(schema::Dimension::Linear("A", {25, 5}));
+  dims.push_back(schema::Dimension::Linear("B", {16, 4}));
+  dims.push_back(schema::Dimension::Flat("C", 7));
+  auto other = schema::CubeSchema::Create(
+      std::move(dims), 1, {{schema::AggFn::kSum, 0, "sum"}});
+  ASSERT_TRUE(other.ok());
+  const Status s = CubeStore::OpenPacked(fx.path, &other.value()).status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
 TEST(PackedCorruptionTest, UnknownFutureVersionIsDataLoss) {
@@ -258,7 +306,7 @@ TEST(PackedCorruptionTest, ManifestChecksumLayout) {
   EXPECT_EQ(ReadU64(fx.pristine, 0), kMagic);
   uint32_t version = 0;
   std::memcpy(&version, fx.pristine.data() + 8, 4);
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(version, 3u);
   const uint64_t total_size = ReadU64(fx.pristine, 32);
   EXPECT_EQ(total_size, fx.pristine.size());
   // Every manifest offset lands inside the file, past the section table.

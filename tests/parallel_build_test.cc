@@ -101,6 +101,40 @@ TEST(ParallelBuildTest, ByteIdenticalPackedStoresAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelBuildTest, ByteIdenticalOnNarrowAndMixedWidthRecords) {
+  // The record widths are fixed before construction, so every shard writes
+  // the same layout and the merge stays a byte copy: threads 1, 2, 4 and 8
+  // agree on an all-narrow cube and on one whose SUM needs 8 bytes.
+  for (const int64_t scale : {int64_t{1}, int64_t{1} << 40}) {
+    Dataset ds = MakeZipfDataset(3000, 1234);
+    schema::FactTable scaled(3, 1);
+    for (uint64_t r = 0; r < ds.table.num_rows(); ++r) {
+      const uint32_t dims_row[3] = {ds.table.dim(0, r), ds.table.dim(1, r),
+                                    ds.table.dim(2, r)};
+      const int64_t m = ds.table.measure(0, r) * scale;
+      scaled.AppendRow(dims_row, &m);
+    }
+    ds.table = std::move(scaled);
+    storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
+    ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
+
+    FactInput input{.relation = &rel};
+    CureOptions options = ExternalOptions();
+    Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    EXPECT_EQ((*cube)->store().layout().ToString(),
+              scale == 1 ? "row-id 4 B, A-rowid 4 B, aggregates 4/4 B"
+                         : "row-id 4 B, A-rowid 4 B, aggregates 8/4 B");
+
+    const std::string serial = BuildAndPack(ds, rel, options, 1);
+    ASSERT_FALSE(serial.empty());
+    for (int threads : {2, 4, 8}) {
+      EXPECT_TRUE(BuildAndPack(ds, rel, options, threads) == serial)
+          << "scale=" << scale << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelBuildTest, ByteIdenticalWithDimensionsInNt) {
   Dataset ds = MakeZipfDataset(3000, 777);
   storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());

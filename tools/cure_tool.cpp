@@ -435,6 +435,7 @@ int RunInfo(int argc, char** argv) {
   std::printf("cube size:   %s in %llu relations\n",
               FormatBytes(cube.TotalBytes()).c_str(),
               static_cast<unsigned long long>(cube.store().NumRelations()));
+  std::printf("records:     %s\n", cube.store().layout().ToString().c_str());
   std::printf("tuples:      TT=%llu NT=%llu CAT=%llu (AGGREGATES rows: %llu)\n",
               static_cast<unsigned long long>(cube.stats().tt),
               static_cast<unsigned long long>(cube.stats().nt),
@@ -463,8 +464,18 @@ int RunVerify(int argc, char** argv) {
       cure::cube::CubeStore::VerifyPacked(path);
   std::printf("file:        %s (%s)\n", path.c_str(),
               FormatBytes(report.file_size).c_str());
-  std::printf("format:      v%u\n", report.version);
-  std::printf("manifest:    %s\n", report.manifest_ok ? "OK" : "CORRUPT");
+  if (report.manifest_ok) {
+    std::printf("format:      v%u (%s)\n", report.version,
+                report.layout.ToString().c_str());
+  } else {
+    std::printf("format:      v%u\n", report.version);
+  }
+  // A legacy (pre-v3) file is not corrupt: its manifest is simply not read.
+  std::printf("manifest:    %s\n",
+              report.manifest_ok ? "OK"
+              : report.status.code() == cure::StatusCode::kInvalidArgument
+                  ? "not read (legacy format)"
+                  : "CORRUPT");
   uint64_t bad = 0;
   for (const auto& section : report.sections) {
     char id[32];
