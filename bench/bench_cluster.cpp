@@ -162,7 +162,7 @@ void RunCluster(JsonReport* json) {
       CURE_CHECK(server.ok()) << server.status().ToString();
       servers.push_back(std::move(server).value());
       auto tcp = serve::TcpLineServer::Start(servers.back().get(),
-                                             serve::TcpServerOptions{});
+                                             serve::LineTransportOptions{});
       CURE_CHECK(tcp.ok()) << tcp.status().ToString();
       tcps.push_back(std::move(tcp).value());
       map.shards.push_back({{"127.0.0.1", tcps.back()->port()}});

@@ -7,6 +7,7 @@
 // hierarchical node query by rolling the leaf-level node up on the fly.
 
 #include "bench/bench_util.h"
+#include "query/fold.h"
 
 using namespace cure;         // NOLINT
 using namespace cure::bench;  // NOLINT
@@ -76,7 +77,8 @@ int main() {
       if (!mapping.needs_rollup) return leaf_query(mapping.flat_node, sink);
       query::ResultSink leaf_sink(/*retain=*/true);
       CURE_RETURN_IF_ERROR(leaf_query(mapping.flat_node, &leaf_sink));
-      return query::RollUpRows(apb.schema, hier_node, leaf_sink.rows(), sink);
+      return query::RollUp(apb.schema, mapping.leaf_node, leaf_sink.rows(),
+                           hier_node, {}, -1, 0, sink);
     };
   };
 

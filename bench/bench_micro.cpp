@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the performance-critical
 // substrates: segment sorting (counting vs comparison, the skew remedy of
-// Sec. 7), the Zipf sampler, signature-pool flushes, bitmap iteration, the
-// external sorter, and the columnar batch scan path (batch kernels vs the
-// record-at-a-time scalar scan).
+// Sec. 7), the Zipf sampler, signature-pool flushes, bitmap iteration, and
+// the columnar batch scan path (batch kernels vs the record-at-a-time
+// scalar scan).
 //
 // Extra modes (both exit without running google-benchmark):
 //   --smoke               batch-vs-scalar checksum equality over memory- and
@@ -29,7 +29,6 @@
 #include "schema/cube_schema.h"
 #include "schema/fact_table.h"
 #include "storage/bitmap.h"
-#include "storage/external_sort.h"
 #include "storage/file_io.h"
 #include "storage/row_block.h"
 
@@ -126,32 +125,6 @@ void BM_BitmapForEach(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapForEach)->Arg(1 << 10)->Arg(1 << 18);
-
-void BM_ExternalSort(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  cure::storage::Relation input = cure::storage::Relation::Memory(16);
-  cure::gen::Rng rng(17);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t rec[2] = {rng.NextUint64(), i};
-    cure::Status s = input.Append(rec);
-    benchmark::DoNotOptimize(s);
-  }
-  cure::storage::RecordLess less = [](const uint8_t* a, const uint8_t* b) {
-    uint64_t ka, kb;
-    memcpy(&ka, a, 8);
-    memcpy(&kb, b, 8);
-    return ka < kb;
-  };
-  for (auto _ : state) {
-    cure::storage::Relation out = cure::storage::Relation::Memory(16);
-    cure::storage::ExternalSortOptions options;
-    options.memory_budget_bytes = n;  // force multi-run merge
-    options.temp_dir = "/tmp";
-    benchmark::DoNotOptimize(cure::storage::ExternalSort(input, less, options, &out));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ExternalSort)->Arg(1 << 14);
 
 // Forced-external CURE construction at 1/2/4 threads over a hierarchical
 // Zipf fact relation (~150k rows, ~25 sound partitions). The acceptance bar

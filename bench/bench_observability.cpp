@@ -149,7 +149,7 @@ int main() {
   // adds the "% profile" stage-breakdown rendering.
   {
     auto tcp =
-        serve::TcpLineServer::Start(server->get(), serve::TcpServerOptions{});
+        serve::TcpLineServer::Start(server->get(), serve::LineTransportOptions{});
     CURE_CHECK(tcp.ok()) << tcp.status().ToString();
     std::vector<std::string> plain;
     std::vector<std::string> profiled;

@@ -42,7 +42,7 @@ enum class Containment {
   /// relation by projecting dim codes through the hierarchy level maps,
   /// filtering by the request's slices, re-combining with the distributive
   /// aggregates, and applying the request's iceberg threshold post-rollup
-  /// (see RollupExecutor).
+  /// (see query::RollUp).
   kDerivable,
 };
 

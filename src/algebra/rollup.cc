@@ -1,168 +1,9 @@
 #include "algebra/rollup.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <utility>
 
 namespace cure {
 namespace algebra {
-
-namespace {
-
-struct VecHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    uint64_t h = 0x9E3779B97F4A7C15ull;
-    for (uint32_t x : v) {
-      h ^= x + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-      h *= 0xBF58476D1CE4E5B9ull;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-}  // namespace
-
-Status RollupExecutor::Derive(const QueryDesc& cached,
-                              const std::vector<query::ResultSink::Row>& rows,
-                              const QueryDesc& request,
-                              query::ResultSink* sink) const {
-  const std::vector<int> cached_levels = codec_.Decode(cached.node);
-  const std::vector<int> request_levels = codec_.Decode(request.node);
-
-  // Column position of each grouped dimension in the cached rows.
-  std::vector<int> cached_col(schema_->num_dims(), -1);
-  int num_cached_cols = 0;
-  for (int d = 0; d < schema_->num_dims(); ++d) {
-    if (cached_levels[d] != codec_.all_level(d)) {
-      cached_col[d] = num_cached_cols++;
-    }
-  }
-
-  // Projection: for every grouped dimension of the request, the cached
-  // column it reads and the level map rewriting its codes (empty = levels
-  // equal, codes pass through).
-  struct Projection {
-    int col = 0;
-    std::vector<uint32_t> map;  // empty = identity
-  };
-  std::vector<Projection> projections;
-  for (int d = 0; d < schema_->num_dims(); ++d) {
-    if (request_levels[d] == codec_.all_level(d)) continue;
-    if (cached_col[d] < 0 ||
-        !schema_->dim(d).Derives(cached_levels[d], request_levels[d])) {
-      return Status::Internal(
-          "roll-up containment violated: cached node does not derive "
-          "dimension " +
-          schema_->dim(d).name() + " of the requested node");
-    }
-    Projection p;
-    p.col = cached_col[d];
-    if (cached_levels[d] != request_levels[d]) {
-      CURE_ASSIGN_OR_RETURN(p.map, schema_->dim(d).LevelToLevelMap(
-                                       cached_levels[d], request_levels[d]));
-    }
-    projections.push_back(std::move(p));
-  }
-
-  // Slice filters, evaluated against the cached rows' levels. Cached-side
-  // slices already hold for every cached row; only the request's need
-  // re-checking (a superset, by containment rule 2).
-  struct Filter {
-    int col = 0;
-    uint32_t code = 0;
-    std::vector<uint32_t> map;  // empty = identity
-  };
-  std::vector<Filter> filters;
-  for (const auto& slice : request.slices) {
-    if (slice.dim < 0 || slice.dim >= schema_->num_dims() ||
-        cached_col[slice.dim] < 0 ||
-        !schema_->dim(slice.dim).Derives(cached_levels[slice.dim],
-                                         slice.level)) {
-      return Status::Internal(
-          "roll-up containment violated: slice on a dimension the cached "
-          "node does not group finely enough");
-    }
-    Filter f;
-    f.col = cached_col[slice.dim];
-    f.code = slice.code;
-    if (cached_levels[slice.dim] != slice.level) {
-      CURE_ASSIGN_OR_RETURN(
-          f.map, schema_->dim(slice.dim)
-                     .LevelToLevelMap(cached_levels[slice.dim], slice.level));
-    }
-    filters.push_back(std::move(f));
-  }
-
-  if (request.min_count > 1 &&
-      (request.count_aggregate < 0 ||
-       request.count_aggregate >= schema_->num_aggregates() ||
-       schema_->aggregate(request.count_aggregate).fn !=
-           schema::AggFn::kCount)) {
-    return Status::FailedPrecondition(
-        "iceberg roll-up requires a COUNT aggregate index");
-  }
-
-  const size_t num_aggrs = static_cast<size_t>(schema_->num_aggregates());
-  std::unordered_map<std::vector<uint32_t>, std::vector<int64_t>, VecHash>
-      groups;
-  std::vector<uint32_t> key(projections.size());
-  for (const query::ResultSink::Row& row : rows) {
-    if (row.dims.size() != static_cast<size_t>(num_cached_cols) ||
-        row.aggrs.size() != num_aggrs) {
-      return Status::Internal("cached row shape does not match its node");
-    }
-    bool pass = true;
-    for (const Filter& f : filters) {
-      const uint32_t code = row.dims[f.col];
-      if (f.map.empty()) {
-        if (code != f.code) pass = false;
-      } else if (code >= f.map.size() || f.map[code] != f.code) {
-        pass = false;
-      }
-      if (!pass) break;
-    }
-    if (!pass) continue;
-    for (size_t i = 0; i < projections.size(); ++i) {
-      const Projection& p = projections[i];
-      const uint32_t code = row.dims[p.col];
-      if (p.map.empty()) {
-        key[i] = code;
-      } else {
-        if (code >= p.map.size()) {
-          return Status::Internal("cached dim code out of level-map range");
-        }
-        key[i] = p.map[code];
-      }
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      std::vector<int64_t> acc(num_aggrs);
-      aggregator_.Init(acc.data());
-      it = groups.emplace(key, std::move(acc)).first;
-    }
-    aggregator_.Combine(it->second.data(), row.aggrs.data());
-  }
-
-  // Deterministic output order; the iceberg threshold applies after the
-  // re-aggregation (rule 3's post-rollup application).
-  std::vector<const std::vector<uint32_t>*> order;
-  order.reserve(groups.size());
-  for (const auto& entry : groups) order.push_back(&entry.first);
-  std::sort(order.begin(), order.end(),
-            [](const std::vector<uint32_t>* a, const std::vector<uint32_t>* b) {
-              return *a < *b;
-            });
-  for (const std::vector<uint32_t>* dims : order) {
-    const std::vector<int64_t>& aggrs = groups.find(*dims)->second;
-    if (request.min_count > 1 &&
-        aggrs[request.count_aggregate] < request.min_count) {
-      continue;
-    }
-    sink->Emit(dims->data(), static_cast<int>(dims->size()), aggrs.data(),
-               static_cast<int>(aggrs.size()));
-  }
-  return Status::OK();
-}
 
 std::vector<query::ResultSink::Row> SelectTopK(
     std::vector<query::ResultSink::Row> rows, size_t k, int order_aggregate) {

@@ -1,49 +1,13 @@
 #ifndef CURE_ALGEBRA_ROLLUP_H_
 #define CURE_ALGEBRA_ROLLUP_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "algebra/query_desc.h"
-#include "common/status.h"
-#include "cube/measures.h"
 #include "query/node_query.h"
-#include "schema/cube_schema.h"
-#include "schema/node_id.h"
 
 namespace cure {
 namespace algebra {
-
-/// Derives a contained query's rows from a cached relation without touching
-/// the cube: dim codes are projected through the hierarchy level maps,
-/// groups re-combined with the schema's distributive aggregates (the same
-/// lift-once/combine-anywhere property the cube build and the router's
-/// scatter-gather merge rely on), request slices applied as filters, and the
-/// request's iceberg threshold applied AFTER re-aggregation. Orders of
-/// magnitude cheaper than a cube scan: the input is the cached result's
-/// group count, not the node relation's tuple count.
-class RollupExecutor {
- public:
-  /// `schema` must outlive the executor.
-  explicit RollupExecutor(const schema::CubeSchema* schema)
-      : schema_(schema), codec_(*schema), aggregator_(*schema) {}
-
-  /// Computes `request`'s result from `rows`, the materialized rows of
-  /// `cached` over the same cube snapshot. The caller must have established
-  /// Classify(cached, request) != kNo; a containment violation surfaces as
-  /// kInternal rather than a wrong answer. Output rows are emitted in
-  /// lexicographic dim-code order (deterministic across runs); the sink's
-  /// checksum is order-independent and therefore bit-identical to the
-  /// engine path's.
-  Status Derive(const QueryDesc& cached,
-                const std::vector<query::ResultSink::Row>& rows,
-                const QueryDesc& request, query::ResultSink* sink) const;
-
- private:
-  const schema::CubeSchema* schema_;
-  schema::NodeIdCodec codec_;
-  cube::Aggregator aggregator_;
-};
 
 /// Deterministic top-k selection over result rows: the k rows with the
 /// largest `order_aggregate` value, ties broken by ascending dim codes (so

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "query/fold.h"
+
 namespace cure {
 namespace algebra {
 
@@ -26,7 +28,6 @@ SemanticCache::SemanticCache(const schema::CubeSchema* schema,
                              bool semantic_enabled)
     : schema_(schema),
       lattice_(schema),
-      rollup_(schema),
       cache_(capacity_bytes, num_shards),
       semantic_enabled_(semantic_enabled) {}
 
@@ -153,8 +154,9 @@ std::optional<SemanticCache::Derivation> SemanticCache::DeriveFromCache(
       continue;
     }
     query::ResultSink sink(/*retain=*/true);
-    const Status status = rollup_.Derive(candidate.key, cached->rows, key,
-                                         &sink);
+    const Status status = query::RollUp(
+        *schema_, candidate.key.node, cached->rows, key.node, key.slices,
+        key.count_aggregate, key.min_count, &sink);
     if (!status.ok()) continue;  // defensive: containment said yes
     auto derived = std::make_shared<QueryResult>();
     derived->count = sink.count();

@@ -11,7 +11,6 @@
 
 #include "algebra/query_desc.h"
 #include "algebra/result_cache.h"
-#include "algebra/rollup.h"
 #include "schema/cube_schema.h"
 #include "schema/lattice.h"
 
@@ -21,7 +20,7 @@ namespace algebra {
 /// Semantic result cache: an exact-key sharded LRU plus a per-node secondary
 /// index that lets a query be answered from a cached *ancestor* result (a
 /// more detailed relation over the same snapshot) via the containment
-/// algebra and RollupExecutor. The lookup ladder the serving layer runs is
+/// algebra and query::RollUp. The lookup ladder the serving layer runs is
 ///
 ///   exact key  ->  DeriveFromCache (containment + roll-up)  ->  engine
 ///
@@ -93,7 +92,6 @@ class SemanticCache {
 
   const schema::CubeSchema* schema_;
   schema::Lattice lattice_;
-  RollupExecutor rollup_;
   QueryCache cache_;
   const bool semantic_enabled_;
 

@@ -142,7 +142,7 @@ class MetricsRegistry {
 };
 
 /// Process-global registry for always-on cross-layer counters (storage I/O
-/// bytes, fsyncs, external-sort spills, ...). Leaked on purpose so writers
+/// bytes, fsyncs, ...). Leaked on purpose so writers
 /// running during static destruction stay safe.
 MetricsRegistry& GlobalMetrics();
 

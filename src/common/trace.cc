@@ -28,9 +28,11 @@ int64_t SteadyEpochMicros() {
       .count();
 }
 
-void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
+}  // namespace
+
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  for (const char ch : text) {
+    const unsigned char c = static_cast<unsigned char>(ch);
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -58,8 +60,6 @@ void AppendJsonEscaped(const char* s, std::string* out) {
     }
   }
 }
-
-}  // namespace
 
 struct Tracer::ThreadBuffer {
   ThreadBuffer(size_t capacity, int tid_in) : ring(capacity), tid(tid_in) {}

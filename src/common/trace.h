@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -231,6 +232,11 @@ struct ChromeTraceSummary {
   };
   std::vector<ArgSample> args_;
 };
+
+/// Appends `text` to `out` as the body of a JSON string: quote, backslash
+/// and control characters escaped (as \n, \r, \t, or a four-hex-digit
+/// \u escape).
+void AppendJsonEscaped(std::string_view text, std::string* out);
 
 /// Strictly validates Chrome trace_event JSON: a top-level object with a
 /// `traceEvents` array whose elements carry a string `name`, a known

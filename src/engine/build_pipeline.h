@@ -30,7 +30,7 @@ struct BuildContext {
   /// Resolved construction concurrency (>= 1). 1 = the serial reference
   /// path: one store, one signature pool, partitions in order.
   int num_threads = 1;
-  /// Unique per-build scratch directory for partition files and sort runs.
+  /// Unique per-build scratch directory for partition files.
   /// Created by the caller before Run() and removed afterwards on success
   /// and error paths alike (external builds only).
   std::string scratch_dir;

@@ -1,12 +1,14 @@
 #include "query/node_query.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_map>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/trace.h"
 #include "cube/rowid.h"
 #include "engine/kernels.h"
+#include "query/fold.h"
 #include "storage/row_block.h"
 
 namespace cure {
@@ -70,44 +72,27 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
 
   // Prepare slice predicates: each needs the grouping-output position of
   // its dimension and the roll-up map from the node's level to the slice's.
-  struct PreparedSlice {
-    int output_pos;
-    std::vector<uint32_t> map;  // empty = identity
-    uint32_t code;
-  };
-  std::vector<PreparedSlice> prepared;
+  std::vector<SliceFilter> prepared;
   if (slices != nullptr) {
     for (const Slice& slice : *slices) {
       if (slice.dim < 0 || slice.dim >= num_dims) {
         return Status::InvalidArgument("slice dimension out of range");
       }
-      const int node_level = levels[slice.dim];
-      if (node_level == store.codec().all_level(slice.dim) ||
-          !schema.dim(slice.dim).Derives(node_level, slice.level)) {
+      std::optional<LevelColumn> column =
+          MapLevelColumn(schema, levels, slice.dim, slice.level);
+      if (!column) {
         return Status::InvalidArgument(
             "slice on dimension '" + schema.dim(slice.dim).name() +
             "' requires the node to group it at a level at least as fine as "
             "the slice level");
       }
-      PreparedSlice p;
-      p.output_pos = 0;
-      for (int d = 0; d < slice.dim; ++d) {
-        if (levels[d] != store.codec().all_level(d)) ++p.output_pos;
-      }
-      if (node_level != slice.level) {
-        CURE_ASSIGN_OR_RETURN(
-            p.map, schema.dim(slice.dim).LevelToLevelMap(node_level, slice.level));
-      }
-      p.code = slice.code;
-      prepared.push_back(std::move(p));
+      prepared.push_back({std::move(*column), slice.code});
     }
   }
   auto passes_slices = [&](const uint32_t* out_dims) {
-    for (const PreparedSlice& p : prepared) {
-      const uint32_t code = out_dims[p.output_pos];
-      if ((p.map.empty() ? code : p.map[code]) != p.code) return false;
-    }
-    return true;
+    return std::all_of(
+        prepared.begin(), prepared.end(),
+        [&](const SliceFilter& p) { return p.Passes(out_dims); });
   };
 
   uint32_t native[64];
@@ -149,13 +134,14 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
         for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
       }
       if (dims_in_nt) {
-        for (const PreparedSlice& p : prepared) {
+        for (const SliceFilter& p : prepared) {
           if (n == 0) break;
-          storage::GatherBlockU32(block, 4ull * p.output_pos, dim_col.data());
-          n = p.map.empty()
+          storage::GatherBlockU32(block, 4ull * p.column.col, dim_col.data());
+          n = p.column.map.empty()
                   ? engine::RefineEqU32(dim_col.data(), p.code, sel.data(), n)
-                  : engine::RefineMappedEqU32(dim_col.data(), p.map.data(),
-                                              p.code, sel.data(), n);
+                  : engine::RefineMappedEqU32(dim_col.data(),
+                                              p.column.map.data(), p.code,
+                                              sel.data(), n);
         }
       }
       for (size_t j = 0; j < n; ++j) {
@@ -404,67 +390,21 @@ FlatNodeMapping MapToFlatNode(const schema::CubeSchema& hier_schema,
   const schema::NodeIdCodec hier_codec(hier_schema);
   const schema::CubeSchema flat_schema = hier_schema.Flattened();
   const schema::NodeIdCodec flat_codec(flat_schema);
-  const std::vector<int> hier_levels = hier_codec.Decode(hier_node);
+  std::vector<int> leaf_levels = hier_codec.Decode(hier_node);
   std::vector<int> flat_levels(hier_schema.num_dims());
   FlatNodeMapping mapping;
   for (int d = 0; d < hier_schema.num_dims(); ++d) {
-    if (hier_levels[d] == hier_codec.all_level(d)) {
+    if (leaf_levels[d] == hier_codec.all_level(d)) {
       flat_levels[d] = flat_codec.all_level(d);
     } else {
       flat_levels[d] = 0;
-      if (hier_levels[d] != 0) mapping.needs_rollup = true;
+      if (leaf_levels[d] != 0) mapping.needs_rollup = true;
+      leaf_levels[d] = 0;
     }
   }
   mapping.flat_node = flat_codec.Encode(flat_levels);
+  mapping.leaf_node = hier_codec.Encode(leaf_levels);
   return mapping;
-}
-
-Status RollUpRows(const schema::CubeSchema& hier_schema, NodeId hier_node,
-                  const std::vector<ResultSink::Row>& leaf_rows,
-                  ResultSink* sink) {
-  const schema::NodeIdCodec hier_codec(hier_schema);
-  const std::vector<int> hier_levels = hier_codec.Decode(hier_node);
-  const int num_dims = hier_schema.num_dims();
-  const int y = hier_schema.num_aggregates();
-  std::vector<int> grouping_dims;
-  for (int d = 0; d < num_dims; ++d) {
-    if (hier_levels[d] != hier_codec.all_level(d)) grouping_dims.push_back(d);
-  }
-
-  const cube::Aggregator aggregator(hier_schema);
-  std::unordered_map<uint64_t, std::vector<int64_t>> groups;
-  // Mixed-radix key over the target-level cardinalities.
-  std::vector<uint64_t> radix(grouping_dims.size());
-  uint64_t key_space = 1;
-  for (size_t i = 0; i < grouping_dims.size(); ++i) {
-    const int d = grouping_dims[i];
-    radix[i] = hier_schema.dim(d).cardinality(hier_levels[d]);
-    CURE_CHECK_LT(key_space, (uint64_t{1} << 62) / std::max<uint64_t>(radix[i], 1));
-    key_space *= radix[i];
-  }
-  for (const ResultSink::Row& row : leaf_rows) {
-    uint64_t key = 0;
-    for (size_t i = 0; i < grouping_dims.size(); ++i) {
-      const int d = grouping_dims[i];
-      key = key * radix[i] + hier_schema.dim(d).CodeAt(row.dims[i], hier_levels[d]);
-    }
-    auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) {
-      it->second.resize(y);
-      aggregator.Init(it->second.data());
-    }
-    aggregator.Combine(it->second.data(), row.aggrs.data());
-  }
-  uint32_t out_dims[64];
-  for (const auto& [key, aggrs] : groups) {
-    uint64_t k = key;
-    for (size_t i = grouping_dims.size(); i-- > 0;) {
-      out_dims[i] = static_cast<uint32_t>(k % radix[i]);
-      k /= radix[i];
-    }
-    sink->Emit(out_dims, static_cast<int>(grouping_dims.size()), aggrs.data(), y);
-  }
-  return Status::OK();
 }
 
 Status QueryHierarchicalOverFlat(const CureQueryEngine& flat_engine,
@@ -479,7 +419,8 @@ Status QueryHierarchicalOverFlat(const CureQueryEngine& flat_engine,
   // aggregation work the paper's Fig. 28 measures).
   ResultSink leaf_sink(/*retain=*/true);
   CURE_RETURN_IF_ERROR(flat_engine.QueryNode(mapping.flat_node, &leaf_sink));
-  return RollUpRows(hier_schema, hier_node, leaf_sink.rows(), sink);
+  return RollUp(hier_schema, mapping.leaf_node, leaf_sink.rows(), hier_node,
+                {}, -1, 0, sink);
 }
 
 }  // namespace query

@@ -178,19 +178,18 @@ struct FlatNodeMapping {
   /// True when some grouping dimension sits above the leaf level, i.e. the
   /// flat result must be rolled up.
   bool needs_rollup = false;
+  /// `hier_node` with every grouping dimension at its leaf level, in the
+  /// hierarchical codec: the node whose rows the flat twin returns and
+  /// query::RollUp rolls up (Fig. 28's on-the-fly aggregation).
+  schema::NodeId leaf_node = 0;
 };
 FlatNodeMapping MapToFlatNode(const schema::CubeSchema& hier_schema,
                               schema::NodeId hier_node);
 
-/// Rolls leaf-level result rows up to the hierarchy levels of `hier_node`
-/// and emits the aggregated groups into `sink` — the on-the-fly aggregation
-/// a flat cube pays for every roll-up query (Fig. 28).
-Status RollUpRows(const schema::CubeSchema& hier_schema, schema::NodeId hier_node,
-                  const std::vector<ResultSink::Row>& leaf_rows, ResultSink* sink);
-
 /// Answers a *hierarchical* node query over a *flat* cube by rolling the
 /// matching leaf-level node up on the fly — the cost FCURE pays for
-/// roll-up/drill-down workloads (Fig. 28).
+/// roll-up/drill-down workloads (Fig. 28). Rolled-up rows come out in
+/// dim-code order (query::RollUp).
 ///
 /// `hier_node` is a node id in `hier_schema`'s codec; `flat_engine` must
 /// serve the flat cube of the same data.

@@ -7,77 +7,6 @@
 namespace cure {
 namespace router {
 
-void PartialMerger::Add(const std::vector<uint32_t>& dims,
-                        const int64_t* aggrs) {
-  if (num_dims_ < 0) num_dims_ = static_cast<int>(dims.size());
-  Add(dims.data(), aggrs);
-}
-
-void PartialMerger::Add(const uint32_t* dims, const int64_t* aggrs) {
-  dims_.insert(dims_.end(), dims, dims + std::max(num_dims_, 0));
-  aggrs_.insert(aggrs_.end(), aggrs, aggrs + num_aggrs_);
-  ++records_;
-  folded_ = false;
-}
-
-void PartialMerger::Fold() {
-  if (folded_) return;
-  const size_t nd = num_dims_ > 0 ? static_cast<size_t>(num_dims_) : 0;
-  const uint32_t* keys = dims_.data();
-  // Sort (leading two codes packed into one integer, record) pairs: one
-  // integer compare orders most records; only keys wider than two codes
-  // that tie on the first two compare the rest.
-  struct Entry {
-    uint64_t lead;
-    uint32_t record;
-  };
-  std::vector<Entry> order(records_);
-  for (size_t r = 0; r < records_; ++r) {
-    const uint32_t* key = keys + r * nd;
-    uint64_t lead = nd > 0 ? static_cast<uint64_t>(key[0]) << 32 : 0;
-    if (nd > 1) lead |= key[1];
-    order[r] = Entry{lead, static_cast<uint32_t>(r)};
-  }
-  const auto less = [keys, nd](const Entry& a, const Entry& b) {
-    if (a.lead != b.lead) return a.lead < b.lead;
-    if (nd <= 2) return false;
-    const uint32_t* ka = keys + a.record * nd;
-    const uint32_t* kb = keys + b.record * nd;
-    return std::lexicographical_compare(ka + 2, ka + nd, kb + 2, kb + nd);
-  };
-  std::sort(order.begin(), order.end(), less);
-  std::vector<uint32_t> dims;
-  std::vector<int64_t> aggrs;
-  dims.reserve(dims_.size());
-  aggrs.reserve(aggrs_.size());
-  size_t groups = 0;
-  for (size_t i = 0; i < order.size(); ++i) {
-    const int64_t* value = aggrs_.data() + order[i].record * num_aggrs_;
-    if (i > 0 && !less(order[i - 1], order[i])) {  // same key: sorted
-      aggregator_.Combine(aggrs.data() + (groups - 1) * num_aggrs_, value);
-      continue;
-    }
-    const uint32_t* key = keys + order[i].record * nd;
-    dims.insert(dims.end(), key, key + nd);
-    aggrs.insert(aggrs.end(), value, value + num_aggrs_);
-    ++groups;
-  }
-  dims_.swap(dims);
-  aggrs_.swap(aggrs);
-  records_ = groups;
-  folded_ = true;
-}
-
-Status PartialMerger::Finish(int count_aggregate, int64_t min_count,
-                             query::ResultSink* sink) {
-  const int nd = std::max(num_dims_, 0);
-  const int na = num_aggregates();
-  return ForEachGroup(count_aggregate, min_count,
-                      [&](const uint32_t* dims, const int64_t* aggrs) {
-                        sink->Emit(dims, nd, aggrs, na);
-                      });
-}
-
 bool NextReplyLine(std::string_view text, size_t* pos, std::string_view* line) {
   while (*pos < text.size()) {
     size_t end = text.find('\n', *pos);
@@ -91,7 +20,7 @@ bool NextReplyLine(std::string_view text, size_t* pos, std::string_view* line) {
 }
 
 Result<uint64_t> MergeShardRows(int shard, std::string_view text, size_t* pos,
-                                uint64_t max_rows, PartialMerger* merger) {
+                                uint64_t max_rows, query::GroupFold* merger) {
   const size_t num_dims = static_cast<size_t>(std::max(merger->num_dims(), 0));
   const size_t num_aggrs = static_cast<size_t>(merger->num_aggregates());
   const size_t width = num_dims + num_aggrs;
@@ -190,7 +119,7 @@ bool ParseBatchSectionHeader(std::string_view line, BatchSectionHeader* out) {
 
 Status MergeShardReply(int shard, std::string_view text, size_t pos,
                        const std::vector<std::string>* sections,
-                       std::vector<PartialMerger>* mergers) {
+                       std::vector<query::GroupFold>* mergers) {
   if (sections == nullptr) {
     return MergeShardRows(shard, text, &pos, UINT64_MAX, &(*mergers)[0])
         .status();

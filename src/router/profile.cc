@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/trace.h"
+
 namespace cure {
 namespace router {
 
@@ -29,41 +31,6 @@ int64_t TokenInt64(const std::string& line, const std::string& key) {
   return std::strtoll(value.c_str(), nullptr, 10);
 }
 
-/// JSON string escaping for the Chrome trace export (quotes, backslash,
-/// control characters).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void AppendCompleteEvent(std::string* out, bool* first,
                          const std::string& name, int64_t ts_us,
                          int64_t dur_us, int tid, const std::string& args) {
@@ -74,7 +41,10 @@ void AppendCompleteEvent(std::string* out, bool* first,
                 "\"ph\":\"X\",\"ts\":%" PRId64 ",\"dur\":%" PRId64
                 ",\"pid\":1,\"tid\":%d",
                 ts_us, dur_us < 0 ? 0 : dur_us, tid);
-  *out += "{\"name\":\"" + JsonEscape(name) + "\"," + buf;
+  *out += "{\"name\":\"";
+  AppendJsonEscaped(name, out);
+  *out += "\",";
+  *out += buf;
   if (!args.empty()) *out += ",\"args\":{" + args + "}";
   *out += "}";
 }
@@ -85,8 +55,11 @@ void AppendThreadName(std::string* out, bool* first, int tid,
   *first = false;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "\"ts\":0,\"pid\":1,\"tid\":%d", tid);
-  *out += "{\"name\":\"thread_name\",\"ph\":\"M\"," + std::string(buf) +
-          ",\"args\":{\"name\":\"" + JsonEscape(name) + "\"}}";
+  *out += "{\"name\":\"thread_name\",\"ph\":\"M\",";
+  *out += buf;
+  *out += ",\"args\":{\"name\":\"";
+  AppendJsonEscaped(name, out);
+  *out += "\"}}";
 }
 
 }  // namespace
@@ -205,10 +178,12 @@ std::string ClusterProfileToChromeTrace(const ClusterProfile& profile) {
   std::string out = "{\"traceEvents\":[\n";
   bool first = true;
   AppendThreadName(&out, &first, 0, "cure_router");
-  const std::string query_args =
+  std::string query_args =
       "\"trace_id\":" + std::to_string(profile.trace_id) +
       ",\"shards_ok\":" + std::to_string(profile.shards_ok) +
-      ",\"command\":\"" + JsonEscape(profile.command) + "\"";
+      ",\"command\":\"";
+  AppendJsonEscaped(profile.command, &query_args);
+  query_args += '"';
   AppendCompleteEvent(&out, &first, "cure.router.profile_query", 0,
                       profile.total_us, 0, query_args);
   AppendCompleteEvent(&out, &first, "cure.router.scatter", 0,
@@ -230,10 +205,12 @@ std::string ClusterProfileToChromeTrace(const ClusterProfile& profile) {
                               : (attempt.outcome == "lost"
                                      ? profile.total_us - attempt.launch_us
                                      : 0);
-      const std::string args =
-          "\"replica\":" + std::to_string(attempt.replica) + ",\"kind\":\"" +
-          JsonEscape(attempt.kind) + "\",\"outcome\":\"" +
-          JsonEscape(attempt.outcome) + "\"";
+      std::string args =
+          "\"replica\":" + std::to_string(attempt.replica) + ",\"kind\":\"";
+      AppendJsonEscaped(attempt.kind, &args);
+      args += "\",\"outcome\":\"";
+      AppendJsonEscaped(attempt.outcome, &args);
+      args += '"';
       AppendCompleteEvent(&out, &first, "cure.router.attempt",
                           attempt.launch_us, dur, tid, args);
       if (attempt.outcome == "won" && !has_winner) {
@@ -258,8 +235,9 @@ std::string ClusterProfileToChromeTrace(const ClusterProfile& profile) {
                    {"cure.serve.cache", stages.cache_us},
                    {"cure.serve.execute", stages.execute_us},
                    {"cure.serve.encode", stages.encode_us}};
-      const std::string args =
-          "\"replica\":0,\"cache\":\"" + JsonEscape(stages.cache) + "\"";
+      std::string args = "\"replica\":0,\"cache\":\"";
+      AppendJsonEscaped(stages.cache, &args);
+      args += '"';
       for (const auto& span : spans) {
         AppendCompleteEvent(&out, &first, span.name, cursor, span.dur, tid,
                             span.name == std::string("cure.serve.cache")

@@ -582,7 +582,7 @@ std::string CureRouter::Route(std::vector<std::string> tokens,
   const std::vector<schema::NodeId> nodes =
       batch ? request.batch : std::vector<schema::NodeId>{request.node};
   std::vector<std::string> specs;
-  std::vector<PartialMerger> mergers;
+  std::vector<query::GroupFold> mergers;
   std::string backend_line =
       batch ? "BATCH" : request.slices.empty() ? "QUERY" : "SLICE";
   for (const schema::NodeId node : nodes) {
@@ -668,7 +668,7 @@ std::string CureRouter::Route(std::vector<std::string> tokens,
 
 Status CureRouter::Gather(const std::vector<ShardReply>& replies,
                           const std::vector<std::string>* sections,
-                          std::vector<PartialMerger>* mergers,
+                          std::vector<query::GroupFold>* mergers,
                           int* shards_ok) const {
   Status degraded_error = Status::OK();
   for (int s = 0; s < map_.num_shards(); ++s) {
@@ -693,7 +693,7 @@ Status CureRouter::Gather(const std::vector<ShardReply>& replies,
 }
 
 Status CureRouter::EmitMerged(const serve::Request& request,
-                              schema::NodeId node, PartialMerger* merger,
+                              schema::NodeId node, query::GroupFold* merger,
                               const ValueDecoder& decoder,
                               query::ResultSink* sink,
                               std::string* rows) const {

@@ -231,13 +231,13 @@ class CureRouter {
   /// shards merged, and a query where EVERY shard failed still errors.
   Status Gather(const std::vector<ShardReply>& replies,
                 const std::vector<std::string>* sections,
-                std::vector<PartialMerger>* mergers, int* shards_ok) const;
+                std::vector<query::GroupFold>* mergers, int* shards_ok) const;
 
   /// Folds `merger` and emits `node`'s answer after the request's
   /// post-merge step (iceberg threshold, then top-k cut) into `sink` —
   /// count and checksum — and as row text through `decoder` into `rows`.
   Status EmitMerged(const serve::Request& request, schema::NodeId node,
-                    PartialMerger* merger, const ValueDecoder& decoder,
+                    query::GroupFold* merger, const ValueDecoder& decoder,
                     query::ResultSink* sink, std::string* rows) const;
 
   /// PROFILE <cmd>...: cluster-wide EXPLAIN ANALYZE (see HandleLine doc).

@@ -482,7 +482,7 @@ std::string CubeServer::PrometheusText() const {
     AppendHistogramBuckets("cure_serve_wal_replay_us", live_->wal_replay_us(),
                            &out);
   }
-  // Process-global storage series (file I/O, external sort, ...) — already
+  // Process-global storage series (file I/O, fsyncs, ...) — already
   // prefixed cure_storage_.
   out += GlobalMetrics().PrometheusText();
   return out;

@@ -15,20 +15,18 @@ namespace cure {
 namespace serve {
 
 Result<std::unique_ptr<TcpLineServer>> TcpLineServer::Start(
-    CubeServer* server, const TcpServerOptions& options, ValueDecoder decoder,
+    CubeServer* server, const LineTransportOptions& options,
+    ValueDecoder decoder,
     SliceValueResolver resolver) {
   auto self = std::unique_ptr<TcpLineServer>(
       new TcpLineServer(server, std::move(decoder), std::move(resolver)));
-  LineTransportOptions transport_options;
-  transport_options.port = options.port;
-  transport_options.max_connections = options.max_connections;
   CURE_ASSIGN_OR_RETURN(
       self->transport_,
       LineTransport::Start(
           [raw = self.get()](const std::string& line) {
             return raw->HandleLine(line);
           },
-          transport_options));
+          options));
   return self;
 }
 

@@ -15,15 +15,6 @@
 namespace cure {
 namespace serve {
 
-struct TcpServerOptions {
-  /// Listening port on 127.0.0.1; 0 picks an ephemeral port (see port()).
-  int port = 0;
-  /// Concurrent connection cap; excess connections are turned away with an
-  /// ERR line (queries inside a connection are further bounded by the
-  /// CubeServer's admission control).
-  int max_connections = 64;
-};
-
 /// Minimal TCP line-protocol front end over a CubeServer, running on the
 /// shared LineTransport. Every query line is dispatched through
 /// CubeServer::Submit, so the protocol path exercises the same pool, cache,
@@ -65,9 +56,10 @@ class TcpLineServer {
   using ValueDecoder = serve::ValueDecoder;
 
   /// Binds 127.0.0.1:<port> and starts the accept loop. `server` must
-  /// outlive the returned instance.
+  /// outlive the returned instance. Queries inside a connection are further
+  /// bounded by the CubeServer's admission control.
   static Result<std::unique_ptr<TcpLineServer>> Start(
-      CubeServer* server, const TcpServerOptions& options,
+      CubeServer* server, const LineTransportOptions& options,
       ValueDecoder decoder = nullptr, SliceValueResolver resolver = nullptr);
 
   /// Implies Stop().

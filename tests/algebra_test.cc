@@ -12,7 +12,9 @@
 #include "gen/datasets.h"
 #include "gen/random.h"
 #include "gen/zipf.h"
+#include "query/fold.h"
 #include "query/node_query.h"
+#include "query/reference.h"
 #include "query/workload.h"
 #include "schema/lattice.h"
 
@@ -24,7 +26,6 @@ using algebra::Containment;
 using algebra::QueryDesc;
 using algebra::QueryKey;
 using algebra::QueryResult;
-using algebra::RollupExecutor;
 using algebra::SelectTopK;
 using algebra::SemanticCache;
 using engine::BuildCure;
@@ -60,14 +61,63 @@ gen::Dataset MakeHier(uint64_t tuples, uint64_t seed) {
   return ds;
 }
 
+/// The paper's Fig. 5 complex time hierarchy, day -> {week, month} -> year
+/// (28-day months, as in complex_hierarchy_test), next to a linear and a
+/// flat dimension, under all four distributive aggregates.
+gen::Dataset MakeComplex(uint64_t tuples, uint64_t seed) {
+  constexpr uint32_t kDays = 112;
+  std::vector<schema::Level> levels(4);
+  levels[0].name = "day";
+  levels[0].cardinality = kDays;
+  levels[0].parents = {1, 2};
+  levels[1].name = "week";
+  levels[1].cardinality = kDays / 7;
+  levels[2].name = "month";
+  levels[2].cardinality = kDays / 28;
+  levels[2].parents = {3};
+  levels[3].name = "year";
+  levels[3].cardinality = 1;
+  for (uint32_t d = 0; d < kDays; ++d) {
+    levels[1].leaf_to_code.push_back(d / 7);
+    levels[2].leaf_to_code.push_back(d / 28);
+    levels[3].leaf_to_code.push_back(0);
+  }
+  auto time = schema::Dimension::Create("time", std::move(levels));
+  EXPECT_TRUE(time.ok()) << time.status().ToString();
+  std::vector<schema::Dimension> dims;
+  dims.push_back(std::move(time).value());
+  dims.push_back(schema::Dimension::Linear("P", {12, 3}));
+  dims.push_back(schema::Dimension::Flat("C", 4));
+  auto schema = schema::CubeSchema::Create(
+      std::move(dims), 1,
+      {{schema::AggFn::kSum, 0, "s"},
+       {schema::AggFn::kCount, 0, "c"},
+       {schema::AggFn::kMin, 0, "lo"},
+       {schema::AggFn::kMax, 0, "hi"}});
+  EXPECT_TRUE(schema.ok());
+  gen::Dataset ds;
+  ds.schema = std::move(schema).value();
+  ds.table = schema::FactTable(3, 1);
+  gen::Rng rng(seed);
+  const gen::ZipfSampler zt(kDays, 0.8), zp(12, 1.1), zc(4, 1.1);
+  for (uint64_t t = 0; t < tuples; ++t) {
+    const uint32_t row[3] = {zt.Sample(&rng), zp.Sample(&rng), zc.Sample(&rng)};
+    const int64_t m = static_cast<int64_t>(rng.NextRange(1000)) - 500;
+    ds.table.AppendRow(row, &m);
+  }
+  return ds;
+}
+
 struct AlgebraFixture {
   gen::Dataset ds;
   std::unique_ptr<engine::CureCube> cube;
   std::unique_ptr<CureQueryEngine> engine;
   std::unique_ptr<schema::Lattice> lattice;
 
-  explicit AlgebraFixture(uint64_t tuples = 600, uint64_t seed = 77) {
-    ds = MakeHier(tuples, seed);
+  explicit AlgebraFixture(uint64_t tuples = 600, uint64_t seed = 77)
+      : AlgebraFixture(MakeHier(tuples, seed)) {}
+
+  explicit AlgebraFixture(gen::Dataset data) : ds(std::move(data)) {
     CureOptions options;
     FactInput input{.table = &ds.table};
     auto built = BuildCure(ds.schema, input, options);
@@ -192,9 +242,10 @@ TEST(ContainmentTest, TruthTable) {
 
 // ------------------------------------------------- whole-lattice derivation
 
-TEST(RollupExecutorTest, WholeLatticeRollupMatchesDirectQueries) {
-  AlgebraFixture fx(600, 77);
-  RollupExecutor rollup(&fx.ds.schema);
+/// Derives every strictly derivable (detailed, coarse) pair of `fx`'s
+/// lattice from the detailed node's rows and checks it against the direct
+/// engine query of the coarse node.
+void ExpectWholeLatticeRollup(const AlgebraFixture& fx) {
   const std::vector<NodeId> nodes = fx.lattice->AllNodes();
   size_t derivable_pairs = 0;
   for (const NodeId detailed : nodes) {
@@ -212,23 +263,43 @@ TEST(RollupExecutorTest, WholeLatticeRollupMatchesDirectQueries) {
       ASSERT_EQ(Classify(fx.ds.schema, *fx.lattice, cached, request),
                 Containment::kDerivable);
       ResultSink derived(/*retain=*/true);
-      ASSERT_TRUE(
-          rollup.Derive(cached, cached_rows.rows(), request, &derived).ok());
-      ResultSink expected;
+      ASSERT_TRUE(query::RollUp(fx.ds.schema, cached.node, cached_rows.rows(),
+                                request.node, request.slices,
+                                request.count_aggregate, request.min_count,
+                                &derived)
+                      .ok());
+      ResultSink expected(/*retain=*/true);
       ASSERT_TRUE(fx.engine->QueryNode(coarse, &expected).ok());
       EXPECT_EQ(derived.count(), expected.count())
           << "derive " << detailed << " -> " << coarse;
       EXPECT_EQ(derived.checksum(), expected.checksum())
           << "derive " << detailed << " -> " << coarse;
+      EXPECT_TRUE(query::SameResults(derived.rows(), expected.rows()))
+          << "derive " << detailed << " -> " << coarse;
+      // Derived rows come out in strictly ascending dim-code order.
+      const std::vector<ResultSink::Row>& rows = derived.rows();
+      EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end(),
+                                   [](const ResultSink::Row& a,
+                                      const ResultSink::Row& b) {
+                                     return !(a.dims < b.dims);
+                                   }),
+                rows.end())
+          << "derive " << detailed << " -> " << coarse;
       ++derivable_pairs;
     }
   }
-  EXPECT_GT(derivable_pairs, 50u);  // the 24-node lattice is densely related
+  EXPECT_GT(derivable_pairs, 50u);  // both lattices are densely related
+}
+
+TEST(RollupExecutorTest, WholeLatticeRollupMatchesDirectQueries) {
+  // Linear hierarchies, SUM and COUNT.
+  ExpectWholeLatticeRollup(AlgebraFixture(600, 77));
+  // A complex (DAG) hierarchy, SUM, COUNT, MIN and MAX.
+  ExpectWholeLatticeRollup(AlgebraFixture(MakeComplex(800, 79)));
 }
 
 TEST(RollupExecutorTest, SliceAndIcebergApplyDuringDerivation) {
   AlgebraFixture fx(600, 78);
-  RollupExecutor rollup(&fx.ds.schema);
   const NodeId fine = fx.Node({0, 0, 0});
   const NodeId coarse = fx.Node({1, 1, 0});
   QueryDesc cached;
@@ -247,8 +318,11 @@ TEST(RollupExecutorTest, SliceAndIcebergApplyDuringDerivation) {
   ASSERT_EQ(Classify(fx.ds.schema, *fx.lattice, cached, request),
             Containment::kDerivable);
   ResultSink derived(/*retain=*/true);
-  ASSERT_TRUE(
-      rollup.Derive(cached, cached_rows.rows(), request, &derived).ok());
+  ASSERT_TRUE(query::RollUp(fx.ds.schema, cached.node, cached_rows.rows(),
+                            request.node, request.slices,
+                            request.count_aggregate, request.min_count,
+                            &derived)
+                  .ok());
 
   ResultSink expected;
   ASSERT_TRUE(fx.engine
@@ -260,7 +334,6 @@ TEST(RollupExecutorTest, SliceAndIcebergApplyDuringDerivation) {
 
 TEST(RollupExecutorTest, ContainmentViolationIsInternalError) {
   AlgebraFixture fx(100, 5);
-  RollupExecutor rollup(&fx.ds.schema);
   QueryDesc cached;
   cached.node = fx.Node({1, 1, 0});  // coarser than the request
   cached.Canonicalize();
@@ -268,7 +341,10 @@ TEST(RollupExecutorTest, ContainmentViolationIsInternalError) {
   request.node = fx.Node({0, 0, 0});
   request.Canonicalize();
   ResultSink sink;
-  const Status status = rollup.Derive(cached, {}, request, &sink);
+  const Status status =
+      query::RollUp(fx.ds.schema, cached.node, {}, request.node,
+                    request.slices, request.count_aggregate, request.min_count,
+                    &sink);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 

@@ -42,7 +42,7 @@ using serve::CubeServerOptions;
 using serve::QueryRequest;
 using serve::QueryResponse;
 using serve::TcpLineServer;
-using serve::TcpServerOptions;
+using serve::LineTransportOptions;
 
 constexpr int kDims = 3;
 constexpr int kMeasures = 1;
@@ -535,7 +535,7 @@ TEST(LiveServeTest, TcpProtocolAppendFlushAndStats) {
   options.num_threads = 2;
   auto server = CubeServer::Create(live->get(), options);
   ASSERT_TRUE(server.ok());
-  auto tcp = TcpLineServer::Start(server->get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server->get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   // APPEND: two rows, D leaf codes + M measures each. The first FLUSH
@@ -584,7 +584,7 @@ TEST(LiveServeTest, StaticProtocolRejectsMaintenanceVerbs) {
   options.num_threads = 1;
   auto server = CubeServer::Create(cube->get(), options);
   ASSERT_TRUE(server.ok());
-  auto tcp = TcpLineServer::Start(server->get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server->get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
   const std::string append = (*tcp)->HandleLine("APPEND 1 2 3 10");
   EXPECT_EQ(append.substr(0, 3), "ERR");

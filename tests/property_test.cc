@@ -12,7 +12,6 @@
 #include "plan/execution_plan.h"
 #include "query/node_query.h"
 #include "query/reference.h"
-#include "storage/external_sort.h"
 
 namespace cure {
 namespace {
@@ -168,47 +167,6 @@ TEST_P(RandomSchemaTest, RandomCubeMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSchemaTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
-
-// External sort budget sweep: correctness independent of run size.
-class ExternalSortBudgetTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ExternalSortBudgetTest, SortsUnderAnyBudget) {
-  const uint64_t budget = GetParam();
-  storage::Relation input = storage::Relation::Memory(16);
-  gen::Rng rng(77);
-  const uint64_t n = 5000;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t rec[2] = {rng.NextRange(100000), i};
-    ASSERT_TRUE(input.Append(rec).ok());
-  }
-  storage::Relation output = storage::Relation::Memory(16);
-  storage::ExternalSortOptions options;
-  options.memory_budget_bytes = budget;
-  options.temp_dir = "/tmp";
-  storage::RecordLess less = [](const uint8_t* a, const uint8_t* b) {
-    uint64_t ka, kb;
-    memcpy(&ka, a, 8);
-    memcpy(&kb, b, 8);
-    return ka < kb;
-  };
-  ASSERT_TRUE(storage::ExternalSort(input, less, options, &output).ok());
-  ASSERT_EQ(output.num_rows(), n);
-  uint64_t prev = 0;
-  uint64_t sum_payload = 0;
-  storage::Relation::Scanner scan(output);
-  while (const uint8_t* rec = scan.Next()) {
-    uint64_t key, payload;
-    memcpy(&key, rec, 8);
-    memcpy(&payload, rec + 8, 8);
-    ASSERT_GE(key, prev);
-    prev = key;
-    sum_payload += payload;
-  }
-  EXPECT_EQ(sum_payload, n * (n - 1) / 2);  // every record survived
-}
-
-INSTANTIATE_TEST_SUITE_P(Budgets, ExternalSortBudgetTest,
-                         ::testing::Values(64, 256, 1024, 16384, 1 << 20));
 
 }  // namespace
 }  // namespace cure

@@ -56,7 +56,7 @@ using router::ShardMap;
 using serve::CubeServer;
 using serve::CubeServerOptions;
 using serve::TcpLineServer;
-using serve::TcpServerOptions;
+using serve::LineTransportOptions;
 
 // Zipf-skewed hierarchical dataset with all four distributive aggregates —
 // identical in shape to router_test's so per-shard partials genuinely
@@ -198,7 +198,7 @@ struct SweepCluster {
   }
 
   static std::unique_ptr<TcpLineServer> MakeTcp(CubeServer* server) {
-    auto tcp = TcpLineServer::Start(server, TcpServerOptions{});
+    auto tcp = TcpLineServer::Start(server, LineTransportOptions{});
     EXPECT_TRUE(tcp.ok()) << tcp.status().ToString();
     return std::move(tcp).value();
   }

@@ -47,7 +47,7 @@ using router::ShardProfile;
 using serve::CubeServer;
 using serve::CubeServerOptions;
 using serve::TcpLineServer;
-using serve::TcpServerOptions;
+using serve::LineTransportOptions;
 
 // ------------------------------------------------------------- flight recorder
 
@@ -169,6 +169,49 @@ TEST(ClusterProfileTest, ChromeTraceExportValidates) {
   EXPECT_TRUE(summary.Contains("cure.serve.encode"));
   // The raw backend tracer span came through re-based.
   EXPECT_TRUE(summary.Contains("cure.serve.query"));
+}
+
+/// The JSON string value of `"key":"..."` in `json`, with the export's
+/// escapes undone.
+std::string JsonStringField(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":\"";
+  size_t pos = json.find(needle);
+  if (pos == std::string::npos) return "<missing>";
+  std::string out;
+  for (pos += needle.size(); pos < json.size() && json[pos] != '"'; ++pos) {
+    if (json[pos] != '\\') {
+      out.push_back(json[pos]);
+      continue;
+    }
+    const char escape = json[++pos];
+    if (escape == 'n') {
+      out.push_back('\n');
+    } else if (escape == 'r') {
+      out.push_back('\r');
+    } else if (escape == 't') {
+      out.push_back('\t');
+    } else if (escape == 'u') {
+      out.push_back(
+          static_cast<char>(std::stoi(json.substr(pos + 1, 4), nullptr, 16)));
+      pos += 4;
+    } else {
+      out.push_back(escape);  // quote or backslash
+    }
+  }
+  return out;
+}
+
+TEST(ClusterProfileTest, ChromeTraceExportEscapesTheCommand) {
+  ClusterProfile profile = MakeSampleProfile();
+  profile.command = "SLICE A_L0 A_L1=\"x\\y\" \x01" "tab\there";
+  const std::string json = ClusterProfileToChromeTrace(profile);
+  ChromeTraceSummary summary;
+  const Status status = ValidateChromeTrace(json, &summary);
+  ASSERT_TRUE(status.ok()) << status.ToString() << "\n" << json;
+  EXPECT_NE(json.find(R"("command":"SLICE A_L0 A_L1=\"x\\y\" \u0001tab\there")"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(JsonStringField(json, "command"), profile.command);
 }
 
 // -------------------------------------------------------- buckets wire format
@@ -327,7 +370,7 @@ struct ObservabilityClusterFixture {
         EXPECT_TRUE(server.ok());
         servers.back().push_back(std::move(server).value());
         auto tcp =
-            TcpLineServer::Start(servers.back().back().get(), TcpServerOptions{});
+            TcpLineServer::Start(servers.back().back().get(), LineTransportOptions{});
         EXPECT_TRUE(tcp.ok());
         tcps.back().push_back(std::move(tcp).value());
         replicas.push_back({"127.0.0.1", tcps.back().back()->port()});

@@ -53,7 +53,6 @@ using serve::CubeServerOptions;
 using serve::LineTransport;
 using serve::LineTransportOptions;
 using serve::TcpLineServer;
-using serve::TcpServerOptions;
 
 /// Zipf-skewed hierarchical dataset with all four distributive aggregates —
 /// the shape the re-aggregation proof needs (SUM/COUNT/MIN/MAX over skewed
@@ -558,7 +557,7 @@ struct ClusterFixture {
   }
 
   static std::unique_ptr<TcpLineServer> MakeTcp(CubeServer* server) {
-    auto tcp = TcpLineServer::Start(server, TcpServerOptions{});
+    auto tcp = TcpLineServer::Start(server, LineTransportOptions{});
     EXPECT_TRUE(tcp.ok()) << tcp.status().ToString();
     return std::move(tcp).value();
   }

@@ -45,7 +45,7 @@ using serve::CubeServerOptions;
 using serve::QueryRequest;
 using serve::QueryResponse;
 using serve::TcpLineServer;
-using serve::TcpServerOptions;
+using serve::LineTransportOptions;
 
 gen::Dataset MakeHier(uint64_t tuples, uint64_t seed) {
   gen::Dataset ds;
@@ -766,7 +766,7 @@ TEST(TcpLineServerTest, ServesQueriesOverLoopback) {
   CubeServerOptions options;
   options.cache_bytes = 1 << 20;
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
   ASSERT_GT((*tcp)->port(), 0);
 
@@ -835,7 +835,7 @@ TEST(TcpLineServerTest, CodesTokenSkipsTheValueDecoder) {
   ServerFixture fx(300, 29);
   std::unique_ptr<CubeServer> server = fx.MakeServer();
   auto tcp = TcpLineServer::Start(
-      server.get(), TcpServerOptions{}, [](int, int, uint32_t code) {
+      server.get(), LineTransportOptions{}, [](int, int, uint32_t code) {
         std::string value = "v";
         value += std::to_string(code);
         return value;
@@ -895,7 +895,7 @@ TEST(TcpLineServerTest, CodesTokenSkipsTheValueDecoder) {
 TEST(TcpLineServerTest, EchoesClientSuppliedTraceId) {
   ServerFixture fx(150, 30);
   std::unique_ptr<CubeServer> server = fx.MakeServer();
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   // A client-supplied trace=<id> is adopted and echoed verbatim — the
@@ -931,7 +931,7 @@ TEST(TcpLineServerTest, ProfileTokenAppendsStageBreakdown) {
   CubeServerOptions options;
   options.cache_bytes = 1 << 20;
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   const std::string response =
@@ -977,7 +977,7 @@ TEST(TcpLineServerTest, SlowlogRecordsOverThresholdQueries) {
   CubeServerOptions options;
   options.slow_query_seconds = 1e-9;  // Everything is over threshold.
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   // Empty flight recorder: just the summary line.
@@ -999,7 +999,7 @@ TEST(TcpLineServerTest, SlowlogRecordsOverThresholdQueries) {
 TEST(TcpLineServerTest, HandleLineRejectsMalformedCommands) {
   ServerFixture fx(100, 29);
   std::unique_ptr<CubeServer> server = fx.MakeServer();
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
   EXPECT_EQ((*tcp)->HandleLine("").rfind("ERR InvalidArgument", 0), 0u);
   EXPECT_EQ((*tcp)->HandleLine("QUERY").rfind("ERR InvalidArgument", 0), 0u);
@@ -1047,7 +1047,7 @@ TEST(TcpLineServerTest, NavigationVerbsResolveOnTheLattice) {
   CubeServerOptions options;
   options.cache_bytes = 1 << 20;
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   // DRILL from the apex enters dimension A at its coarsest level, and the
@@ -1085,7 +1085,7 @@ TEST(TcpLineServerTest, TopKSelectsDeterministically) {
   CubeServerOptions options;
   options.cache_bytes = 1 << 20;
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   const std::string response = (*tcp)->HandleLine("TOPK A_L0,B_L0 5");
@@ -1124,7 +1124,7 @@ TEST(TcpLineServerTest, BatchRunsSectionsInInputOrder) {
   // route every member to the (cheap) engine instead of deriving.
   options.semantic_min_scan_rows = 0;
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   const std::string response =
@@ -1187,12 +1187,12 @@ TEST(TcpLineServerTest, DrillDownSessionIsByteIdenticalToCacheOff) {
   semantic_options.semantic_min_scan_rows = 0;
   std::unique_ptr<CubeServer> semantic_server = fx.MakeServer(semantic_options);
   auto semantic_tcp =
-      TcpLineServer::Start(semantic_server.get(), TcpServerOptions{});
+      TcpLineServer::Start(semantic_server.get(), LineTransportOptions{});
   ASSERT_TRUE(semantic_tcp.ok());
   CubeServerOptions off_options;
   off_options.cache_bytes = 0;  // every query runs the engine
   std::unique_ptr<CubeServer> off_server = fx.MakeServer(off_options);
-  auto off_tcp = TcpLineServer::Start(off_server.get(), TcpServerOptions{});
+  auto off_tcp = TcpLineServer::Start(off_server.get(), LineTransportOptions{});
   ASSERT_TRUE(off_tcp.ok());
 
   // An analyst drill-down session: start coarse, drill in, narrow, roll
@@ -1262,7 +1262,7 @@ TEST(TcpLineServerTest, SemanticDisabledStillServesExactly) {
   options.cache_bytes = 4 << 20;
   options.semantic_cache = false;
   std::unique_ptr<CubeServer> server = fx.MakeServer(options);
-  auto tcp = TcpLineServer::Start(server.get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server.get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   const std::string fine = (*tcp)->HandleLine("QUERY A_L0,B_L0");
@@ -1307,7 +1307,7 @@ TEST(TcpLineServerTest, StreamsResponsesLargerThanTheSocketBuffer) {
   options.num_threads = 2;
   auto server = CubeServer::Create(cube->get(), options);
   ASSERT_TRUE(server.ok());
-  auto tcp = TcpLineServer::Start(server->get(), TcpServerOptions{});
+  auto tcp = TcpLineServer::Start(server->get(), LineTransportOptions{});
   ASSERT_TRUE(tcp.ok());
 
   // Shrink the client's receive buffer *before* connect so the advertised

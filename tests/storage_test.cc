@@ -3,11 +3,9 @@
 #include <cstring>
 #include <filesystem>
 #include <numeric>
-#include <random>
 
 #include "storage/bitmap.h"
 #include "storage/buffer_cache.h"
-#include "storage/external_sort.h"
 #include "storage/file_io.h"
 #include "storage/relation.h"
 #include "storage/row_block.h"
@@ -288,68 +286,6 @@ TEST(BitmapTest, ForEachIteratesInOrder) {
   std::vector<uint64_t> got;
   bm.ForEach([&](uint64_t v) { got.push_back(v); });
   EXPECT_EQ(got, expected);
-}
-
-RecordLess KeyLess() {
-  return [](const uint8_t* a, const uint8_t* b) {
-    uint64_t ka, kb;
-    std::memcpy(&ka, a, 8);
-    std::memcpy(&kb, b, 8);
-    return ka < kb;
-  };
-}
-
-TEST(ExternalSortTest, InMemoryFastPath) {
-  Relation in = Relation::Memory(sizeof(Rec));
-  std::mt19937_64 rng(7);
-  for (int i = 0; i < 1000; ++i) {
-    Rec r{rng() % 10000, static_cast<uint32_t>(i), 0};
-    ASSERT_TRUE(in.Append(&r).ok());
-  }
-  Relation out = Relation::Memory(sizeof(Rec));
-  ExternalSortOptions opts;
-  ASSERT_TRUE(ExternalSort(in, KeyLess(), opts, &out).ok());
-  ASSERT_EQ(out.num_rows(), 1000u);
-  uint64_t prev = 0;
-  Relation::Scanner scan(out);
-  while (const uint8_t* rec = scan.Next()) {
-    uint64_t k;
-    std::memcpy(&k, rec, 8);
-    EXPECT_GE(k, prev);
-    prev = k;
-  }
-}
-
-TEST(ExternalSortTest, MultiRunMerge) {
-  const std::string path = TempPath("sortin.bin");
-  Result<Relation> in = Relation::CreateFile(path, sizeof(Rec));
-  ASSERT_TRUE(in.ok());
-  std::mt19937_64 rng(11);
-  const uint64_t n = 20000;
-  for (uint64_t i = 0; i < n; ++i) {
-    Rec r{rng() % 1000000, static_cast<uint32_t>(i), 0};
-    ASSERT_TRUE(in->Append(&r).ok());
-  }
-  ASSERT_TRUE(in->Seal().ok());
-
-  Relation out = Relation::Memory(sizeof(Rec));
-  ExternalSortOptions opts;
-  opts.memory_budget_bytes = 32 * sizeof(Rec);  // Force many runs.
-  opts.temp_dir = "/tmp";
-  ASSERT_TRUE(ExternalSort(in.value(), KeyLess(), opts, &out).ok());
-  ASSERT_EQ(out.num_rows(), n);
-  uint64_t prev = 0;
-  Relation::Scanner scan(out);
-  uint64_t count = 0;
-  while (const uint8_t* rec = scan.Next()) {
-    uint64_t k;
-    std::memcpy(&k, rec, 8);
-    ASSERT_GE(k, prev);
-    prev = k;
-    ++count;
-  }
-  EXPECT_EQ(count, n);
-  ASSERT_TRUE(RemoveFile(path).ok());
 }
 
 TEST(BufferCacheTest, PinnedPrefixServesHits) {

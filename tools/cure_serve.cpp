@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   cure::Tracer::ArmFromEnv();
   const std::string dir = argv[1];
   cure::serve::CubeServerOptions server_options;
-  cure::serve::TcpServerOptions tcp_options;
+  cure::serve::LineTransportOptions tcp_options;
   cure::maintain::MaintainOptions maintain_options;
   bool live = false;
   for (int i = 2; i < argc; ++i) {

@@ -126,7 +126,7 @@ inline serve::TcpLineServer::ValueDecoder MakeDictDecoder(
 /// Serves over the TCP line protocol until stdin reaches EOF (or a lone
 /// "quit" line). Used by `cure_serve`.
 inline int RunTcpLoop(
-    serve::CubeServer* server, const serve::TcpServerOptions& tcp_options,
+    serve::CubeServer* server, const serve::LineTransportOptions& tcp_options,
     const std::vector<std::vector<etl::Dictionary>>* dictionaries) {
   Result<std::unique_ptr<serve::TcpLineServer>> tcp = serve::TcpLineServer::Start(
       server, tcp_options, MakeDictDecoder(dictionaries),
@@ -154,7 +154,7 @@ inline int RunTcpLoop(
 
 inline int RunServeLoop(const OpenedCube* opened,
                         const serve::CubeServerOptions& server_options,
-                        const serve::TcpServerOptions& tcp_options) {
+                        const serve::LineTransportOptions& tcp_options) {
   Result<std::unique_ptr<serve::CubeServer>> server =
       serve::CubeServer::Create(opened->cube.get(), server_options);
   if (!server.ok()) {
@@ -167,7 +167,7 @@ inline int RunServeLoop(const OpenedCube* opened,
 /// Live-mode serving loop: APPEND/FLUSH enabled, zero-downtime refresh.
 inline int RunLiveServeLoop(OpenedLiveCube* opened,
                             const serve::CubeServerOptions& server_options,
-                            const serve::TcpServerOptions& tcp_options) {
+                            const serve::LineTransportOptions& tcp_options) {
   Result<std::unique_ptr<serve::CubeServer>> server =
       serve::CubeServer::Create(opened->live.get(), server_options);
   if (!server.ok()) {
