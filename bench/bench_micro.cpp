@@ -5,8 +5,10 @@
 // scalar scan).
 //
 // Extra modes (both exit without running google-benchmark):
-//   --smoke               batch-vs-scalar checksum equality over memory- and
-//                         file-backed relations; exit 0 iff all match (CI).
+//   --smoke               batch-vs-scalar checksum equality, and coalesced
+//                         vs per-row row-id dereference byte equality, over
+//                         memory- and file-backed relations; exit 0 iff all
+//                         match (CI).
 //   --kernels-json=PATH   hand-timed per-kernel ns/row, scalar vs batch,
 //                         written as JSON (the BENCH_kernels.json baseline).
 
@@ -343,6 +345,53 @@ void BM_AggAccumulateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AggAccumulateBatch)->Arg(0)->Arg(1);
 
+// ---- Row-id dereference: per-row Read vs sorted, coalesced ReadRows ----
+
+/// `n` random row-ids of `rel` (unsorted, duplicates possible).
+std::vector<uint64_t> RandomRows(const cure::storage::Relation& rel, size_t n,
+                                 uint64_t seed) {
+  cure::gen::Rng rng(seed);
+  std::vector<uint64_t> rows(n);
+  for (uint64_t& row : rows) row = rng.NextRange(rel.num_rows());
+  return rows;
+}
+
+/// Per-row dereference: one Relation::Read (one pread when file-backed)
+/// per row-id.
+bool DereferencePerRow(const cure::storage::Relation& rel,
+                       const std::vector<uint64_t>& rows, uint8_t* out) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!rel.Read(rows[i], out + i * rel.record_size()).ok()) return false;
+  }
+  return true;
+}
+
+/// Batched dereference: one Relation::ReadRows for all row-ids.
+bool DereferenceBatched(const cure::storage::Relation& rel,
+                        const std::vector<uint64_t>& rows, uint8_t* out) {
+  return rel.ReadRows(rows.data(), rows.size(), out).ok();
+}
+
+// One query's dereference chunk of random row-ids; arg 0: file-backed,
+// arg 1: batched.
+void BM_RowIdDereference(benchmark::State& state) {
+  const cure::storage::Relation& rel = KernelRelation(state.range(0) != 0);
+  const bool batched = state.range(1) != 0;
+  const std::vector<uint64_t> rows = RandomRows(rel, 16384, 31);
+  std::vector<uint8_t> out(rows.size() * rel.record_size());
+  for (auto _ : state) {
+    const bool ok = batched ? DereferenceBatched(rel, rows, out.data())
+                            : DereferencePerRow(rel, rows, out.data());
+    if (!ok) {
+      state.SkipWithError("dereference failed");
+      return;
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_RowIdDereference)->ArgsProduct({{0, 1}, {0, 1}});
+
 /// Median-of-repeats wall time of `fn`, in nanoseconds per row.
 template <typename Fn>
 double TimeNsPerRow(Fn fn, uint64_t rows, int repeats = 5) {
@@ -375,6 +424,23 @@ int RunSmoke() {
                   file_backed ? "file" : "memory", block_rows,
                   static_cast<unsigned long long>(hist),
                   static_cast<unsigned long long>(agg), ok ? "OK" : "MISMATCH");
+    }
+  }
+  // Row-id dereference: coalesced ReadRows must return the bytes of one
+  // Read per row, for sparse, dense and single-row requests.
+  for (bool file_backed : {false, true}) {
+    const cure::storage::Relation& rel = KernelRelation(file_backed);
+    for (size_t n : {1ul, 100ul, 16384ul, 200000ul}) {
+      const std::vector<uint64_t> rows = RandomRows(rel, n, 37 + n);
+      std::vector<uint8_t> per_row(n * rel.record_size());
+      std::vector<uint8_t> batched(n * rel.record_size(), 0xA5);
+      const bool ok = DereferencePerRow(rel, rows, per_row.data()) &&
+                      DereferenceBatched(rel, rows, batched.data()) &&
+                      per_row == batched;
+      failures += ok ? 0 : 1;
+      std::printf("smoke %s deref rows=%zu %s\n",
+                  file_backed ? "file" : "memory", n,
+                  ok ? "OK" : "MISMATCH");
     }
   }
   std::printf(failures == 0 ? "SMOKE PASS\n" : "SMOKE FAIL\n");

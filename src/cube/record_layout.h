@@ -184,20 +184,6 @@ class RecordLayout {
     }
   }
 
-  /// Gathers the row-id at `byte_offset` of every record of `block` into
-  /// `out` as in-memory RowIds.
-  void GatherRowIds(const storage::RowBlock& block, size_t byte_offset,
-                    RowId* out) const {
-    if (rowid_width_ == 8) {
-      storage::GatherBlockU64(block, byte_offset, out);
-      return;
-    }
-    storage::GatherBlockU32ToU64(block, byte_offset, out);
-    for (size_t i = 0; i < block.rows; ++i) {
-      out[i] = WidenRowId(static_cast<uint32_t>(out[i]));
-    }
-  }
-
   /// Gathers aggregate y of every record of `block`, whose aggregate block
   /// starts at `block_offset`, into `out` widened to int64.
   void GatherAggregate(const storage::RowBlock& block, size_t block_offset,

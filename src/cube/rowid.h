@@ -20,6 +20,7 @@ inline constexpr RowId kRowIdOrdinalMask = (RowId{1} << kRowIdSourceShift) - 1;
 /// Source tags.
 inline constexpr uint32_t kSourceFact = 0;   ///< the original fact table R
 inline constexpr uint32_t kSourceNodeN = 1;  ///< the partition-pass node N
+inline constexpr uint32_t kNumSourceTags = 2;
 
 inline RowId MakeRowId(uint32_t source, uint64_t ordinal) {
   return (RowId{source} << kRowIdSourceShift) | ordinal;

@@ -1,5 +1,6 @@
 #include "cube/source.h"
 
+#include <algorithm>
 #include <cstring>
 #include <tuple>
 
@@ -7,6 +8,21 @@
 
 namespace cure {
 namespace cube {
+
+namespace {
+
+// GetRows as one GetRow per row: the in-memory accessors' batch read.
+Status GetRowsOneByOne(const SourceAccessor& src, const uint64_t* ordinals,
+                       size_t n, uint32_t* dims, size_t num_dims,
+                       int64_t* aggrs, size_t num_aggrs) {
+  for (size_t i = 0; i < n; ++i) {
+    CURE_RETURN_IF_ERROR(src.GetRow(ordinals[i], dims + i * num_dims,
+                                    aggrs + i * num_aggrs));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status FactTableSource::GetRow(uint64_t ordinal, uint32_t* dims,
                                int64_t* aggrs) const {
@@ -22,6 +38,12 @@ Status FactTableSource::GetRow(uint64_t ordinal, uint32_t* dims,
   return Status::OK();
 }
 
+Status FactTableSource::GetRows(const uint64_t* ordinals, size_t n,
+                                uint32_t* dims, int64_t* aggrs) const {
+  return GetRowsOneByOne(*this, ordinals, n, dims, table_->num_dims(), aggrs,
+                         aggregator_.num_aggregates());
+}
+
 Result<std::unique_ptr<FactRelationSource>> FactRelationSource::Create(
     const storage::Relation* relation, const schema::CubeSchema* schema,
     double cached_fraction) {
@@ -34,21 +56,37 @@ Result<std::unique_ptr<FactRelationSource>> FactRelationSource::Create(
   return src;
 }
 
+void FactRelationSource::Decode(const uint8_t* rec, uint32_t* dims,
+                                int64_t* aggrs) const {
+  std::memcpy(dims, rec, 4ull * num_dims_);
+  int64_t raw[16];
+  CURE_CHECK_LE(num_raw_, 16);
+  std::memcpy(raw, rec + 4ull * num_dims_, 8ull * num_raw_);
+  aggregator_.Lift(raw, aggrs);
+}
+
 Status FactRelationSource::GetRow(uint64_t ordinal, uint32_t* dims,
                                   int64_t* aggrs) const {
   uint8_t rec[256];
-  const size_t width = relation_->record_size();
-  CURE_CHECK_LE(width, sizeof(rec));
+  CURE_CHECK_LE(relation_->record_size(), sizeof(rec));
   const uint8_t* p = cache_.TryRaw(ordinal);
   if (p == nullptr) {
     CURE_RETURN_IF_ERROR(cache_.Read(ordinal, rec));
     p = rec;
   }
-  std::memcpy(dims, p, 4ull * num_dims_);
-  int64_t raw[16];
-  CURE_CHECK_LE(num_raw_, 16);
-  std::memcpy(raw, p + 4ull * num_dims_, 8ull * num_raw_);
-  aggregator_.Lift(raw, aggrs);
+  Decode(p, dims, aggrs);
+  return Status::OK();
+}
+
+Status FactRelationSource::GetRows(const uint64_t* ordinals, size_t n,
+                                   uint32_t* dims, int64_t* aggrs) const {
+  const size_t width = relation_->record_size();
+  std::vector<uint8_t> records(n * width);
+  CURE_RETURN_IF_ERROR(cache_.ReadRows(ordinals, n, records.data()));
+  const int y = aggregator_.num_aggregates();
+  for (size_t i = 0; i < n; ++i) {
+    Decode(records.data() + i * width, dims + i * num_dims_, aggrs + i * y);
+  }
   return Status::OK();
 }
 
@@ -64,14 +102,21 @@ Status AggTableSource::GetRow(uint64_t ordinal, uint32_t* dims,
   return Status::OK();
 }
 
+Status AggTableSource::GetRows(const uint64_t* ordinals, size_t n,
+                               uint32_t* dims, int64_t* aggrs) const {
+  return GetRowsOneByOne(*this, ordinals, n, dims, table_->dims.size(), aggrs,
+                         table_->aggrs.size());
+}
+
 void SourceSet::Register(uint32_t source_tag,
                          std::shared_ptr<SourceAccessor> accessor) {
+  CURE_CHECK_LT(source_tag, kNumSourceTags);
   if (accessors_.size() <= source_tag) accessors_.resize(source_tag + 1);
   accessors_[source_tag] = std::move(accessor);
-  // Eagerly build every level map reachable from this source's native
-  // levels. The maps are small (one uint32 per code at the native level),
-  // and after this prewarm ProjectDims never mutates level_maps_ — which is
-  // what lets concurrent query workers share one SourceSet without locking.
+  // Build every level map reachable from this source's native levels. The
+  // maps are small (one uint32 per code at the native level), and nothing
+  // adds to level_maps_ after registration — which is what lets concurrent
+  // query workers share one SourceSet without locking.
   const SourceAccessor* src = accessors_[source_tag].get();
   for (int d = 0; d < schema_->num_dims(); ++d) {
     const int from = src->native_level(d);
@@ -92,6 +137,13 @@ const SourceAccessor* SourceSet::Get(uint32_t source_tag) const {
   return accessors_[source_tag].get();
 }
 
+bool SourceSet::reads_files() const {
+  return std::any_of(accessors_.begin(), accessors_.end(),
+                     [](const std::shared_ptr<SourceAccessor>& src) {
+                       return src != nullptr && src->reads_files();
+                     });
+}
+
 Status SourceSet::GetRow(RowId rowid, uint32_t* dims, int64_t* aggrs) const {
   const SourceAccessor* src = Get(RowIdSource(rowid));
   if (src == nullptr) {
@@ -101,9 +153,57 @@ Status SourceSet::GetRow(RowId rowid, uint32_t* dims, int64_t* aggrs) const {
   return src->GetRow(RowIdOrdinal(rowid), dims, aggrs);
 }
 
-Status SourceSet::ProjectDims(uint32_t source_tag, const uint32_t* native_dims,
-                              const std::vector<int>& node_levels,
-                              uint32_t* out) const {
+Status SourceSet::GetRows(const RowId* rowids, size_t n, uint32_t* dims,
+                          int64_t* aggrs) const {
+  static_assert(kSourceFact == 0, "fact row-ids must be their own ordinals");
+  const auto is_fact = [](RowId id) { return RowIdSource(id) == kSourceFact; };
+  if (std::all_of(rowids, rowids + n, is_fact)) {
+    // The common single-source case reads straight through.
+    if (n == 0) return Status::OK();
+    const SourceAccessor* src = Get(kSourceFact);
+    if (src == nullptr) return Status::NotFound("no source registered for tag 0");
+    return src->GetRows(rowids, n, dims, aggrs);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (Get(RowIdSource(rowids[i])) == nullptr) {
+      return Status::NotFound("no source registered for tag " +
+                              std::to_string(RowIdSource(rowids[i])));
+    }
+  }
+  // Mixed sources (an external build's NTs reference R and node N): one
+  // batch read per source, scattered back into the caller's order.
+  const size_t num_dims = schema_->num_dims();
+  const size_t num_aggrs = schema_->num_aggregates();
+  std::vector<uint64_t> ordinals;
+  std::vector<size_t> at;
+  std::vector<uint32_t> part_dims;
+  std::vector<int64_t> part_aggrs;
+  for (uint32_t tag = 0; tag < accessors_.size(); ++tag) {
+    ordinals.clear();
+    at.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (RowIdSource(rowids[i]) != tag) continue;
+      ordinals.push_back(RowIdOrdinal(rowids[i]));
+      at.push_back(i);
+    }
+    if (at.empty()) continue;
+    part_dims.resize(at.size() * num_dims);
+    part_aggrs.resize(at.size() * num_aggrs);
+    CURE_RETURN_IF_ERROR(accessors_[tag]->GetRows(
+        ordinals.data(), at.size(), part_dims.data(), part_aggrs.data()));
+    for (size_t k = 0; k < at.size(); ++k) {
+      std::copy_n(part_dims.data() + k * num_dims, num_dims,
+                  dims + at[k] * num_dims);
+      std::copy_n(part_aggrs.data() + k * num_aggrs, num_aggrs,
+                  aggrs + at[k] * num_aggrs);
+    }
+  }
+  return Status::OK();
+}
+
+Status SourceSet::ResolveProjection(uint32_t source_tag,
+                                    const std::vector<int>& node_levels,
+                                    Projection* out) const {
   const SourceAccessor* src = Get(source_tag);
   if (src == nullptr) {
     return Status::NotFound("no source registered for tag " +
@@ -113,23 +213,29 @@ Status SourceSet::ProjectDims(uint32_t source_tag, const uint32_t* native_dims,
   for (int d = 0; d < schema_->num_dims(); ++d) {
     const int target = node_levels[d];
     if (target == schema_->dim(d).num_levels()) continue;  // ALL: skipped.
+    if (o == kMaxProjectedDims) {
+      return Status::InvalidArgument("node groups too many dimensions");
+    }
     const int from = src->native_level(d);
     if (from == kNativeAll) {
       return Status::Internal("node requires dimension the source projected out");
     }
-    if (from == target) {
-      out[o++] = native_dims[d];
-      continue;
+    const uint32_t* map = nullptr;
+    if (from != target) {
+      auto it = level_maps_.find(std::make_tuple(d, from, target));
+      if (it == level_maps_.end()) {
+        return Status::Internal(
+            "no level map from level " + std::to_string(from) + " to " +
+            std::to_string(target) + " of dimension '" +
+            schema_->dim(d).name() + "'");
+      }
+      map = it->second.data();
     }
-    const auto key = std::make_tuple(d, from, target);
-    auto it = level_maps_.find(key);
-    if (it == level_maps_.end()) {
-      CURE_ASSIGN_OR_RETURN(std::vector<uint32_t> map,
-                            schema_->dim(d).LevelToLevelMap(from, target));
-      it = level_maps_.emplace(key, std::move(map)).first;
-    }
-    out[o++] = it->second[native_dims[d]];
+    out->dim_[o] = d;
+    out->map_[o] = map;
+    ++o;
   }
+  out->num_out_ = o;
   return Status::OK();
 }
 

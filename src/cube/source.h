@@ -39,6 +39,15 @@ class SourceAccessor {
 
   /// Reads row `ordinal`: D native dimension codes and Y lifted aggregates.
   virtual Status GetRow(uint64_t ordinal, uint32_t* dims, int64_t* aggrs) const = 0;
+
+  /// Reads rows `ordinals[0..n)` (any order): row i's D codes to
+  /// `dims + i * D`, its Y aggregates to `aggrs + i * Y`. In-memory sources
+  /// call GetRow per row; file-backed ones read in ordinal order instead.
+  virtual Status GetRows(const uint64_t* ordinals, size_t n, uint32_t* dims,
+                         int64_t* aggrs) const = 0;
+
+  /// True when rows may come from a file, i.e. batching reads pays.
+  virtual bool reads_files() const { return false; }
 };
 
 /// Accessor over an in-memory FactTable (native level 0 everywhere).
@@ -50,6 +59,8 @@ class FactTableSource : public SourceAccessor {
   uint64_t num_rows() const override { return table_->num_rows(); }
   int native_level(int) const override { return 0; }
   Status GetRow(uint64_t ordinal, uint32_t* dims, int64_t* aggrs) const override;
+  Status GetRows(const uint64_t* ordinals, size_t n, uint32_t* dims,
+                 int64_t* aggrs) const override;
 
  private:
   const schema::FactTable* table_;
@@ -70,6 +81,11 @@ class FactRelationSource : public SourceAccessor {
   uint64_t num_rows() const override { return relation_->num_rows(); }
   int native_level(int) const override { return 0; }
   Status GetRow(uint64_t ordinal, uint32_t* dims, int64_t* aggrs) const override;
+  /// Pinned rows from memory, the rest in one sorted, coalesced
+  /// BufferCache::ReadRows.
+  Status GetRows(const uint64_t* ordinals, size_t n, uint32_t* dims,
+                 int64_t* aggrs) const override;
+  bool reads_files() const override { return !relation_->memory_backed(); }
 
   const storage::BufferCache& cache() const { return cache_; }
 
@@ -80,6 +96,9 @@ class FactRelationSource : public SourceAccessor {
         aggregator_(*schema),
         num_dims_(schema->num_dims()),
         num_raw_(schema->num_raw_measures()) {}
+
+  /// Decodes one fact record into native codes and lifted aggregates.
+  void Decode(const uint8_t* rec, uint32_t* dims, int64_t* aggrs) const;
 
   const storage::Relation* relation_;
   Aggregator aggregator_;
@@ -116,44 +135,77 @@ class AggTableSource : public SourceAccessor {
   uint64_t num_rows() const override { return table_->num_rows; }
   int native_level(int d) const override { return table_->native_levels[d]; }
   Status GetRow(uint64_t ordinal, uint32_t* dims, int64_t* aggrs) const override;
+  Status GetRows(const uint64_t* ordinals, size_t n, uint32_t* dims,
+                 int64_t* aggrs) const override;
 
  private:
   const AggTable* table_;
 };
 
-/// The set of row-id sources of a cube, indexed by source tag, plus a cache
-/// of level-to-level code maps for projecting native codes onto a node's
-/// grouping levels.
+/// Most grouping dimensions a Projection carries (the query engine's limit).
+inline constexpr int kMaxProjectedDims = 64;
+
+/// One source's native codes projected onto one node's grouping levels, with
+/// the level map of every grouping dimension resolved up front (nullptr when
+/// the source already stores that level).
+class Projection {
+ public:
+  /// Writes one code per grouping dimension, in dimension order.
+  void Apply(const uint32_t* native, uint32_t* out) const {
+    for (int o = 0; o < num_out_; ++o) {
+      const uint32_t code = native[dim_[o]];
+      out[o] = map_[o] == nullptr ? code : map_[o][code];
+    }
+  }
+
+ private:
+  friend class SourceSet;
+  int num_out_ = 0;
+  int dim_[kMaxProjectedDims];
+  const uint32_t* map_[kMaxProjectedDims];
+};
+
+/// The set of row-id sources of a cube, indexed by source tag, plus every
+/// level-to-level code map that projects a source's native codes onto a
+/// node's grouping levels.
 ///
-/// Thread-safety: Register() prewarms every level map derivable from the
-/// source's native levels, so once registration is done the set is
-/// effectively immutable and ProjectDims/GetRow are safe to call from many
-/// threads at once (the serving layer relies on this).
+/// Thread-safety: Register() builds every level map derivable from the
+/// source's native levels, and nothing mutates the set afterwards, so once
+/// registration is done GetRow/GetRows/ResolveProjection are safe to call
+/// from many threads at once (the serving layer relies on this).
 class SourceSet {
  public:
   explicit SourceSet(const schema::CubeSchema* schema) : schema_(schema) {}
 
-  /// Registers an accessor and eagerly builds its projection maps. Not
-  /// thread-safe; call before sharing the set across query workers.
+  /// Registers an accessor and builds its projection maps. Not thread-safe;
+  /// call before sharing the set across query workers.
   void Register(uint32_t source_tag, std::shared_ptr<SourceAccessor> accessor);
   const SourceAccessor* Get(uint32_t source_tag) const;
   const schema::CubeSchema& schema() const { return *schema_; }
+  /// True when some registered source reads from a file.
+  bool reads_files() const;
 
   /// Dereferences a namespaced row-id into native dims + lifted aggregates.
   Status GetRow(RowId rowid, uint32_t* dims, int64_t* aggrs) const;
 
-  /// Projects native codes of `source_tag` onto `node_levels` (ALL levels
-  /// skipped); writes one code per grouping dimension, in dimension order.
-  /// Fails if some grouping level is not derivable from the source's native
-  /// level.
-  Status ProjectDims(uint32_t source_tag, const uint32_t* native_dims,
-                     const std::vector<int>& node_levels, uint32_t* out) const;
+  /// GetRow for `rowids[0..n)` (any order, sources may mix): row i's D
+  /// native codes to `dims + i * D`, its Y aggregates to `aggrs + i * Y`.
+  /// Each source reads its rows with one SourceAccessor::GetRows.
+  Status GetRows(const RowId* rowids, size_t n, uint32_t* dims,
+                 int64_t* aggrs) const;
+
+  /// Resolves the projection of `source_tag`'s native codes onto
+  /// `node_levels` (ALL levels skipped). Internal when some grouping level
+  /// is not derivable from the source's native level.
+  Status ResolveProjection(uint32_t source_tag,
+                           const std::vector<int>& node_levels,
+                           Projection* out) const;
 
  private:
   const schema::CubeSchema* schema_;
   std::vector<std::shared_ptr<SourceAccessor>> accessors_;
-  /// (dim, from_level, to_level) -> code map; built lazily.
-  mutable std::map<std::tuple<int, int, int>, std::vector<uint32_t>> level_maps_;
+  /// (dim, from_level, to_level) -> code map; complete after Register().
+  std::map<std::tuple<int, int, int>, std::vector<uint32_t>> level_maps_;
 };
 
 }  // namespace cube

@@ -55,6 +55,128 @@ Status CureQueryEngine::QueryNodeSlicedIceberg(NodeId id,
   return QueryImpl(id, count_aggregate, min_count, &slices, sink);
 }
 
+namespace {
+
+/// What a query does with a dereferenced source row: project its native
+/// codes onto the node's levels through the Projection resolved once for its
+/// source, apply the slices, emit.
+class RowEmitter {
+ public:
+  /// `count_aggregate` < 0 disables the iceberg test.
+  RowEmitter(const cube::SourceSet& sources, const std::vector<int>& levels,
+             const std::vector<SliceFilter>& slices, int count_aggregate,
+             int64_t min_count, int g, int y, ResultSink* sink)
+      : slices_(slices),
+        count_aggregate_(count_aggregate),
+        min_count_(min_count),
+        g_(g),
+        y_(y),
+        sink_(sink) {
+    for (uint32_t tag = 0; tag < cube::kNumSourceTags; ++tag) {
+      resolved_[tag] =
+          sources.ResolveProjection(tag, levels, &projection_[tag]);
+    }
+  }
+
+  bool PassesSlices(const uint32_t* dims) const {
+    return std::all_of(slices_.begin(), slices_.end(),
+                       [&](const SliceFilter& p) { return p.Passes(dims); });
+  }
+
+  /// Emits the row behind `rowid` (native codes `native`) with `aggrs`
+  /// when it passes the iceberg test, projected onto the node and sliced.
+  Status Emit(RowId rowid, const uint32_t* native, const int64_t* aggrs) {
+    if (count_aggregate_ >= 0 && aggrs[count_aggregate_] < min_count_) {
+      return Status::OK();
+    }
+    const uint32_t tag = cube::RowIdSource(rowid);
+    if (tag >= cube::kNumSourceTags) {
+      return Status::NotFound("no source registered for tag " +
+                              std::to_string(tag));
+    }
+    // A source that cannot serve this node (or is not registered) fails
+    // the query only when one of its rows shows up.
+    if (!resolved_[tag].ok()) return resolved_[tag];
+    projection_[tag].Apply(native, dims_);
+    if (PassesSlices(dims_)) sink_->Emit(dims_, g_, aggrs, y_);
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<SliceFilter>& slices_;
+  const int count_aggregate_;
+  const int64_t min_count_;
+  const int g_;
+  const int y_;
+  ResultSink* const sink_;
+  cube::Projection projection_[cube::kNumSourceTags];
+  Status resolved_[cube::kNumSourceTags];
+  uint32_t dims_[cube::kMaxProjectedDims];
+};
+
+/// The block path's row-id dereference buffer (DESIGN.md §13). Tuples whose
+/// codes live behind a row-id are queued with the aggregates they carry; a
+/// flush dereferences the whole chunk with one SourceSet::GetRows — a
+/// file-backed source reads it in row-id order, nearby rows coalesced into
+/// one read — and then emits the tuples in queue order, the order the
+/// record-at-a-time path emits them in. With every source in memory there
+/// is no read to save, and each tuple is flushed as it is queued. The
+/// vectors grow only as tuples are queued and are reused across flushes.
+class DerefBuffer {
+ public:
+  DerefBuffer(const cube::SourceSet& sources, RowEmitter* emitter,
+              int num_dims, int y)
+      : sources_(sources),
+        emitter_(emitter),
+        chunk_rows_(sources.reads_files() ? kDereferenceChunkRows : 1),
+        num_dims_(num_dims),
+        y_(y) {}
+
+  /// Queues a tuple that carries its own aggregates (an NT or a CAT).
+  Status Add(RowId rowid, const int64_t* aggrs) {
+    carried_.insert(carried_.end(), aggrs, aggrs + y_);
+    return Add(rowid);
+  }
+
+  /// Queues a tuple emitted with its source row's aggregates (a TT). One
+  /// flush never mixes the two kinds: the caller flushes between them.
+  Status Add(RowId rowid) {
+    rowids_.push_back(rowid);
+    return rowids_.size() < chunk_rows_ ? Status::OK() : Flush();
+  }
+
+  Status Flush() {
+    const size_t n = rowids_.size();
+    if (n == 0) return Status::OK();
+    native_.resize(n * num_dims_);
+    row_aggrs_.resize(n * y_);
+    CURE_RETURN_IF_ERROR(sources_.GetRows(rowids_.data(), n, native_.data(),
+                                          row_aggrs_.data()));
+    const int64_t* aggrs =
+        carried_.empty() ? row_aggrs_.data() : carried_.data();
+    for (size_t i = 0; i < n; ++i) {
+      CURE_RETURN_IF_ERROR(emitter_->Emit(
+          rowids_[i], native_.data() + i * num_dims_, aggrs + i * y_));
+    }
+    rowids_.clear();
+    carried_.clear();
+    return Status::OK();
+  }
+
+ private:
+  const cube::SourceSet& sources_;
+  RowEmitter* const emitter_;
+  const size_t chunk_rows_;
+  const size_t num_dims_;
+  const size_t y_;
+  std::vector<RowId> rowids_;
+  std::vector<int64_t> carried_;
+  std::vector<uint32_t> native_;
+  std::vector<int64_t> row_aggrs_;
+};
+
+}  // namespace
+
 Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
                                   int64_t min_count,
                                   const std::vector<Slice>* slices,
@@ -89,11 +211,6 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
       prepared.push_back({std::move(*column), slice.code});
     }
   }
-  auto passes_slices = [&](const uint32_t* out_dims) {
-    return std::all_of(
-        prepared.begin(), prepared.end(),
-        [&](const SliceFilter& p) { return p.Passes(out_dims); });
-  };
 
   uint32_t native[64];
   uint32_t dims[64];
@@ -106,12 +223,15 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
   const size_t block_rows = engine::ResolveBatchRows(batch_rows_);
   const cube::RecordLayout& layout = store.layout();
   const size_t nt_aggrs_offset = store.NtAggregatesOffset(g);
+  RowEmitter emitter(sources_, levels, prepared, iceberg ? count_aggregate : -1,
+                     min_count, g, y, sink);
+  DerefBuffer deref(sources_, &emitter, num_dims, y);
 
   // Normal tuples.
   if (node != nullptr && node->has_nt && block_rows > 1) {
     // Block path: predicates run as selection-vector kernels over column
     // slices gathered once per block; only surviving rows are materialized
-    // (and, in the row-id scheme, dereferenced through the sources).
+    // (and, in the row-id scheme, queued for dereference).
     CURE_TRACE_SPAN("cure.engine.kernel.nt_scan", "rows", node->nt.num_rows());
     const bool dims_in_nt = store.options().dims_in_nt;
     storage::Relation::BlockScanner scan(node->nt, block_rows);
@@ -149,93 +269,100 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
         layout.GetAggregates(rec + nt_aggrs_offset, aggrs);
         if (dims_in_nt) {
           std::memcpy(dims, rec, 4ull * g);
+          sink->Emit(dims, g, aggrs, y);
         } else {
-          const RowId rowid = layout.GetRowId(rec);
-          CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-          CURE_RETURN_IF_ERROR(sources_.ProjectDims(cube::RowIdSource(rowid),
-                                                    native, levels, dims));
-          if (!passes_slices(dims)) continue;
+          CURE_RETURN_IF_ERROR(deref.Add(layout.GetRowId(rec), aggrs));
         }
-        sink->Emit(dims, g, aggrs, y);
       }
     }
     CURE_RETURN_IF_ERROR(scan.status());
+    CURE_RETURN_IF_ERROR(deref.Flush());
   } else if (node != nullptr && node->has_nt) {
     storage::Relation::Scanner scan(node->nt);
     while (const uint8_t* rec = scan.Next()) {
       layout.GetAggregates(rec + nt_aggrs_offset, aggrs);
       if (store.options().dims_in_nt) {
         std::memcpy(dims, rec, 4ull * g);
+        if (iceberg && aggrs[count_aggregate] < min_count) continue;
+        if (emitter.PassesSlices(dims)) sink->Emit(dims, g, aggrs, y);
       } else {
         const RowId rowid = layout.GetRowId(rec);
         CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-        CURE_RETURN_IF_ERROR(
-            sources_.ProjectDims(cube::RowIdSource(rowid), native, levels, dims));
+        CURE_RETURN_IF_ERROR(emitter.Emit(rowid, native, aggrs));
       }
-      if (iceberg && aggrs[count_aggregate] < min_count) continue;
-      if (!passes_slices(dims)) continue;
-      sink->Emit(dims, g, aggrs, y);
     }
     CURE_RETURN_IF_ERROR(scan.status());
   }
 
-  // Common aggregate tuples. The block scanner batches the CAT relation
-  // reads; the per-row aggregate-table dereference is inherently random
-  // access and stays scalar.
+  // Common aggregate tuples: each CAT's aggregates (and, in format (a), its
+  // R-rowid) live in the AGGREGATES relation at the CAT's arowid.
   if (node != nullptr && node->has_cat) {
     const storage::Relation& aggregates = store.aggregates();
-    uint8_t agg_rec[256];
-    CURE_CHECK_LE(aggregates.record_size(), sizeof(agg_rec));
+    const size_t agg_width = aggregates.record_size();
     const size_t arowid_offset = store.CatArowidOffset();
     const size_t agg_offset = store.AggregatesAggrOffset();
-    auto emit_cat = [&](const uint8_t* rec) -> Status {
-      CURE_RETURN_IF_ERROR(
-          aggregates.Read(layout.GetArowid(rec + arowid_offset), agg_rec));
-      // Format (a) keeps the R-rowid in AGGREGATES, format (b) in the CAT.
-      const RowId rowid = layout.GetRowId(
-          store.cat_format() == CatFormat::kFormatA ? agg_rec : rec);
-      layout.GetAggregates(agg_rec + agg_offset, aggrs);
-      if (iceberg && aggrs[count_aggregate] < min_count) return Status::OK();
-      CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-      CURE_RETURN_IF_ERROR(
-          sources_.ProjectDims(cube::RowIdSource(rowid), native, levels, dims));
-      if (!passes_slices(dims)) return Status::OK();
-      sink->Emit(dims, g, aggrs, y);
-      return Status::OK();
-    };
+    const bool format_a = store.cat_format() == CatFormat::kFormatA;
     if (block_rows > 1) {
-      storage::Relation::BlockScanner scan(node->cat, block_rows);
+      // Block path: one sorted, coalesced AGGREGATES read per CAT block,
+      // then the iceberg test and the queue for the source dereference.
+      const size_t cat_block =
+          std::min<uint64_t>(block_rows, node->cat.num_rows());
+      storage::Relation::BlockScanner scan(node->cat, cat_block);
       storage::RowBlock block;
+      std::vector<uint64_t> arowids(cat_block);
+      std::vector<uint8_t> agg_recs(cat_block * agg_width);
       while (scan.Next(&block)) {
         for (size_t i = 0; i < block.rows; ++i) {
-          CURE_RETURN_IF_ERROR(emit_cat(block.record(i)));
+          arowids[i] = layout.GetArowid(block.record(i) + arowid_offset);
+        }
+        CURE_RETURN_IF_ERROR(
+            aggregates.ReadRows(arowids.data(), block.rows, agg_recs.data()));
+        for (size_t i = 0; i < block.rows; ++i) {
+          const uint8_t* agg_rec = agg_recs.data() + i * agg_width;
+          // Format (a) keeps the R-rowid in AGGREGATES, format (b) in the CAT.
+          const RowId rowid =
+              layout.GetRowId(format_a ? agg_rec : block.record(i));
+          layout.GetAggregates(agg_rec + agg_offset, aggrs);
+          if (iceberg && aggrs[count_aggregate] < min_count) continue;
+          CURE_RETURN_IF_ERROR(deref.Add(rowid, aggrs));
         }
       }
       CURE_RETURN_IF_ERROR(scan.status());
+      CURE_RETURN_IF_ERROR(deref.Flush());
     } else {
+      uint8_t agg_rec[256];
+      CURE_CHECK_LE(agg_width, sizeof(agg_rec));
       storage::Relation::Scanner scan(node->cat);
       while (const uint8_t* rec = scan.Next()) {
-        CURE_RETURN_IF_ERROR(emit_cat(rec));
+        CURE_RETURN_IF_ERROR(
+            aggregates.Read(layout.GetArowid(rec + arowid_offset), agg_rec));
+        const RowId rowid = layout.GetRowId(format_a ? agg_rec : rec);
+        layout.GetAggregates(agg_rec + agg_offset, aggrs);
+        if (iceberg && aggrs[count_aggregate] < min_count) continue;
+        CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
+        CURE_RETURN_IF_ERROR(emitter.Emit(rowid, native, aggrs));
       }
       CURE_RETURN_IF_ERROR(scan.status());
     }
   }
 
-  // Trivial tuples, shared along the plan path (skipped entirely for
-  // iceberg queries: a TT's count is always 1).
-  if (!iceberg) {
-    const int region = cube_->NodeRegion(id);
+  // Trivial tuples, shared along the plan path. A TT stands for one source
+  // row: a fact row's COUNT is 1, so iceberg queries skip the TTs of nodes
+  // built from R outright; a node-N row (region 1 of a partitioned build)
+  // aggregates many fact rows and takes the emitter's iceberg test. The
+  // block path queues the whole path's row-ids, so one dereference chunk
+  // spans several TT relations.
+  const int region = cube_->NodeRegion(id);
+  if (!iceberg || region != 0) {
+    auto emit_tt = [&](RowId rowid) -> Status {
+      if (block_rows > 1) return deref.Add(rowid);
+      CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
+      return emitter.Emit(rowid, native, row_aggrs);
+    };
     for (NodeId path_node : plan_.PathFromRoot(id)) {
       if (cube_->NodeRegion(path_node) != region) continue;
       const CubeStore::NodeData* pd = store.node(path_node);
       if (pd == nullptr) continue;
-      auto emit_tt = [&](RowId rowid) -> Status {
-        CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-        CURE_RETURN_IF_ERROR(
-            sources_.ProjectDims(cube::RowIdSource(rowid), native, levels, dims));
-        if (passes_slices(dims)) sink->Emit(dims, g, row_aggrs, y);
-        return Status::OK();
-      };
       if (pd->tt_bitmap != nullptr) {
         Status status = Status::OK();
         pd->tt_bitmap->ForEach([&](uint64_t ordinal) {
@@ -244,15 +371,11 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
         });
         CURE_RETURN_IF_ERROR(status);
       } else if (pd->has_tt && block_rows > 1) {
-        // Block path: one contiguous row-id gather per block, then the
-        // scalar per-row dereference/emit.
         storage::Relation::BlockScanner scan(pd->tt, block_rows);
         storage::RowBlock block;
-        std::vector<RowId> rowids(block_rows);
         while (scan.Next(&block)) {
-          layout.GatherRowIds(block, 0, rowids.data());
           for (size_t i = 0; i < block.rows; ++i) {
-            CURE_RETURN_IF_ERROR(emit_tt(rowids[i]));
+            CURE_RETURN_IF_ERROR(deref.Add(layout.GetRowId(block.record(i))));
           }
         }
         CURE_RETURN_IF_ERROR(scan.status());
@@ -264,6 +387,7 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
         CURE_RETURN_IF_ERROR(scan.status());
       }
     }
+    CURE_RETURN_IF_ERROR(deref.Flush());
   }
   return Status::OK();
 }

@@ -16,6 +16,12 @@
 namespace cure {
 namespace query {
 
+/// Row-ids the block path of CureQueryEngine dereferences per batch when a
+/// source reads from a file: the dereference buffer is flushed when it holds
+/// this many tuples and between the NT, CAT and TT parts of a query
+/// (DESIGN.md §13).
+inline constexpr size_t kDereferenceChunkRows = 16384;
+
 /// Receives query result tuples. Always counts tuples and maintains an
 /// order-independent checksum; with `retain` it also materializes the rows
 /// (tests and the flat-cube roll-up path use that).
@@ -82,9 +88,11 @@ class CureQueryEngine {
   /// Emits every tuple of lattice node `id`.
   Status QueryNode(schema::NodeId id, ResultSink* sink) const;
 
-  /// Count-iceberg query: HAVING count >= min_count. TT relations are
-  /// skipped outright (their count is always 1), the property that makes
-  /// iceberg queries over CURE cubes orders of magnitude faster (Sec. 7).
+  /// Count-iceberg query: HAVING count >= min_count. TT relations over the
+  /// fact table are skipped outright (their count is always 1), the
+  /// property that makes iceberg queries over CURE cubes orders of
+  /// magnitude faster (Sec. 7). TTs over node N of a partitioned build
+  /// aggregate many fact rows and are tested like any other tuple.
   Status QueryNodeCountIceberg(schema::NodeId id, int count_aggregate,
                                int64_t min_count, ResultSink* sink) const;
 

@@ -43,6 +43,35 @@ Status BufferCache::Read(uint64_t row, void* out) const {
   return relation_->Read(row, out);
 }
 
+Status BufferCache::ReadRows(const uint64_t* rows, size_t n,
+                             uint8_t* out) const {
+  if (relation_->memory_backed()) {
+    hits_.fetch_add(n, std::memory_order_relaxed);
+    return relation_->ReadRows(rows, n, out);
+  }
+  const size_t width = relation_->record_size();
+  std::vector<uint64_t> miss_rows;
+  std::vector<size_t> miss_at;
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i] < cached_rows_) {
+      std::memcpy(out + i * width, pinned_.data() + rows[i] * width, width);
+    } else {
+      miss_rows.push_back(rows[i]);
+      miss_at.push_back(i);
+    }
+  }
+  hits_.fetch_add(n - miss_rows.size(), std::memory_order_relaxed);
+  if (miss_rows.empty()) return Status::OK();
+  misses_.fetch_add(miss_rows.size(), std::memory_order_relaxed);
+  std::vector<uint8_t> missed(miss_rows.size() * width);
+  CURE_RETURN_IF_ERROR(
+      relation_->ReadRows(miss_rows.data(), miss_rows.size(), missed.data()));
+  for (size_t m = 0; m < miss_at.size(); ++m) {
+    std::memcpy(out + miss_at[m] * width, missed.data() + m * width, width);
+  }
+  return Status::OK();
+}
+
 const uint8_t* BufferCache::TryRaw(uint64_t row) const {
   if (relation_ == nullptr) return nullptr;
   if (relation_->memory_backed()) {

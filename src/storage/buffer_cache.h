@@ -33,6 +33,12 @@ class BufferCache {
   /// Reads the record at `row` into `out`, serving from cache if pinned.
   Status Read(uint64_t row, void* out) const;
 
+  /// Multi-row Read: record i of `rows[0..n)` to `out + i * record_size`.
+  /// Pinned rows are served from memory; the misses go to the relation in
+  /// one Relation::ReadRows (sorted, coalesced). Hits and misses are
+  /// counted per row, exactly as n calls of Read() would count them.
+  Status ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const;
+
   /// Zero-copy access: returns a pointer when the row is cached or the
   /// relation is memory-backed, nullptr otherwise.
   const uint8_t* TryRaw(uint64_t row) const;

@@ -1,5 +1,8 @@
 #include "storage/relation.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/logging.h"
 
 namespace cure {
@@ -86,12 +89,64 @@ Status Relation::Read(uint64_t row, void* out) const {
     std::memcpy(out, data_.data() + row * record_size_, record_size_);
     return Status::OK();
   }
-  if (shared_reader_ != nullptr) {
-    return shared_reader_->ReadAt(view_offset_ + row * record_size_, out,
-                                  record_size_);
+  const FileReader* reader = file_reader();
+  if (reader == nullptr) return Status::Internal("Read from unsealed file relation");
+  return reader->ReadAt(view_offset_ + row * record_size_, out, record_size_);
+}
+
+Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i] >= num_rows_) {
+      return Status::OutOfRange("row " + std::to_string(rows[i]) + " >= " +
+                                std::to_string(num_rows_));
+    }
   }
-  if (reader_ == nullptr) return Status::Internal("Read from unsealed file relation");
-  return reader_->ReadAt(row * record_size_, out, record_size_);
+  const size_t width = record_size_;
+  if (memory_) {
+    for (size_t i = 0; i < n; ++i) {
+      std::memcpy(out + i * width, data_.data() + rows[i] * width, width);
+    }
+    return Status::OK();
+  }
+  const FileReader* reader = file_reader();
+  if (reader == nullptr) return Status::Internal("Read from unsealed file relation");
+  // Visit the rows in ascending order without reordering the caller's.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  if (!std::is_sorted(rows, rows + n)) {
+    std::sort(order.begin(), order.end(), [rows](size_t a, size_t b) {
+      return rows[a] < rows[b];
+    });
+  }
+  std::vector<uint8_t> run;
+  for (size_t i = 0; i < n;) {
+    // Extend the run while the next record starts within the gap limit of
+    // the last one and the whole run stays within the run limit.
+    const uint64_t first = rows[order[i]];
+    uint64_t last = first;
+    size_t j = i + 1;
+    for (; j < n; ++j) {
+      const uint64_t next = rows[order[j]];
+      if ((next - last) * width > kCoalesceGapBytes + width ||
+          (next - first + 1) * width > kCoalesceRunBytes) {
+        break;
+      }
+      last = next;
+    }
+    const uint64_t offset = view_offset_ + first * width;
+    if (j == i + 1) {
+      CURE_RETURN_IF_ERROR(reader->ReadAt(offset, out + order[i] * width, width));
+    } else {
+      run.resize((last - first + 1) * width);
+      CURE_RETURN_IF_ERROR(reader->ReadAt(offset, run.data(), run.size()));
+      for (size_t k = i; k < j; ++k) {
+        std::memcpy(out + order[k] * width,
+                    run.data() + (rows[order[k]] - first) * width, width);
+      }
+    }
+    i = j;
+  }
+  return Status::OK();
 }
 
 Relation::Scanner::Scanner(const Relation& rel, size_t buffer_records)
@@ -111,9 +166,7 @@ const uint8_t* Relation::Scanner::Next() {
     const uint64_t max_records = buffer_.size() / rel_.record_size_;
     uint64_t n = rel_.num_rows() - row_;
     if (n > max_records) n = max_records;
-    const FileReader* reader = rel_.shared_reader_ != nullptr
-                                   ? rel_.shared_reader_.get()
-                                   : rel_.reader_.get();
+    const FileReader* reader = rel_.file_reader();
     Status s = reader->ReadAt(rel_.view_offset_ + row_ * rel_.record_size_,
                               buffer_.data(), n * rel_.record_size_);
     if (!s.ok()) {
@@ -153,9 +206,7 @@ bool Relation::BlockScanner::Next(RowBlock* block) {
     row_ += n;
     return true;
   }
-  const FileReader* reader = rel_.shared_reader_ != nullptr
-                                 ? rel_.shared_reader_.get()
-                                 : rel_.reader_.get();
+  const FileReader* reader = rel_.file_reader();
   if (reader == nullptr) {
     status_ = Status::Internal("block scan of unsealed file relation");
     return false;

@@ -18,6 +18,12 @@ namespace storage {
 /// Scanner.
 inline constexpr size_t kDefaultScanBufferRecords = 4096;
 
+/// Coalescing limits of Relation::ReadRows on file-backed relations: two
+/// requested records at most kCoalesceGapBytes apart share one read, and
+/// no single read spans more than kCoalesceRunBytes.
+inline constexpr uint64_t kCoalesceGapBytes = 4096;
+inline constexpr uint64_t kCoalesceRunBytes = 256 * 1024;
+
 /// A relation of fixed-width binary records, the universal container of the
 /// ROLAP layer: fact tables, partitions, per-node NT/TT/CAT relations and the
 /// AGGREGATES relation are all Relations.
@@ -59,6 +65,13 @@ class Relation {
   /// Reads the record at `row` into `out`. Requires a sealed relation for
   /// file-backed storage.
   Status Read(uint64_t row, void* out) const;
+
+  /// Reads the records at `rows[0..n)` (any order, duplicates allowed) into
+  /// `out`, record i at `out + i * record_size()`. Every row is range-checked
+  /// first. File-backed relations visit the rows in ascending order and read
+  /// each run of nearby rows (kCoalesceGapBytes / kCoalesceRunBytes) with one
+  /// FileReader::ReadAt — the row-id dereference of DESIGN.md §13.
+  Status ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const;
 
   /// Memory-backed relations expose their raw record pointer for zero-copy
   /// access; returns nullptr for file-backed ones.
@@ -131,6 +144,11 @@ class Relation {
   };
 
  private:
+  /// The reader of a sealed file-backed relation; nullptr otherwise.
+  const FileReader* file_reader() const {
+    return shared_reader_ != nullptr ? shared_reader_.get() : reader_.get();
+  }
+
   size_t record_size_ = 0;
   bool memory_ = true;
   uint64_t num_rows_ = 0;

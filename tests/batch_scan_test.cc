@@ -3,15 +3,19 @@
 // setting — scalar reference (1), a tiny odd size (3), and realistic block
 // sizes (64, 1024) — over memory- and file-backed fact relations of skewed
 // (Zipf) data, the build must produce byte-identical packed cubes and the
-// readers identical (count, checksum) query results.
+// readers identical (count, checksum) query results. The block path's
+// sorted, coalesced row-id dereference must return the scalar path's rows
+// in the scalar path's order, and surface read faults as errors.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "engine/buc.h"
 #include "engine/bubst.h"
 #include "engine/cure.h"
@@ -20,6 +24,7 @@
 #include "gen/random.h"
 #include "gen/zipf.h"
 #include "query/node_query.h"
+#include "query/reference.h"
 #include "schema/node_id.h"
 #include "storage/file_io.h"
 
@@ -250,6 +255,271 @@ TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsFileBacked) {
         << "batch_rows=" << batch;
   }
   cube->reset();  // Close the packed store before unlinking.
+  ASSERT_TRUE(storage::RemoveFile(pack_path).ok());
+  ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
+}
+
+// ---- Sorted, coalesced row-id dereference (DESIGN.md §13) ----
+
+// Wide, skewed leaf cardinalities: most base-node cells are singletons, so
+// the base node's trivial tuples outnumber one dereference chunk, while the
+// Zipf head still yields NTs and CATs.
+Dataset MakeWideZipfDataset(uint64_t tuples, uint64_t seed) {
+  Dataset ds;
+  std::vector<schema::Dimension> dims;
+  dims.push_back(schema::Dimension::Linear("A", {4000, 40, 4}));
+  dims.push_back(schema::Dimension::Linear("B", {60, 6}));
+  dims.push_back(schema::Dimension::Flat("C", 7));
+  Result<schema::CubeSchema> schema = schema::CubeSchema::Create(
+      std::move(dims), 1,
+      {{schema::AggFn::kSum, 0, "sum"}, {schema::AggFn::kCount, 0, "cnt"}});
+  EXPECT_TRUE(schema.ok());
+  ds.schema = std::move(schema).value();
+  ds.table = schema::FactTable(3, 1);
+  gen::Rng rng(seed);
+  gen::ZipfSampler zipf_a(4000, 0.9);
+  gen::ZipfSampler zipf_b(60, 0.6);
+  for (uint64_t t = 0; t < tuples; ++t) {
+    const uint32_t dims_row[3] = {zipf_a.Sample(&rng), zipf_b.Sample(&rng),
+                                  static_cast<uint32_t>(rng.NextRange(7))};
+    const int64_t m = static_cast<int64_t>(rng.NextRange(50));
+    ds.table.AppendRow(dims_row, &m);
+  }
+  return ds;
+}
+
+// One query shape: slices plus a COUNT (aggregate 1) iceberg threshold.
+struct QueryShape {
+  const char* name;
+  std::vector<CureQueryEngine::Slice> slices;
+  int64_t min_count;
+};
+
+std::vector<QueryShape> DerefShapes(const schema::CubeSchema& schema) {
+  // Slice values from the Zipf head, so the slices keep rows.
+  const uint32_t a1 = schema.dim(0).CodeAt(0, 1);
+  const uint32_t b1 = schema.dim(1).CodeAt(0, 1);
+  return {{"plain", {}, 0},
+          {"iceberg", {}, 3},
+          {"slice", {{0, 1, a1}}, 0},
+          {"slice2+iceberg", {{0, 1, a1}, {1, 1, b1}}, 2}};
+}
+
+// The reference answer of `shape` at node `id`: brute-force aggregation,
+// then the iceberg and slice filters. Empty when a slice is coarser than
+// the node's level (the engine rejects that query).
+std::vector<ResultSink::Row> ReferenceRows(const Dataset& ds, NodeId id,
+                                           const QueryShape& shape) {
+  const std::vector<int> levels = schema::NodeIdCodec(ds.schema).Decode(id);
+  for (const CureQueryEngine::Slice& slice : shape.slices) {
+    if (levels[slice.dim] > slice.level) return {};
+  }
+  Result<std::vector<ResultSink::Row>> rows =
+      query::ReferenceNodeResult(ds.schema, ds.table, id);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<ResultSink::Row> kept;
+  for (ResultSink::Row& row : rows.value()) {
+    bool keep = row.aggrs[1] >= shape.min_count;
+    for (const CureQueryEngine::Slice& slice : shape.slices) {
+      int pos = 0;
+      for (int d = 0; d < slice.dim; ++d) {
+        if (levels[d] != ds.schema.dim(d).all_level()) ++pos;
+      }
+      const int level = levels[slice.dim];
+      uint32_t code = row.dims[pos];
+      if (level != slice.level) {
+        code = ds.schema.dim(slice.dim).LevelToLevelMap(level, slice.level)
+                   .value()[code];
+      }
+      keep = keep && code == slice.code;
+    }
+    if (keep) kept.push_back(std::move(row));
+  }
+  return kept;
+}
+
+bool SameRowsInOrder(const std::vector<ResultSink::Row>& a,
+                     const std::vector<ResultSink::Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].dims != b[i].dims || a[i].aggrs != b[i].aggrs) return false;
+  }
+  return true;
+}
+
+struct DerefCase {
+  const char* name;
+  CureOptions options;
+  bool cure_plus = false;
+};
+
+std::vector<DerefCase> DerefCases() {
+  std::vector<DerefCase> cases(4);
+  cases[0].name = "format_a";
+  cases[0].options.forced_cat_format = cube::CatFormat::kFormatA;
+  cases[1].name = "format_b";
+  cases[1].options.forced_cat_format = cube::CatFormat::kFormatB;
+  cases[2].name = "cure_plus_bitmaps";
+  cases[2].cure_plus = true;
+  cases[3].name = "external";
+  cases[3].options.force_external = true;  // NTs reference R and node N
+  cases[3].options.memory_budget_bytes = 192 * 1024;
+  return cases;
+}
+
+// Per node and query shape, the retained rows of the default block path
+// must equal the scalar path's, in order, at every fact-cache fraction, and
+// match the brute-force reference as a set.
+TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
+  Dataset ds = MakeWideZipfDataset(30000, 808);
+  const std::string rel_path = TempPath("deref_fact.bin");
+  Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  const schema::NodeIdCodec codec(ds.schema);
+  const std::vector<QueryShape> shapes = DerefShapes(ds.schema);
+  std::vector<std::vector<std::vector<ResultSink::Row>>> reference(
+      codec.num_nodes());
+  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+    for (const QueryShape& shape : shapes) {
+      reference[id].push_back(ReferenceRows(ds, id, shape));
+    }
+  }
+  for (const DerefCase& c : DerefCases()) {
+    SCOPED_TRACE(c.name);
+    FactInput input{.relation = &rel.value()};
+    Result<std::unique_ptr<CureCube>> cube =
+        BuildCure(ds.schema, input, c.options);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    if (c.cure_plus) {
+      ASSERT_TRUE(engine::CurePostProcess(cube->get()).ok());
+    }
+    const std::string pack_path = TempPath(std::string("deref_") + c.name);
+    ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
+
+    // The case really exercises what it names.
+    const cube::CubeStore& store = (*cube)->store();
+    bool has_cat = false, has_bitmap = false, nt_fact = false, nt_n = false;
+    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+      const cube::CubeStore::NodeData* node = store.node(id);
+      if (node == nullptr) continue;
+      has_cat = has_cat || node->has_cat;
+      has_bitmap = has_bitmap || node->tt_bitmap != nullptr;
+      if (!node->has_nt) continue;
+      storage::Relation::Scanner scan(node->nt);
+      while (const uint8_t* rec = scan.Next()) {
+        const uint32_t tag = cube::RowIdSource(store.layout().GetRowId(rec));
+        nt_fact = nt_fact || tag == cube::kSourceFact;
+        nt_n = nt_n || tag == cube::kSourceNodeN;
+      }
+      ASSERT_TRUE(scan.status().ok());
+    }
+    EXPECT_TRUE(has_cat);
+    if (c.options.forced_cat_format != cube::CatFormat::kUndecided) {
+      EXPECT_EQ(store.cat_format(), c.options.forced_cat_format);
+    }
+    if (c.cure_plus) {
+      EXPECT_TRUE(has_bitmap);
+    }
+    if (c.options.force_external) {
+      EXPECT_TRUE(nt_fact && nt_n);
+    }
+
+    bool crossed_chunk = false;
+    for (double fraction : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE("fact cache fraction " + std::to_string(fraction));
+      Result<std::unique_ptr<CureQueryEngine>> eng =
+          CureQueryEngine::Create(cube->get(), fraction);
+      ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+      for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+        for (size_t s = 0; s < shapes.size(); ++s) {
+          const QueryShape& shape = shapes[s];
+          ResultSink scalar(/*retain=*/true);
+          ResultSink block(/*retain=*/true);
+          (*eng)->set_batch_rows(1);
+          const Status scalar_status = (*eng)->QueryNodeSlicedIceberg(
+              id, shape.slices, 1, shape.min_count, &scalar);
+          (*eng)->set_batch_rows(0);
+          const Status block_status = (*eng)->QueryNodeSlicedIceberg(
+              id, shape.slices, 1, shape.min_count, &block);
+          ASSERT_EQ(scalar_status.ok(), block_status.ok())
+              << "node " << id << " " << shape.name;
+          if (!scalar_status.ok()) continue;  // slice on a coarser node
+          EXPECT_TRUE(SameRowsInOrder(scalar.rows(), block.rows()))
+              << "node " << id << " " << shape.name;
+          EXPECT_TRUE(query::SameResults(block.rows(), reference[id][s]))
+              << "node " << id << " " << shape.name << ": "
+              << block.rows().size() << " rows, reference "
+              << reference[id][s].size();
+          crossed_chunk =
+              crossed_chunk || block.count() > query::kDereferenceChunkRows;
+        }
+      }
+    }
+    EXPECT_TRUE(crossed_chunk);
+    cube->reset();
+    ASSERT_TRUE(storage::RemoveFile(pack_path).ok());
+  }
+  ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
+}
+
+// A read fault in the middle of a query's reads of the fact file or of the
+// packed cube — coalesced dereference reads included — fails the query with
+// that error at every batch size.
+TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
+  Dataset ds = MakeWideZipfDataset(30000, 909);
+  const std::string rel_path = TempPath("fault_fact.bin");
+  Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  FactInput input{.relation = &rel.value()};
+  Result<std::unique_ptr<CureCube>> cube =
+      BuildCure(ds.schema, input, CureOptions{});
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  const std::string pack_path = TempPath("fault_pack.bin");
+  ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
+  Result<std::unique_ptr<CureQueryEngine>> eng =
+      CureQueryEngine::Create(cube->get(), 0.0);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  const NodeId base = 0;  // every dimension at its leaf: the largest node
+
+  for (const std::string& target : {rel_path, pack_path}) {
+    for (size_t batch : {size_t{1}, size_t{0}}) {
+      SCOPED_TRACE(target + " batch_rows=" + std::to_string(batch));
+      (*eng)->set_batch_rows(batch);
+      uint64_t reads = 0;
+      uint64_t rows = 0;
+      {
+        FaultPlan count;
+        count.op = "read";
+        count.target_substr = target;
+        count.fail_index = UINT64_MAX;
+        ScopedFaultInjection counting(FaultInjector::Disk(), count);
+        ResultSink sink;
+        ASSERT_TRUE((*eng)->QueryNode(base, &sink).ok());
+        reads = counting.ops_matched();
+        rows = sink.count();
+      }
+      ASSERT_GT(reads, 0u);
+      if (batch == 0 && target == rel_path) {
+        // Coalesced: far fewer fact-file reads than dereferenced rows.
+        EXPECT_LT(reads * 20, rows) << reads << " reads for " << rows << " rows";
+      }
+      for (uint64_t index : {uint64_t{0}, reads / 2, reads - 1}) {
+        FaultPlan plan;
+        plan.op = "read";
+        plan.target_substr = target;
+        plan.fail_index = index;
+        plan.error = EIO;
+        ScopedFaultInjection fault(FaultInjector::Disk(), plan);
+        ResultSink sink;
+        const Status s = (*eng)->QueryNode(base, &sink);
+        EXPECT_EQ(s.code(), StatusCode::kIoError) << "read " << index << ": "
+                                                  << s.ToString();
+        EXPECT_NE(s.message().find(target), std::string::npos) << s.ToString();
+        EXPECT_EQ(fault.faults_injected(), 1u);
+      }
+    }
+  }
+  cube->reset();
   ASSERT_TRUE(storage::RemoveFile(pack_path).ok());
   ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
 }

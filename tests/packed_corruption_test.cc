@@ -329,5 +329,80 @@ TEST(PackedCorruptionTest, VerifiedCubeAnswersCorrectly) {
   EXPECT_GT(reopened->TotalBytes(), 0u);
 }
 
+// A TT row-id past the end of the fact table, persisted in a packed file
+// whose checksums are valid (so only the query can catch it), fails the
+// node's query with OutOfRange on the scalar and the block path, whether
+// the fact table is in memory, file-backed, cached or not.
+TEST(PackedCorruptionTest, TtRowIdPastFactTableIsOutOfRange) {
+  const gen::Dataset ds = MakeHier(600, 73);
+  const std::string fact_path =
+      "/tmp/cure_corrupt_" + std::to_string(::getpid()) + "_ttfact.bin";
+  const std::string pack_path =
+      "/tmp/cure_corrupt_" + std::to_string(::getpid()) + "_ttpack.bin";
+  auto rel = storage::Relation::CreateFile(fact_path, ds.table.RecordSize());
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_TRUE(ds.table.WriteTo(&rel.value()).ok());
+  ASSERT_TRUE(rel->Seal().ok());
+
+  for (const bool file_backed : {false, true}) {
+    SCOPED_TRACE(file_backed ? "file-backed fact table" : "in-memory fact table");
+    FactInput input;
+    if (file_backed) {
+      input.relation = &rel.value();
+    } else {
+      input.table = &ds.table;
+    }
+    auto cube = BuildCure(ds.schema, input, CureOptions{});
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    CubeStore& store = (*cube)->mutable_store();
+    const schema::NodeIdCodec& codec = store.codec();
+    schema::NodeId victim = codec.num_nodes();
+    for (schema::NodeId id = 0; id < codec.num_nodes(); ++id) {
+      const CubeStore::NodeData* node = store.node(id);
+      if (node != nullptr && node->has_tt && node->tt.num_rows() > 2) {
+        victim = id;
+        break;
+      }
+    }
+    ASSERT_LT(victim, codec.num_nodes());
+    CubeStore::NodeData* node = store.mutable_node(victim);
+    const uint64_t bad_row = ds.table.num_rows() + 5;
+    storage::Relation tt = storage::Relation::Memory(store.TtRecordSize());
+    {
+      storage::Relation::Scanner scan(node->tt);
+      while (const uint8_t* rec = scan.Next()) {
+        std::vector<uint8_t> copy(rec, rec + store.TtRecordSize());
+        if (scan.row() == node->tt.num_rows() / 2) {
+          store.layout().PutRowId(copy.data(),
+                                  cube::MakeRowId(cube::kSourceFact, bad_row));
+        }
+        ASSERT_TRUE(tt.Append(copy.data()).ok());
+      }
+      ASSERT_TRUE(scan.status().ok());
+    }
+    node->tt = std::move(tt);
+    if (file_backed) {
+      ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
+      const auto report = CubeStore::VerifyPacked(pack_path);
+      EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+    }
+    for (const double fraction : {0.0, 1.0}) {
+      auto engine = query::CureQueryEngine::Create(cube->get(), fraction);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (const size_t batch : {size_t{1}, size_t{0}}) {
+        (*engine)->set_batch_rows(batch);
+        query::ResultSink sink;
+        const Status s = (*engine)->QueryNode(victim, &sink);
+        EXPECT_EQ(s.code(), StatusCode::kOutOfRange)
+            << "fraction " << fraction << " batch_rows " << batch << ": "
+            << s.ToString();
+      }
+    }
+    cube->reset();
+  }
+  (void)storage::RemoveFile(pack_path);
+  ASSERT_TRUE(storage::RemoveFile(fact_path).ok());
+}
+
 }  // namespace
 }  // namespace cure

@@ -73,6 +73,38 @@ TEST(FactRelationSourceTest, ReadsThroughCache) {
   ASSERT_TRUE(storage::RemoveFile(path).ok());
 }
 
+TEST(FactRelationSourceTest, GetRowsMatchesGetRow) {
+  CubeSchema schema = MakeSchema();
+  FactTable table = MakeTable();
+  const std::string path = "/tmp/cure_source_test_rows.bin";
+  auto rel = storage::Relation::CreateFile(path, table.RecordSize());
+  ASSERT_TRUE(rel.ok());
+  ASSERT_TRUE(table.WriteTo(&rel.value()).ok());
+  ASSERT_TRUE(rel->Seal().ok());
+  auto source = FactRelationSource::Create(&rel.value(), &schema, 0.5);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  const std::vector<uint64_t> ordinals = {9, 2, 7, 2, 0};
+  std::vector<uint32_t> dims(ordinals.size() * 2);
+  std::vector<int64_t> aggrs(ordinals.size() * 2);
+  ASSERT_TRUE((*source)
+                  ->GetRows(ordinals.data(), ordinals.size(), dims.data(),
+                            aggrs.data())
+                  .ok());
+  // Rows 0-4 are pinned: 3 hits and 2 misses, counted per row.
+  EXPECT_EQ((*source)->cache().hits(), 3u);
+  EXPECT_EQ((*source)->cache().misses(), 2u);
+  for (size_t i = 0; i < ordinals.size(); ++i) {
+    uint32_t one_dims[2];
+    int64_t one_aggrs[2];
+    ASSERT_TRUE((*source)->GetRow(ordinals[i], one_dims, one_aggrs).ok());
+    EXPECT_EQ(dims[2 * i], one_dims[0]) << i;
+    EXPECT_EQ(dims[2 * i + 1], one_dims[1]) << i;
+    EXPECT_EQ(aggrs[2 * i], one_aggrs[0]) << i;
+    EXPECT_EQ(aggrs[2 * i + 1], one_aggrs[1]) << i;
+  }
+  ASSERT_TRUE(storage::RemoveFile(path).ok());
+}
+
 TEST(FactRelationSourceTest, RejectsWrongRecordSize) {
   CubeSchema schema = MakeSchema();
   storage::Relation rel = storage::Relation::Memory(7);
@@ -128,6 +160,39 @@ TEST(SourceSetTest, RoutesByNamespace) {
   EXPECT_FALSE(sources.GetRow(MakeRowId(7, 0), dims, aggrs).ok());
 }
 
+TEST(SourceSetTest, GetRowsMatchesGetRowAcrossSources) {
+  CubeSchema schema = MakeSchema();
+  FactTable table = MakeTable();
+  AggTable n = MakeNTable();
+  SourceSet sources(&schema);
+  sources.Register(kSourceFact, std::make_shared<FactTableSource>(&table, &schema));
+  sources.Register(kSourceNodeN, std::make_shared<AggTableSource>(&n));
+  const std::vector<RowId> rowids = {
+      MakeRowId(kSourceNodeN, 1), MakeRowId(kSourceFact, 4),
+      MakeRowId(kSourceFact, 0), MakeRowId(kSourceNodeN, 0),
+      MakeRowId(kSourceFact, 4)};
+  std::vector<uint32_t> dims(rowids.size() * 2);
+  std::vector<int64_t> aggrs(rowids.size() * 2);
+  ASSERT_TRUE(
+      sources.GetRows(rowids.data(), rowids.size(), dims.data(), aggrs.data())
+          .ok());
+  for (size_t i = 0; i < rowids.size(); ++i) {
+    uint32_t one_dims[2];
+    int64_t one_aggrs[2];
+    ASSERT_TRUE(sources.GetRow(rowids[i], one_dims, one_aggrs).ok());
+    EXPECT_EQ(dims[2 * i], one_dims[0]) << i;
+    EXPECT_EQ(dims[2 * i + 1], one_dims[1]) << i;
+    EXPECT_EQ(aggrs[2 * i], one_aggrs[0]) << i;
+    EXPECT_EQ(aggrs[2 * i + 1], one_aggrs[1]) << i;
+  }
+  const RowId unknown = MakeRowId(7, 0);
+  EXPECT_EQ(sources.GetRows(&unknown, 1, dims.data(), aggrs.data()).code(),
+            StatusCode::kNotFound);
+  const RowId past_end = MakeRowId(kSourceFact, table.num_rows());
+  EXPECT_EQ(sources.GetRows(&past_end, 1, dims.data(), aggrs.data()).code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(SourceSetTest, ProjectsFromLeaf) {
   CubeSchema schema = MakeSchema();
   FactTable table = MakeTable();
@@ -135,12 +200,15 @@ TEST(SourceSetTest, ProjectsFromLeaf) {
   sources.Register(kSourceFact, std::make_shared<FactTableSource>(&table, &schema));
   const uint32_t native[2] = {11, 4};
   uint32_t out[2];
+  Projection projection;
   // Node (A@2, B@0): project leaf 11 up two levels.
-  ASSERT_TRUE(sources.ProjectDims(kSourceFact, native, {2, 0}, out).ok());
+  ASSERT_TRUE(sources.ResolveProjection(kSourceFact, {2, 0}, &projection).ok());
+  projection.Apply(native, out);
   EXPECT_EQ(out[0], schema.dim(0).CodeAt(11, 2));
   EXPECT_EQ(out[1], 4u);
   // Node (A@1, B@ALL): only one output code.
-  ASSERT_TRUE(sources.ProjectDims(kSourceFact, native, {1, 1}, out).ok());
+  ASSERT_TRUE(sources.ResolveProjection(kSourceFact, {1, 1}, &projection).ok());
+  projection.Apply(native, out);
   EXPECT_EQ(out[0], schema.dim(0).CodeAt(11, 1));
 }
 
@@ -151,15 +219,18 @@ TEST(SourceSetTest, ProjectsFromAggregatedLevels) {
   sources.Register(kSourceNodeN, std::make_shared<AggTableSource>(&n));
   const uint32_t native[2] = {3, 2};  // A code at level 1
   uint32_t out[2];
+  Projection projection;
   // Project from native level 1 to level 2.
-  ASSERT_TRUE(sources.ProjectDims(kSourceNodeN, native, {2, 0}, out).ok());
+  ASSERT_TRUE(sources.ResolveProjection(kSourceNodeN, {2, 0}, &projection).ok());
+  projection.Apply(native, out);
   // Level-1 code 3 -> level-2 block: cardinalities 4 -> 2, block roll-up.
   auto map = schema.dim(0).LevelToLevelMap(1, 2);
   ASSERT_TRUE(map.ok());
   EXPECT_EQ(out[0], (*map)[3]);
   EXPECT_EQ(out[1], 2u);
   // Requesting a *finer* level than native must fail.
-  EXPECT_FALSE(sources.ProjectDims(kSourceNodeN, native, {0, 0}, out).ok());
+  const Status finer = sources.ResolveProjection(kSourceNodeN, {0, 0}, &projection);
+  EXPECT_EQ(finer.code(), StatusCode::kInternal) << finer.ToString();
 }
 
 TEST(RowIdTest, PackAndUnpack) {

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <numeric>
 
+#include "common/fault_injection.h"
 #include "storage/bitmap.h"
 #include "storage/buffer_cache.h"
 #include "storage/file_io.h"
@@ -322,6 +323,89 @@ TEST(BufferCacheTest, MemoryRelationAlwaysHits) {
   EXPECT_EQ(out.key, 5u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 0u);
+}
+
+// ReadRows returns, in the caller's order, the bytes of one Read per row —
+// duplicates, reversed order and far-apart rows included — and reads each
+// run of nearby rows of a file with one pread.
+TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
+  const std::string path = TempPath("readrows.bin");
+  Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(file.ok());
+  Relation memory = Relation::Memory(sizeof(Rec));
+  constexpr uint64_t kRows = 40000;  // 640 KB: longer than one run
+  for (uint64_t i = 0; i < kRows; ++i) {
+    Rec r{i * 7, static_cast<uint32_t>(i), 0};
+    ASSERT_TRUE(file->Append(&r).ok());
+    ASSERT_TRUE(memory.Append(&r).ok());
+  }
+  ASSERT_TRUE(file->Seal().ok());
+  const std::vector<uint64_t> rows = {39999, 5, 6, 5, 200, 0, 20000, 39999, 7};
+  for (const Relation* rel : {&memory, &file.value()}) {
+    std::vector<Rec> batched(rows.size());
+    ASSERT_TRUE(rel->ReadRows(rows.data(), rows.size(),
+                              reinterpret_cast<uint8_t*>(batched.data()))
+                    .ok());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Rec single;
+      ASSERT_TRUE(rel->Read(rows[i], &single).ok());
+      EXPECT_EQ(std::memcmp(&single, &batched[i], sizeof(Rec)), 0) << i;
+    }
+  }
+
+  // Count the preads: {0, 5, 6, 7, 200} lie within 4 KiB of each other
+  // (one read); 20000 and 39999 are far from everything (one read each).
+  FaultPlan count;
+  count.op = "read";
+  count.target_substr = path;
+  count.fail_index = UINT64_MAX;
+  auto preads = [&](const std::vector<uint64_t>& request) {
+    ScopedFaultInjection counting(FaultInjector::Disk(), count);
+    std::vector<Rec> out(request.size());
+    EXPECT_TRUE(file->ReadRows(request.data(), request.size(),
+                               reinterpret_cast<uint8_t*>(out.data()))
+                    .ok());
+    return counting.ops_matched();
+  };
+  EXPECT_EQ(preads(rows), 3u);
+  // A dense range longer than one run (256 KiB) splits into runs.
+  std::vector<uint64_t> dense(kRows);
+  std::iota(dense.begin(), dense.end(), uint64_t{0});
+  EXPECT_EQ(preads(dense), (kRows * sizeof(Rec) + kCoalesceRunBytes - 1) /
+                               kCoalesceRunBytes);
+
+  // Every row is range-checked, on both backings.
+  const std::vector<uint64_t> bad = {1, kRows};
+  std::vector<Rec> out(bad.size());
+  for (const Relation* rel : {&memory, &file.value()}) {
+    const Status s = rel->ReadRows(bad.data(), bad.size(),
+                                   reinterpret_cast<uint8_t*>(out.data()));
+    EXPECT_EQ(s.code(), StatusCode::kOutOfRange) << s.ToString();
+  }
+  ASSERT_TRUE(RemoveFile(path).ok());
+}
+
+// BufferCache::ReadRows counts hits and misses per row, as Read does.
+TEST(BufferCacheTest, ReadRowsCountsEveryRow) {
+  const std::string path = TempPath("cache_rows.bin");
+  Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(rel.ok());
+  for (uint64_t i = 0; i < 1000; ++i) {
+    Rec r{i, 0, 0};
+    ASSERT_TRUE(rel->Append(&r).ok());
+  }
+  ASSERT_TRUE(rel->Seal().ok());
+  BufferCache cache;
+  ASSERT_TRUE(cache.Init(&rel.value(), 0.5).ok());
+  const std::vector<uint64_t> rows = {901, 10, 900, 499, 500, 901};
+  std::vector<Rec> out(rows.size());
+  ASSERT_TRUE(cache.ReadRows(rows.data(), rows.size(),
+                             reinterpret_cast<uint8_t*>(out.data()))
+                  .ok());
+  for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(out[i].key, rows[i]);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 4u);
+  ASSERT_TRUE(RemoveFile(path).ok());
 }
 
 TEST(DirHelpersTest, EnsureAndRemoveTree) {

@@ -57,29 +57,30 @@ TEST(ThreadPoolTest, SingleWorkerDispatchesInSubmissionOrder) {
 }
 
 TEST(ThreadPoolTest, StartedTasksFormPrefixOfSubmissionOrder) {
-  // Multi-worker FIFO dispatch: whenever a task starts, every earlier task
-  // has already been dispatched (started set is a prefix). Each task waits
-  // until all tasks with a smaller index have at least started.
+  // Multi-worker FIFO dispatch: a task is popped only after every earlier
+  // task, so when task i starts the queue holds later tasks only — at most
+  // kTasks - 1 - i of them. Every task then waits for a gate that opens
+  // once all tasks are queued, so the queue really fills up behind the
+  // first workers' tasks: a LIFO pool starts task kTasks - 1 with the
+  // earlier tasks still queued and fails the check.
   constexpr int kTasks = 64;
   ThreadPool pool(4);
-  std::atomic<int> started{0};
-  std::atomic<bool> prefix_violated{false};
+  std::promise<void> all_queued;
+  std::shared_future<void> gate = all_queued.get_future().share();
+  std::atomic<int> violations{0};
   std::vector<std::future<Status>> futures;
   for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&started, &prefix_violated, i] {
-      // Tasks are popped under the queue lock in FIFO order, so by the time
-      // task i runs this line, tasks 0..i-1 have been popped. Allow their
-      // counter increments a moment to land before checking.
-      for (int spin = 0; spin < 10000 && started.load() < i; ++spin) {
-        std::this_thread::yield();
+    futures.push_back(pool.Submit([&pool, &violations, gate, i] {
+      if (pool.queue_depth() > static_cast<size_t>(kTasks - 1 - i)) {
+        violations.fetch_add(1);
       }
-      if (started.load() < i) prefix_violated.store(true);
-      started.fetch_add(1);
+      gate.wait();
       return Status::OK();
     }));
   }
+  all_queued.set_value();
   for (std::future<Status>& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_FALSE(prefix_violated.load());
+  EXPECT_EQ(violations.load(), 0);
 }
 
 TEST(ThreadPoolTest, ErrorStatusPropagatesThroughFuture) {
