@@ -30,7 +30,7 @@ void RunDataset(const std::string& label, const gen::Dataset& ds) {
     engine::CureOptions tall;
     tall.sort_policy = policy;
     engine::CureOptions short_plan;
-    short_plan.plan_style = plan::ExecutionPlan::Style::kShort;
+    short_plan.plan_style = plan::Style::kShort;
     short_plan.sort_policy = policy;
     CureBuildResult p3 =
         BuildCureVariant("P3 (tall)", ds.schema, input, tall, false);

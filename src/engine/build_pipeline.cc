@@ -117,7 +117,7 @@ Status BuildPipeline::LoadStage() {
     return Status::InvalidArgument(
         "external construction needs the fact table in relation form");
   }
-  if (ctx_.options->plan_style != plan::ExecutionPlan::Style::kTall) {
+  if (ctx_.options->plan_style != plan::Style::kTall) {
     return Status::Unimplemented("external path requires the tall (P3) plan");
   }
   stats_->external = true;

@@ -215,42 +215,38 @@ Executor::Executor(const CubeSchema* schema, const CureOptions* options,
       store_(store),
       pool_(pool),
       stats_(stats),
-      codec_(*schema),
+      cursor_(*schema, options->plan_style),
       num_dims_(schema->num_dims()),
       y_(schema->num_aggregates()) {
   agg_buf_.resize(y_);
   dr_dims_.resize(num_dims_);
-  node_levels_buf_.resize(num_dims_);
   batched_ = ResolveBatchRows(options->batch_rows) > 1;
 }
 
 Status Executor::RunInMemory(const Load& load) {
-  CURE_RETURN_IF_ERROR(PrepareRun(&load, std::vector<int>(num_dims_, 0)));
+  CURE_RETURN_IF_ERROR(PrepareRun(&load, {}));
   return ExecutePlan(0, load.n, 0);
 }
 
 Status Executor::RunPartition(const Load& load, int level) {
-  CURE_RETURN_IF_ERROR(PrepareRun(&load, std::vector<int>(num_dims_, 0)));
-  levels_[0] = level;
-  included_[0] = true;
-  Status s = FollowEdge(0, load.n, 0);
-  included_[0] = false;
-  return s;
+  CURE_RETURN_IF_ERROR(PrepareRun(&load, {}));
+  cursor_.Set(0, level);
+  return FollowEdge(0, load.n, 0);
 }
 
 Status Executor::RunNodeN(const Load& load, int level) {
+  // Dimension 0 stays above the partition level; when N projected it out,
+  // level + 1 is its ALL level and the walk never enters it.
   std::vector<int> base(num_dims_, 0);
-  const bool projected = load.native_level[0] == cube::kNativeAll;
   base[0] = level + 1;
   CURE_RETURN_IF_ERROR(PrepareRun(&load, base));
-  return ExecutePlan(0, load.n, projected ? 1 : 0);
+  return ExecutePlan(0, load.n, 0);
 }
 
-Status Executor::PrepareRun(const Load* load, std::vector<int> base_levels) {
+Status Executor::PrepareRun(const Load* load,
+                            const std::vector<int>& base_levels) {
   load_ = load;
-  base_levels_ = std::move(base_levels);
-  levels_.assign(num_dims_, 0);
-  included_.assign(num_dims_, false);
+  cursor_.Reset(base_levels);
   idx_.resize(load->n);
   for (size_t i = 0; i < load->n; ++i) idx_[i] = static_cast<uint32_t>(i);
   // Build native-level -> target-level code maps for every level we may
@@ -261,7 +257,7 @@ Status Executor::PrepareRun(const Load* load, std::vector<int> base_levels) {
     maps_[d].resize(dim.num_levels());
     const int native = load->native_level[d];
     if (native == cube::kNativeAll) continue;  // Dimension never accessed.
-    for (int l = base_levels_[d]; l < dim.num_levels(); ++l) {
+    for (int l = cursor_.base_level(d); l < dim.num_levels(); ++l) {
       if (l == native) continue;  // Identity.
       CURE_ASSIGN_OR_RETURN(maps_[d][l], dim.LevelToLevelMap(native, l));
     }
@@ -275,17 +271,10 @@ uint32_t Executor::Key(uint32_t row, int d, int level) const {
   return map.empty() ? code : map[code];
 }
 
-NodeId Executor::CurrentNode() {
-  for (int d = 0; d < num_dims_; ++d) {
-    node_levels_buf_[d] = included_[d] ? levels_[d] : codec_.all_level(d);
-  }
-  return codec_.Encode(node_levels_buf_);
-}
-
 Status Executor::ExecutePlan(size_t begin, size_t end, int dim) {
   const size_t count = end - begin;
   if (count < options_->min_support || count == 0) return Status::OK();
-  const NodeId node = CurrentNode();
+  const NodeId node = cursor_.node();
   if (count == 1 && options_->min_support <= 1) {
     // Trivial tuple: store the row-id at this (least detailed) node and
     // prune — the whole sub-tree above shares it (Sec. 5.1).
@@ -309,64 +298,28 @@ Status Executor::ExecutePlan(size_t begin, size_t end, int dim) {
   if (options_->dims_in_nt) {
     const uint32_t first = idx_[begin];
     for (int d = 0; d < num_dims_; ++d) {
-      dr_dims_[d] = included_[d] ? Key(first, d, levels_[d]) : 0;
+      dr_dims_[d] = cursor_.included(d) ? Key(first, d, cursor_.level(d)) : 0;
     }
     dr = dr_dims_.data();
   }
   pool_->Add(agg_buf_.data(), min_rowid, node, dr);
 
-  if (options_->plan_style == plan::ExecutionPlan::Style::kTall) {
-    // Rule 1: solid edges introduce each remaining dimension at its
-    // plan-root levels.
-    for (int d = dim; d < num_dims_; ++d) {
-      if (load_->native_level[d] == cube::kNativeAll) continue;
-      for (int root : schema_->dim(d).plan_roots()) {
-        levels_[d] = root;
-        included_[d] = true;
-        Status s = FollowEdge(begin, end, d);
-        included_[d] = false;
-        CURE_RETURN_IF_ERROR(s);
-      }
-    }
-    // Rule 2: one dashed edge refining the rightmost grouping dimension.
-    if (dim >= 1 && included_[dim - 1]) {
-      const int cur = levels_[dim - 1];
-      for (int child : schema_->dim(dim - 1).plan_children(cur)) {
-        if (child < base_levels_[dim - 1]) continue;
-        levels_[dim - 1] = child;
-        CURE_RETURN_IF_ERROR(FollowEdge(begin, end, dim - 1));
-      }
-      levels_[dim - 1] = cur;
-    }
-  } else {
-    // P2-style (plan ablation): every level via solid edges; no sort
-    // sharing through dashed refinement.
-    for (int d = dim; d < num_dims_; ++d) {
-      if (load_->native_level[d] == cube::kNativeAll) continue;
-      for (int level = base_levels_[d]; level < schema_->dim(d).num_levels();
-           ++level) {
-        levels_[d] = level;
-        included_[d] = true;
-        Status s = FollowEdge(begin, end, d);
-        included_[d] = false;
-        CURE_RETURN_IF_ERROR(s);
-      }
-    }
-  }
-  return Status::OK();
+  return cursor_.ForEachChild(dim, [&](int d) {
+    return FollowEdge(begin, end, d);
+  });
 }
 
 Status Executor::FollowEdge(size_t begin, size_t end, int d) {
   // Per-node construction timing: each edge sorts its span and materializes
-  // exactly the node CurrentNode() (d is already included), so the nested
+  // exactly the cursor's node (d is already set), so the nested
   // spans render the whole construction tree in Perfetto. Disabled cost is
   // one relaxed load; args are only computed when armed.
   TraceSpan span("cure.build.edge");
   if (Tracer::enabled()) {
-    span.AddArg("node", static_cast<uint64_t>(CurrentNode()));
+    span.AddArg("node", static_cast<uint64_t>(cursor_.node()));
     span.AddArg("rows", static_cast<uint64_t>(end - begin));
   }
-  const int level = levels_[d];
+  const int level = cursor_.level(d);
   const uint32_t cardinality = schema_->dim(d).cardinality(level);
   if (batched_) {
     // Batch path: the sort gathers keys once and hands back the equal-key

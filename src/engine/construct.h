@@ -12,6 +12,7 @@
 #include "cube/signature.h"
 #include "engine/cube_build.h"
 #include "engine/sorters.h"
+#include "plan/execution_plan.h"
 #include "schema/cube_schema.h"
 #include "schema/fact_table.h"
 #include "storage/relation.h"
@@ -91,9 +92,8 @@ class Executor {
   Status RunNodeN(const Load& load, int level);
 
  private:
-  Status PrepareRun(const Load* load, std::vector<int> base_levels);
+  Status PrepareRun(const Load* load, const std::vector<int>& base_levels);
   uint32_t Key(uint32_t row, int d, int level) const;
-  schema::NodeId CurrentNode();
   Status ExecutePlan(size_t begin, size_t end, int dim);
   Status FollowEdge(size_t begin, size_t end, int d);
 
@@ -102,21 +102,17 @@ class Executor {
   cube::CubeStore* store_;
   cube::SignaturePool* pool_;
   BuildStats* stats_;
-  schema::NodeIdCodec codec_;
+  plan::Cursor cursor_;  // Where the walk is; reset per run.
   int num_dims_;
   int y_;
 
   // Per-run state.
   const Load* load_ = nullptr;
   std::vector<uint32_t> idx_;
-  std::vector<int> levels_;
-  std::vector<int> base_levels_;
-  std::vector<bool> included_;
   std::vector<std::vector<std::vector<uint32_t>>> maps_;
   SortScratch scratch_;
   std::vector<int64_t> agg_buf_;
   std::vector<uint32_t> dr_dims_;
-  std::vector<int> node_levels_buf_;
 
   // Batch path (batched_ = resolved batch_rows > 1): FollowEdge takes
   // segment boundaries straight from the batched counting sort instead of

@@ -13,6 +13,7 @@
 #include "common/stopwatch.h"
 #include "cube/measures.h"
 #include "cube/signature.h"
+#include "plan/execution_plan.h"
 
 namespace cure {
 namespace engine {
@@ -68,10 +69,8 @@ class DeltaUpdater {
         old_rows_(old_rows),
         num_dims_(schema_.num_dims()),
         y_(schema_.num_aggregates()),
-        aggregator_(schema_) {
-    levels_.assign(num_dims_, 0);
-    included_.assign(num_dims_, false);
-  }
+        aggregator_(schema_),
+        cursor_(schema_, plan::Style::kTall) {}
 
   Result<UpdateStats> Run() {
     delta_rows_.resize(table_.num_rows() - old_rows_);
@@ -96,20 +95,12 @@ class DeltaUpdater {
   }
 
  private:
-  NodeId CurrentNode() {
-    std::vector<int> node_levels(num_dims_);
-    for (int d = 0; d < num_dims_; ++d) {
-      node_levels[d] = included_[d] ? levels_[d] : codec_.all_level(d);
-    }
-    return codec_.Encode(node_levels);
-  }
-
   std::string KeyOf(uint64_t row) const {
     uint32_t codes[64];
     size_t n = 0;
     for (int d = 0; d < num_dims_; ++d) {
-      if (!included_[d]) continue;
-      codes[n++] = schema_.dim(d).CodeAt(table_.dim(d, row), levels_[d]);
+      if (!cursor_.included(d)) continue;
+      codes[n++] = schema_.dim(d).CodeAt(table_.dim(d, row), cursor_.level(d));
     }
     return PackKey(codes, n);
   }
@@ -142,7 +133,7 @@ class DeltaUpdater {
       if (node_levels[d] != codec_.all_level(d)) grouping.push_back(d);
     }
     // Candidate keys from the delta rows (Probe is first called while the
-    // traversal sits at `node`, so levels_/included_ match node_levels).
+    // traversal sits at `node`, so the cursor's levels match node_levels).
     std::unordered_set<std::string> candidates;
     candidates.reserve(delta_rows_.size());
     for (uint64_t r : delta_rows_) candidates.insert(KeyOf(r));
@@ -234,7 +225,7 @@ class DeltaUpdater {
   }
 
   Status Visit(std::vector<uint64_t> rows, int dim) {
-    const NodeId node = CurrentNode();
+    const NodeId node = cursor_.node();
     CURE_ASSIGN_OR_RETURN(NodeProbe * probe, Probe(node));
     const std::string key = KeyOf(rows[0]);
     auto it = probe->tuples.find(key);
@@ -294,8 +285,9 @@ class DeltaUpdater {
     if (store_->options().dims_in_nt) {
       sig.dr_dims.resize(num_dims_, 0);
       for (int d = 0; d < num_dims_; ++d) {
-        if (included_[d]) {
-          sig.dr_dims[d] = schema_.dim(d).CodeAt(table_.dim(d, rows[0]), levels_[d]);
+        if (cursor_.included(d)) {
+          sig.dr_dims[d] =
+              schema_.dim(d).CodeAt(table_.dim(d, rows[0]), cursor_.level(d));
         }
       }
     }
@@ -303,32 +295,18 @@ class DeltaUpdater {
     ++stats_.new_signatures;
 
     // Descend the tall plan exactly like construction.
-    for (int d = dim; d < num_dims_; ++d) {
-      for (int root : schema_.dim(d).plan_roots()) {
-        levels_[d] = root;
-        included_[d] = true;
-        Status s = Partition(rows, d);
-        included_[d] = false;
-        CURE_RETURN_IF_ERROR(s);
-      }
-    }
-    if (dim >= 1 && included_[dim - 1]) {
-      const int cur = levels_[dim - 1];
-      for (int child : schema_.dim(dim - 1).plan_children(cur)) {
-        levels_[dim - 1] = child;
-        CURE_RETURN_IF_ERROR(Partition(rows, dim - 1));
-      }
-      levels_[dim - 1] = cur;
-    }
-    return Status::OK();
+    return cursor_.ForEachChild(dim, [&](int d) {
+      return Partition(rows, d);
+    });
   }
 
-  /// FollowEdge equivalent: groups `rows` by dimension d at levels_[d] and
-  /// visits each group.
+  /// FollowEdge equivalent: groups `rows` by dimension d at its cursor level
+  /// and visits each group.
   Status Partition(const std::vector<uint64_t>& rows, int d) {
     std::map<uint32_t, std::vector<uint64_t>> groups;
     for (uint64_t r : rows) {
-      groups[schema_.dim(d).CodeAt(table_.dim(d, r), levels_[d])].push_back(r);
+      groups[schema_.dim(d).CodeAt(table_.dim(d, r), cursor_.level(d))]
+          .push_back(r);
     }
     for (auto& [code, group] : groups) {
       (void)code;
@@ -407,8 +385,7 @@ class DeltaUpdater {
   int y_;
   cube::Aggregator aggregator_;
 
-  std::vector<int> levels_;
-  std::vector<bool> included_;
+  plan::Cursor cursor_;
   std::vector<uint64_t> delta_rows_;
   std::unordered_map<NodeId, NodeProbe> probes_;
   std::vector<std::pair<NodeId, RowId>> pending_tts_;
@@ -444,7 +421,7 @@ Result<UpdateStats> ApplyDelta(CureCube* cube, const FactTable& table,
         "ApplyDelta requires a complete cube: this cube is an iceberg cube "
         "(min_support > 1)");
   }
-  if (cube->plan_style() != plan::ExecutionPlan::Style::kTall) {
+  if (cube->plan_style() != plan::Style::kTall) {
     return Status::FailedPrecondition(
         "ApplyDelta requires the tall execution plan: this cube was built "
         "with the short plan");

@@ -16,8 +16,7 @@ namespace engine {
 /// restrict-qualified pointers — so the compiler can auto-vectorize.
 ///
 /// Two families:
-///  - *Slice kernels consume a contiguous column slice (a ColumnView
-///    gather or a sorted key buffer).
+///  - SumSlice consumes a contiguous column slice (a ColumnView gather).
 ///  - *Gather kernels fuse the index-vector indirection of the BUC-style
 ///    recursion (col[idx[i]]) with the accumulation; they cannot
 ///    vectorize the load but still beat the legacy loops by hoisting the
@@ -31,60 +30,13 @@ inline void HistogramFill(const uint32_t* keys, size_t n, uint32_t* counts) {
   for (size_t i = 0; i < n; ++i) ++c[k[i] + 1];
 }
 
-/// out[i] = col[idx[i]] — the dimension-key gather that turns an index
-/// span into a contiguous slice.
-inline void GatherU32(const uint32_t* col, const uint32_t* idx, size_t n,
-                      uint32_t* out) {
-  const uint32_t* CURE_RESTRICT c = col;
-  const uint32_t* CURE_RESTRICT ix = idx;
-  uint32_t* CURE_RESTRICT o = out;
-  for (size_t i = 0; i < n; ++i) o[i] = c[ix[i]];
-}
-
-/// out[i] = map[col[idx[i]]] — gather through a level-to-level roll-up map.
-inline void GatherMappedU32(const uint32_t* col, const uint32_t* map,
-                            const uint32_t* idx, size_t n, uint32_t* out) {
-  const uint32_t* CURE_RESTRICT c = col;
-  const uint32_t* CURE_RESTRICT m = map;
-  const uint32_t* CURE_RESTRICT ix = idx;
-  uint32_t* CURE_RESTRICT o = out;
-  for (size_t i = 0; i < n; ++i) o[i] = m[c[ix[i]]];
-}
-
-// ---- Contiguous-slice accumulators ----
+// ---- Contiguous-slice accumulator ----
 
 inline int64_t SumSlice(const int64_t* v, size_t n) {
   const int64_t* CURE_RESTRICT p = v;
   int64_t acc = 0;
   for (size_t i = 0; i < n; ++i) acc += p[i];
   return acc;
-}
-
-inline int64_t MinSlice(const int64_t* v, size_t n) {
-  const int64_t* CURE_RESTRICT p = v;
-  int64_t acc = std::numeric_limits<int64_t>::max();
-  for (size_t i = 0; i < n; ++i) acc = p[i] < acc ? p[i] : acc;
-  return acc;
-}
-
-inline int64_t MaxSlice(const int64_t* v, size_t n) {
-  const int64_t* CURE_RESTRICT p = v;
-  int64_t acc = std::numeric_limits<int64_t>::min();
-  for (size_t i = 0; i < n; ++i) acc = p[i] > acc ? p[i] : acc;
-  return acc;
-}
-
-inline int64_t AggregateSlice(schema::AggFn fn, const int64_t* v, size_t n) {
-  switch (fn) {
-    case schema::AggFn::kSum:
-    case schema::AggFn::kCount:
-      return SumSlice(v, n);
-    case schema::AggFn::kMin:
-      return MinSlice(v, n);
-    case schema::AggFn::kMax:
-      return MaxSlice(v, n);
-  }
-  return 0;
 }
 
 // ---- Fused gather + accumulate over an index span ----

@@ -8,205 +8,44 @@ namespace cure {
 namespace plan {
 
 using schema::CubeSchema;
-using schema::Dimension;
 using schema::NodeId;
+using schema::NodeIdCodec;
 
-ExecutionPlan ExecutionPlan::Build(const CubeSchema& schema, Style style) {
-  ExecutionPlan plan;
-  plan.schema_ = &schema;
-  plan.codec_ = schema::NodeIdCodec(schema);
-  plan.style_ = style;
-  // Materializing a plan requires one PlanNode per lattice node; guard
-  // against lattices that only the implicit (engine-side) traversal can
-  // handle.
-  CURE_CHECK_LT(plan.codec_.num_nodes(), NodeId{1} << 24)
-      << "lattice too large to materialize an explicit plan";
-  plan.nodes_.resize(plan.codec_.num_nodes());
-  for (PlanNode& n : plan.nodes_) n.visit_order = kUnvisited;
+Cursor::Cursor(const CubeSchema& schema, Style style)
+    : schema_(&schema), style_(style), codec_(schema) {
+  Reset();
+}
 
-  const int d = schema.num_dims();
-  std::vector<int> levels(d);
-  std::vector<bool> included(d, false);
-  for (int i = 0; i < d; ++i) levels[i] = plan.codec_.all_level(i);
-
-  if (style == Style::kTall) {
-    plan.VisitTall(&levels, &included, 0, 0, EdgeType::kRoot, 0);
+void Cursor::Reset(const std::vector<int>& base_levels) {
+  const int num_dims = schema_->num_dims();
+  levels_.resize(num_dims);
+  for (int d = 0; d < num_dims; ++d) levels_[d] = codec_.all_level(d);
+  node_ = codec_.Encode(levels_);
+  if (base_levels.empty()) {
+    base_levels_.assign(num_dims, 0);
   } else {
-    plan.VisitShort(&levels, &included, 0, 0, EdgeType::kRoot, 0);
+    CURE_CHECK_EQ(base_levels.size(), levels_.size());
+    base_levels_ = base_levels;
   }
-  return plan;
 }
 
-NodeId ExecutionPlan::Emit(const std::vector<int>& levels,
-                           const std::vector<bool>& included, int next_dim,
-                           NodeId parent, EdgeType edge, int depth) {
-  std::vector<int> node_levels(levels.size());
-  for (size_t i = 0; i < levels.size(); ++i) {
-    node_levels[i] = included[i] ? levels[i] : codec_.all_level(static_cast<int>(i));
-  }
-  const NodeId id = codec_.Encode(node_levels);
-  PlanNode& node = nodes_[id];
-  CURE_CHECK_EQ(node.visit_order, kUnvisited) << "node visited twice: " << id;
-  node.id = id;
-  node.parent = parent;
-  node.edge = edge;
-  node.next_dim = next_dim;
-  node.depth = depth;
-  node.visit_order = visited_count_++;
-  if (edge == EdgeType::kRoot) {
-    root_ = id;
-  } else {
-    nodes_[parent].children.push_back(id);
-  }
-  height_ = std::max(height_, depth);
-  return id;
-}
-
-void ExecutionPlan::VisitTall(std::vector<int>* levels, std::vector<bool>* included,
-                              int dim, NodeId parent, EdgeType edge, int depth) {
-  const int d = schema_->num_dims();
-  const NodeId id = Emit(*levels, *included, dim, parent, edge, depth);
-
-  // Rule 1 (solid edges): introduce every dimension >= dim at each of its
-  // plan-root (top) levels.
-  for (int next = dim; next < d; ++next) {
-    const Dimension& dimension = schema_->dim(next);
-    for (int root_level : dimension.plan_roots()) {
-      (*levels)[next] = root_level;
-      (*included)[next] = true;
-      VisitTall(levels, included, next + 1, id, EdgeType::kSolid, depth + 1);
-      (*included)[next] = false;
+std::vector<NodeId> PathFromRoot(const CubeSchema& schema,
+                                 const NodeIdCodec& codec, NodeId id) {
+  const std::vector<int> levels = codec.Decode(id);
+  std::vector<NodeId> path = {id};
+  for (int d = codec.num_dims() - 1; d >= 0; --d) {
+    const NodeId factor = codec.factor(d);
+    for (int level = levels[d]; level != codec.all_level(d);) {
+      const int up = schema.dim(d).plan_parent(level);
+      const int next = up < 0 ? codec.all_level(d) : up;
+      id = id - factor * static_cast<NodeId>(level) +
+           factor * static_cast<NodeId>(next);
+      level = next;
+      path.push_back(id);
     }
-  }
-
-  // Rule 2 (dashed edges): refine the rightmost grouping dimension (dim - 1)
-  // one step, to each of its plan children (modified Rule 2 already folded
-  // into Dimension::plan_children()).
-  if (dim >= 1 && (*included)[dim - 1]) {
-    const Dimension& dimension = schema_->dim(dim - 1);
-    const int current = (*levels)[dim - 1];
-    for (int child : dimension.plan_children(current)) {
-      (*levels)[dim - 1] = child;
-      VisitTall(levels, included, dim, id, EdgeType::kDashed, depth + 1);
-    }
-    (*levels)[dim - 1] = current;
-  }
-}
-
-void ExecutionPlan::VisitShort(std::vector<int>* levels, std::vector<bool>* included,
-                               int dim, NodeId parent, EdgeType edge, int depth) {
-  const int d = schema_->num_dims();
-  const NodeId id = Emit(*levels, *included, dim, parent, edge, depth);
-
-  // P2-style: introduce every dimension >= dim at *every* hierarchy level via
-  // solid edges; no dashed refinement, so the plan height stays D but sorts
-  // are not shared across levels of a dimension.
-  for (int next = dim; next < d; ++next) {
-    const Dimension& dimension = schema_->dim(next);
-    for (int level = 0; level < dimension.num_levels(); ++level) {
-      (*levels)[next] = level;
-      (*included)[next] = true;
-      VisitShort(levels, included, next + 1, id, EdgeType::kSolid, depth + 1);
-      (*included)[next] = false;
-    }
-  }
-}
-
-std::vector<NodeId> ExecutionPlan::PathFromRoot(NodeId id) const {
-  CURE_CHECK(Contains(id));
-  std::vector<NodeId> path;
-  NodeId cur = id;
-  while (true) {
-    path.push_back(cur);
-    if (nodes_[cur].edge == EdgeType::kRoot) break;
-    cur = nodes_[cur].parent;
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-Status ExecutionPlan::Validate() const {
-  if (visited_count_ != codec_.num_nodes()) {
-    return Status::Internal("plan covers " + std::to_string(visited_count_) +
-                            " of " + std::to_string(codec_.num_nodes()) + " nodes");
-  }
-  const int d = schema_->num_dims();
-  for (const PlanNode& node : nodes_) {
-    if (node.visit_order == kUnvisited) {
-      return Status::Internal("unvisited node " + std::to_string(node.id));
-    }
-    if (node.edge == EdgeType::kRoot) continue;
-    const std::vector<int> child_levels = codec_.Decode(node.id);
-    const std::vector<int> parent_levels = codec_.Decode(node.parent);
-    int differing = -1;
-    for (int i = 0; i < d; ++i) {
-      if (child_levels[i] != parent_levels[i]) {
-        if (differing >= 0) return Status::Internal("edge changes two dimensions");
-        differing = i;
-      }
-    }
-    if (differing < 0) return Status::Internal("self edge");
-    if (node.edge == EdgeType::kSolid) {
-      // Parent must be at ALL for the differing dimension; the child level
-      // must be a plan root (kTall) or any level (kShort).
-      if (parent_levels[differing] != codec_.all_level(differing)) {
-        return Status::Internal("solid edge from non-ALL level");
-      }
-      if (style_ == Style::kTall) {
-        const auto& roots = schema_->dim(differing).plan_roots();
-        if (std::find(roots.begin(), roots.end(), child_levels[differing]) ==
-            roots.end()) {
-          return Status::Internal("solid edge to non-root level");
-        }
-      }
-    } else {
-      // Dashed: child level one step below parent level, chosen by the
-      // modified Rule 2; and the differing dimension must be the rightmost
-      // grouping attribute of the parent.
-      if (schema_->dim(differing).plan_parent(child_levels[differing]) !=
-          parent_levels[differing]) {
-        return Status::Internal("dashed edge not matching plan_parent");
-      }
-      for (int i = differing + 1; i < d; ++i) {
-        if (parent_levels[i] != codec_.all_level(i)) {
-          return Status::Internal("dashed edge not on rightmost dimension");
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-std::string ExecutionPlan::ToString() const {
-  std::string out;
-  // Depth-first rendering in visit order.
-  struct Item {
-    NodeId id;
-    int depth;
-  };
-  std::vector<Item> stack = {{root_, 0}};
-  while (!stack.empty()) {
-    const Item item = stack.back();
-    stack.pop_back();
-    const PlanNode& node = nodes_[item.id];
-    out.append(2 * item.depth, ' ');
-    switch (node.edge) {
-      case EdgeType::kRoot:
-        break;
-      case EdgeType::kSolid:
-        out += "- ";
-        break;
-      case EdgeType::kDashed:
-        out += ". ";
-        break;
-    }
-    out += codec_.Name(item.id, *schema_);
-    out += "\n";
-    for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
-      stack.push_back({*it, item.depth + 1});
-    }
-  }
-  return out;
 }
 
 }  // namespace plan

@@ -8,6 +8,7 @@
 #include "common/trace.h"
 #include "cube/rowid.h"
 #include "engine/kernels.h"
+#include "plan/execution_plan.h"
 #include "query/fold.h"
 #include "storage/row_block.h"
 
@@ -21,7 +22,7 @@ using schema::NodeId;
 
 Result<std::unique_ptr<CureQueryEngine>> CureQueryEngine::Create(
     const engine::CureCube* cube, double fact_cache_fraction) {
-  if (cube->plan_style() != plan::ExecutionPlan::Style::kTall) {
+  if (cube->plan_style() != plan::Style::kTall) {
     return Status::InvalidArgument(
         "query answering requires a cube built with the tall (P3) plan");
   }
@@ -359,7 +360,7 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
       CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
       return emitter.Emit(rowid, native, row_aggrs);
     };
-    for (NodeId path_node : plan_.PathFromRoot(id)) {
+    for (NodeId path_node : plan::PathFromRoot(schema, store.codec(), id)) {
       if (cube_->NodeRegion(path_node) != region) continue;
       const CubeStore::NodeData* pd = store.node(path_node);
       if (pd == nullptr) continue;

@@ -10,7 +10,6 @@
 #include "engine/bubst.h"
 #include "engine/buc.h"
 #include "engine/cure.h"
-#include "plan/execution_plan.h"
 #include "schema/node_id.h"
 
 namespace cure {
@@ -123,7 +122,6 @@ class CureQueryEngine {
                                 ResultSink* sink) const;
 
   const cube::SourceSet& sources() const { return sources_; }
-  const plan::ExecutionPlan& plan() const { return plan_; }
 
   /// Batch scan path of the readers, same contract as
   /// CureOptions::batch_rows: 1 = record-at-a-time reference path, 0 =
@@ -132,17 +130,13 @@ class CureQueryEngine {
 
  private:
   CureQueryEngine(const engine::CureCube* cube, cube::SourceSet sources)
-      : cube_(cube),
-        sources_(std::move(sources)),
-        plan_(plan::ExecutionPlan::Build(cube->schema(),
-                                         plan::ExecutionPlan::Style::kTall)) {}
+      : cube_(cube), sources_(std::move(sources)) {}
 
   Status QueryImpl(schema::NodeId id, int count_aggregate, int64_t min_count,
                    const std::vector<Slice>* slices, ResultSink* sink) const;
 
   const engine::CureCube* cube_;
   cube::SourceSet sources_;
-  plan::ExecutionPlan plan_;
   size_t batch_rows_ = 0;
 };
 

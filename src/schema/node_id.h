@@ -46,6 +46,9 @@ class NodeIdCodec {
   /// The ALL level index for dimension d (= radix - 1).
   int all_level(int d) const { return radix_[d] - 1; }
 
+  /// Dimension d's factor F_d: moving d one level changes the id by F_d.
+  NodeId factor(int d) const { return factor_[d]; }
+
   /// Human-readable node name like "A1B0" or "ALL" (paper's ∅).
   std::string Name(NodeId id, const CubeSchema& schema) const;
 

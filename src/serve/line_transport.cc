@@ -87,7 +87,6 @@ Result<std::unique_ptr<LineTransport>> LineTransport::Start(
   }
   auto self = std::unique_ptr<LineTransport>(
       new LineTransport(std::move(handler)));
-  self->max_connections_ = options.max_connections;
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -168,7 +167,7 @@ void LineTransport::AcceptLoop() {
       continue;
     }
     if (active_connections_.load(std::memory_order_relaxed) >=
-        max_connections_) {
+        kMaxConnections) {
       WriteAllToFd(fd, kRejectResponse, sizeof(kRejectResponse) - 1);
       ::close(fd);
       continue;

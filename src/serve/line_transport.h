@@ -17,9 +17,6 @@ namespace serve {
 struct LineTransportOptions {
   /// Listening port on 127.0.0.1; 0 picks an ephemeral port (see port()).
   int port = 0;
-  /// Concurrent connection cap; excess connections are turned away with
-  /// "ERR ResourceExhausted connection limit reached" and closed.
-  int max_connections = 64;
 };
 
 /// Reusable blocking line-protocol TCP listener: accept loop, one thread
@@ -35,6 +32,10 @@ struct LineTransportOptions {
 class LineTransport {
  public:
   using LineHandler = std::function<std::string(const std::string& line)>;
+
+  /// Concurrent connection cap; excess connections are turned away with
+  /// "ERR ResourceExhausted connection limit reached" and closed.
+  static constexpr int kMaxConnections = 64;
 
   /// Binds 127.0.0.1:<port> and starts the accept loop.
   static Result<std::unique_ptr<LineTransport>> Start(
@@ -67,7 +68,6 @@ class LineTransport {
   int listen_fd_ = -1;
   int port_ = 0;
   std::string endpoint_;
-  int max_connections_ = 64;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> active_connections_{0};

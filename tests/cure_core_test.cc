@@ -328,7 +328,7 @@ TEST(CurePlanStyleTest, ShortPlanProducesSameCubeContents) {
   Dataset ds = MakeHierarchicalDataset(500, 110);
   CureOptions tall;
   CureOptions short_plan;
-  short_plan.plan_style = plan::ExecutionPlan::Style::kShort;
+  short_plan.plan_style = plan::Style::kShort;
   FactInput input{.table = &ds.table};
   Result<std::unique_ptr<CureCube>> cube_tall = BuildCure(ds.schema, input, tall);
   Result<std::unique_ptr<CureCube>> cube_short =

@@ -151,7 +151,7 @@ TEST(EdgeCaseTest, ExternalShortPlanRejected) {
   ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
   CureOptions options;
   options.force_external = true;
-  options.plan_style = plan::ExecutionPlan::Style::kShort;
+  options.plan_style = plan::Style::kShort;
   FactInput input{.relation = &rel};
   EXPECT_FALSE(BuildCure(ds.schema, input, options).ok());
 }

@@ -228,7 +228,7 @@ TEST(ApplyDeltaTest, ShortPlanCubeIsAFailedPrecondition) {
   schema::FactTable table(3, 1);
   AppendRandomRows(&table, 100, 6003);
   CureOptions options;
-  options.plan_style = plan::ExecutionPlan::Style::kShort;
+  options.plan_style = plan::Style::kShort;
   FactInput input{.table = &table};
   auto cube = BuildCure(schema, input, options);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();

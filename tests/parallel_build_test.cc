@@ -226,7 +226,7 @@ TEST(ParallelBuildTest, ScratchDirectoryCleanedUpOnError) {
   options.temp_dir = temp_dir;
   // kShort plans are rejected by the external path after the scratch dir has
   // been created — the error path must still remove it.
-  options.plan_style = plan::ExecutionPlan::Style::kShort;
+  options.plan_style = plan::Style::kShort;
   FactInput input{.relation = &rel};
   Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
   EXPECT_FALSE(cube.ok());

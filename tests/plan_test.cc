@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "schema/lattice.h"
+#include <functional>
+
+#include "plan_walk.h"
 
 namespace cure {
 namespace plan {
@@ -38,74 +40,144 @@ CubeSchema FlatSchema(int d) {
 
 TEST(ExecutionPlanTest, TallPlanCoversPaperLattice) {
   CubeSchema schema = PaperSchema();
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-  EXPECT_EQ(plan.num_nodes(), 24u);
-  EXPECT_TRUE(plan.Validate().ok()) << plan.Validate().ToString();
+  WalkedPlan plan = WalkPlan(schema, Style::kTall);
+  EXPECT_EQ(plan.order.size(), 24u);
+  EXPECT_TRUE(ValidateWalk(schema, Style::kTall, plan));
   // P3 is the tallest extension: height 6 in the paper's running example
   // (Fig. 4), versus height 3 for P2 (Fig. 3).
-  EXPECT_EQ(plan.height(), 6);
+  EXPECT_EQ(plan.height, 6);
 }
 
 TEST(ExecutionPlanTest, ShortPlanCoversPaperLattice) {
   CubeSchema schema = PaperSchema();
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kShort);
-  EXPECT_EQ(plan.num_nodes(), 24u);
-  EXPECT_EQ(plan.height(), 3);  // P2: one solid edge per dimension.
-  // Every node present exactly once.
-  for (NodeId id = 0; id < plan.codec().num_nodes(); ++id) {
-    EXPECT_TRUE(plan.Contains(id));
-  }
+  WalkedPlan plan = WalkPlan(schema, Style::kShort);
+  EXPECT_EQ(plan.order.size(), 24u);
+  EXPECT_EQ(plan.height, 3);  // P2: one solid edge per dimension.
+  EXPECT_TRUE(ValidateWalk(schema, Style::kShort, plan));
 }
 
 TEST(ExecutionPlanTest, FlatTallEqualsBucPlan) {
   CubeSchema schema = FlatSchema(3);
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-  EXPECT_EQ(plan.num_nodes(), 8u);
-  EXPECT_EQ(plan.height(), 3);  // P1: flat BUC plan.
-  EXPECT_TRUE(plan.Validate().ok());
+  WalkedPlan plan = WalkPlan(schema, Style::kTall);
+  EXPECT_EQ(plan.order.size(), 8u);
+  EXPECT_EQ(plan.height, 3);  // P1: flat BUC plan.
+  EXPECT_TRUE(ValidateWalk(schema, Style::kTall, plan));
 }
 
 TEST(ExecutionPlanTest, RootIsAllNode) {
   CubeSchema schema = PaperSchema();
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-  const schema::NodeIdCodec& codec = plan.codec();
-  EXPECT_EQ(plan.root(), codec.Encode({3, 2, 1}));  // ALL everywhere.
-  EXPECT_EQ(plan.node(plan.root()).edge, EdgeType::kRoot);
+  Cursor cursor(schema, Style::kTall);
+  const schema::NodeIdCodec codec(schema);
+  EXPECT_EQ(cursor.node(), codec.Encode({3, 2, 1}));  // ALL everywhere.
+  for (int d = 0; d < schema.num_dims(); ++d) EXPECT_FALSE(cursor.included(d));
+}
+
+TEST(ExecutionPlanTest, TallWalkVisitsInConstructionOrder) {
+  // Depth first, Rule 1 before Rule 2: the order ExecutePlan (Fig. 13)
+  // materializes nodes in, which fixes the order of the cube's relations.
+  CubeSchema schema = PaperSchema();
+  WalkedPlan plan = WalkPlan(schema, Style::kTall);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 10; ++i) {
+    names.push_back(plan.codec.Name(plan.order[i], schema));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"ALL", "A2", "A2B1", "A2B1C0",
+                                             "A2B0", "A2B0C0", "A2C0", "A1",
+                                             "A1B1", "A1B1C0"}));
 }
 
 TEST(ExecutionPlanTest, PathFromRootFollowsPaperChains) {
   CubeSchema schema = PaperSchema();
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-  const schema::NodeIdCodec& codec = plan.codec();
+  const schema::NodeIdCodec codec(schema);
   // Fig. 4: the path to A0B1C0 is ALL -> A2 -> A1 -> A0 -> A0B1 -> A0B1C0.
   const NodeId target = codec.Encode({0, 1, 0});
-  const std::vector<NodeId> path = plan.PathFromRoot(target);
+  const std::vector<NodeId> path = PathFromRoot(schema, codec, target);
   std::vector<std::string> names;
   names.reserve(path.size());
   for (NodeId id : path) names.push_back(codec.Name(id, schema));
   EXPECT_EQ(names, (std::vector<std::string>{"ALL", "A2", "A1", "A0", "A0B1",
                                              "A0B1C0"}));
+  EXPECT_EQ(PathFromRoot(schema, codec, codec.Encode({3, 2, 1})),
+            std::vector<NodeId>{codec.Encode({3, 2, 1})});
+}
+
+TEST(ExecutionPlanTest, PathFromRootMatchesTheWalk) {
+  CubeSchema schema = PaperSchema();
+  WalkedPlan plan = WalkPlan(schema, Style::kTall);
+  for (NodeId id = 0; id < plan.codec.num_nodes(); ++id) {
+    const std::vector<NodeId> path = PathFromRoot(schema, plan.codec, id);
+    ASSERT_EQ(static_cast<int>(path.size()), plan.nodes[id].depth + 1);
+    EXPECT_EQ(path.front(), plan.root);
+    EXPECT_EQ(path.back(), id);
+    for (size_t i = 1; i < path.size(); ++i) {
+      EXPECT_EQ(plan.nodes[path[i]].parent, path[i - 1])
+          << plan.codec.Name(path[i], schema);
+    }
+  }
 }
 
 TEST(ExecutionPlanTest, DashedEdgesOnlyRefineRightmostDimension) {
   CubeSchema schema = PaperSchema();
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-  EXPECT_TRUE(plan.Validate().ok());
+  WalkedPlan plan = WalkPlan(schema, Style::kTall);
+  EXPECT_TRUE(ValidateWalk(schema, Style::kTall, plan));
   // A2B1 -> A2B0 must be a dashed edge.
-  const schema::NodeIdCodec& codec = plan.codec();
-  const PlanNode& a2b0 = plan.node(codec.Encode({2, 0, 1}));
+  const WalkedNode& a2b0 = plan.nodes[plan.codec.Encode({2, 0, 1})];
   EXPECT_EQ(a2b0.edge, EdgeType::kDashed);
-  EXPECT_EQ(a2b0.parent, codec.Encode({2, 1, 1}));
+  EXPECT_EQ(a2b0.parent, plan.codec.Encode({2, 1, 1}));
+}
+
+TEST(ExecutionPlanTest, BaseLevelsBoundTheWalk) {
+  // Node N of a build partitioned on A1: A never goes below A2, and with A
+  // at its ALL level the walk leaves A out entirely.
+  CubeSchema schema = PaperSchema();
+  const schema::NodeIdCodec codec(schema);
+  for (int base : {2, 3}) {
+    Cursor cursor(schema, Style::kTall);
+    cursor.Reset({base, 0, 0});
+    WalkedPlan plan;
+    plan.codec = codec;
+    plan.nodes.resize(codec.num_nodes());
+    ASSERT_TRUE(WalkFrom(&cursor, 0, 0, &plan).ok());
+    EXPECT_EQ(plan.order.size(), (base == 2 ? 2u : 1u) * 3 * 2 - 1) << base;
+    for (NodeId id : plan.order) {
+      EXPECT_GE(codec.Decode(id)[0], base) << codec.Name(id, schema);
+    }
+  }
 }
 
 TEST(ExecutionPlanTest, LargerFlatLattices) {
   for (int d = 2; d <= 8; ++d) {
     CubeSchema schema = FlatSchema(d);
-    ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-    EXPECT_EQ(plan.num_nodes(), uint64_t{1} << d);
-    EXPECT_TRUE(plan.Validate().ok()) << "d=" << d;
-    EXPECT_EQ(plan.height(), d);
+    WalkedPlan plan = WalkPlan(schema, Style::kTall);
+    EXPECT_EQ(plan.order.size(), uint64_t{1} << d);
+    EXPECT_TRUE(ValidateWalk(schema, Style::kTall, plan)) << "d=" << d;
+    EXPECT_EQ(plan.height, d);
   }
+}
+
+TEST(ExecutionPlanTest, WalksLatticesTooLargeToMaterialize) {
+  // 2^28 nodes: the cursor and the path keep O(D) state. Only the path
+  // to the base node is walked; the whole lattice would take minutes.
+  CubeSchema schema = FlatSchema(28);
+  const schema::NodeIdCodec codec(schema);
+  const std::vector<NodeId> path = PathFromRoot(schema, codec, 0);
+  ASSERT_EQ(path.size(), 29u);
+  // P1 (flat BUC): the root-to-base path adds one dimension per edge in
+  // dimension order, which is exactly the cursor's first-child chain.
+  Cursor cursor(schema, Style::kTall);
+  EXPECT_EQ(cursor.node(), path.front());
+  std::vector<NodeId> chain = {cursor.node()};
+  std::function<Status(int)> descend = [&](int next_dim) {
+    bool first = true;
+    return cursor.ForEachChild(next_dim, [&](int d) -> Status {
+      if (!first) return Status::OK();
+      first = false;
+      chain.push_back(cursor.node());
+      return descend(d + 1);
+    });
+  };
+  ASSERT_TRUE(descend(0).ok());
+  EXPECT_EQ(chain, path);
 }
 
 TEST(ExecutionPlanTest, DeepHierarchiesValidate) {
@@ -116,11 +188,11 @@ TEST(ExecutionPlanTest, DeepHierarchiesValidate) {
   Result<CubeSchema> schema =
       CubeSchema::Create(std::move(dims), 1, {{AggFn::kSum, 0, "m"}});
   ASSERT_TRUE(schema.ok());
-  ExecutionPlan plan = ExecutionPlan::Build(*schema, ExecutionPlan::Style::kTall);
-  EXPECT_EQ(plan.num_nodes(), 7u * 3 * 4);
-  EXPECT_TRUE(plan.Validate().ok()) << plan.Validate().ToString();
+  WalkedPlan plan = WalkPlan(*schema, Style::kTall);
+  EXPECT_EQ(plan.order.size(), 7u * 3 * 4);
+  EXPECT_TRUE(ValidateWalk(*schema, Style::kTall, plan));
   // Tall plan height: sum over dims of num_levels.
-  EXPECT_EQ(plan.height(), 6 + 2 + 3);
+  EXPECT_EQ(plan.height, 6 + 2 + 3);
 }
 
 // Complex hierarchy: the paper's Fig. 5 time dimension.
@@ -153,21 +225,28 @@ TEST(ExecutionPlanTest, ComplexHierarchyOneDimensionalCube) {
   Result<CubeSchema> schema =
       CubeSchema::Create(std::move(dims), 1, {{AggFn::kSum, 0, "m"}});
   ASSERT_TRUE(schema.ok());
-  ExecutionPlan plan = ExecutionPlan::Build(*schema, ExecutionPlan::Style::kTall);
+  WalkedPlan plan = WalkPlan(*schema, Style::kTall);
   // Nodes: day, week, month, year, ALL — Fig. 5b.
-  EXPECT_EQ(plan.num_nodes(), 5u);
-  EXPECT_TRUE(plan.Validate().ok()) << plan.Validate().ToString();
-  const schema::NodeIdCodec& codec = plan.codec();
+  EXPECT_EQ(plan.order.size(), 5u);
+  EXPECT_TRUE(ValidateWalk(*schema, Style::kTall, plan));
+  const schema::NodeIdCodec& codec = plan.codec;
   // day is entered from week (max cardinality sibling), not month.
-  const PlanNode& day = plan.node(codec.Encode({0}));
+  const WalkedNode& day = plan.nodes[codec.Encode({0})];
   EXPECT_EQ(day.parent, codec.Encode({1}));  // week
   EXPECT_EQ(day.edge, EdgeType::kDashed);
+  EXPECT_EQ(PathFromRoot(*schema, codec, codec.Encode({0})),
+            (std::vector<NodeId>{codec.Encode({4}), codec.Encode({1}),
+                                 codec.Encode({0})}));
   // month is entered from year.
-  const PlanNode& month = plan.node(codec.Encode({2}));
+  const WalkedNode& month = plan.nodes[codec.Encode({2})];
   EXPECT_EQ(month.parent, codec.Encode({3}));
+  EXPECT_EQ(month.edge, EdgeType::kDashed);
   // week and year enter via solid edges from ALL.
-  EXPECT_EQ(plan.node(codec.Encode({1})).edge, EdgeType::kSolid);
-  EXPECT_EQ(plan.node(codec.Encode({3})).edge, EdgeType::kSolid);
+  EXPECT_EQ(plan.nodes[codec.Encode({1})].edge, EdgeType::kSolid);
+  EXPECT_EQ(plan.nodes[codec.Encode({3})].edge, EdgeType::kSolid);
+  EXPECT_EQ(PathFromRoot(*schema, codec, codec.Encode({2})),
+            (std::vector<NodeId>{codec.Encode({4}), codec.Encode({3}),
+                                 codec.Encode({2})}));
 }
 
 TEST(ExecutionPlanTest, ComplexHierarchyWithSecondDimension) {
@@ -177,19 +256,9 @@ TEST(ExecutionPlanTest, ComplexHierarchyWithSecondDimension) {
   Result<CubeSchema> schema =
       CubeSchema::Create(std::move(dims), 1, {{AggFn::kSum, 0, "m"}});
   ASSERT_TRUE(schema.ok());
-  ExecutionPlan plan = ExecutionPlan::Build(*schema, ExecutionPlan::Style::kTall);
-  EXPECT_EQ(plan.num_nodes(), 5u * 2);
-  EXPECT_TRUE(plan.Validate().ok()) << plan.Validate().ToString();
-}
-
-TEST(ExecutionPlanTest, ToStringRendersEveryNode) {
-  CubeSchema schema = PaperSchema();
-  ExecutionPlan plan = ExecutionPlan::Build(schema, ExecutionPlan::Style::kTall);
-  const std::string rendered = plan.ToString();
-  EXPECT_NE(rendered.find("A2B1C0"), std::string::npos);
-  EXPECT_NE(rendered.find("ALL"), std::string::npos);
-  // 24 lines, one per node.
-  EXPECT_EQ(std::count(rendered.begin(), rendered.end(), '\n'), 24);
+  WalkedPlan plan = WalkPlan(*schema, Style::kTall);
+  EXPECT_EQ(plan.order.size(), 5u * 2);
+  EXPECT_TRUE(ValidateWalk(*schema, Style::kTall, plan));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "gen/datasets.h"
 #include "gen/random.h"
 #include "plan/execution_plan.h"
+#include "plan_walk.h"
 #include "query/node_query.h"
 #include "query/reference.h"
 
@@ -92,24 +93,28 @@ TEST_P(RandomSchemaTest, CodecRoundTripsEveryNode) {
 
 TEST_P(RandomSchemaTest, TallPlanCoversLatticeAndValidates) {
   CubeSchema schema = RandomSchema(GetParam(), /*allow_complex=*/true);
-  plan::ExecutionPlan plan =
-      plan::ExecutionPlan::Build(schema, plan::ExecutionPlan::Style::kTall);
-  EXPECT_EQ(plan.num_nodes(), plan.codec().num_nodes());
-  EXPECT_TRUE(plan.Validate().ok()) << plan.Validate().ToString();
-  // Every path ends at the queried node and starts at the root.
-  for (NodeId id = 0; id < plan.codec().num_nodes(); id += 7) {
-    const std::vector<NodeId> path = plan.PathFromRoot(id);
+  plan::WalkedPlan plan = plan::WalkPlan(schema, plan::Style::kTall);
+  EXPECT_EQ(plan.order.size(), plan.codec.num_nodes());
+  EXPECT_TRUE(plan::ValidateWalk(schema, plan::Style::kTall, plan));
+  // Every path starts at the root, ends at the queried node and follows the
+  // walk's edges.
+  for (NodeId id = 0; id < plan.codec.num_nodes(); id += 7) {
+    const std::vector<NodeId> path = plan::PathFromRoot(schema, plan.codec, id);
     ASSERT_FALSE(path.empty());
-    EXPECT_EQ(path.front(), plan.root());
+    EXPECT_EQ(path.front(), plan.root);
     EXPECT_EQ(path.back(), id);
+    for (size_t i = 1; i < path.size(); ++i) {
+      EXPECT_EQ(plan.nodes[path[i]].parent, path[i - 1]);
+    }
   }
 }
 
 TEST_P(RandomSchemaTest, ShortPlanCoversLattice) {
   CubeSchema schema = RandomSchema(GetParam(), /*allow_complex=*/false);
-  plan::ExecutionPlan plan =
-      plan::ExecutionPlan::Build(schema, plan::ExecutionPlan::Style::kShort);
-  EXPECT_EQ(plan.num_nodes(), plan.codec().num_nodes());
+  plan::WalkedPlan plan = plan::WalkPlan(schema, plan::Style::kShort);
+  EXPECT_EQ(plan.order.size(), plan.codec.num_nodes());
+  EXPECT_TRUE(plan::ValidateWalk(schema, plan::Style::kShort, plan));
+  EXPECT_EQ(plan.height, schema.num_dims());
 }
 
 TEST_P(RandomSchemaTest, LevelMapsCompose) {

@@ -203,11 +203,58 @@ TEST(WorkloadTest, MeasureQrtAccumulates) {
 TEST(QueryEngineTest, RejectsShortPlanCubes) {
   Dataset ds = MakeHier(100, 36);
   CureOptions options;
-  options.plan_style = plan::ExecutionPlan::Style::kShort;
+  options.plan_style = plan::Style::kShort;
   FactInput input{.table = &ds.table};
   Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
   ASSERT_TRUE(cube.ok());
   EXPECT_FALSE(query::CureQueryEngine::Create(cube->get(), 1.0).ok());
+}
+
+TEST(QueryEngineTest, AnswersLatticesTooLargeToMaterialize) {
+  // 25 two-valued dimensions: 2^25 lattice nodes, 4 fact rows. The engine
+  // derives each query's TT path from the node id, so it needs no per-node
+  // state. Rows pair up differently per dimension (d % 3), which keeps the
+  // number of non-trivial groups — and so the build — small.
+  constexpr int kDims = 25;
+  std::vector<schema::Dimension> dims;
+  for (int d = 0; d < kDims; ++d) {
+    dims.push_back(schema::Dimension::Flat("D" + std::to_string(d), 2));
+  }
+  Result<schema::CubeSchema> schema = schema::CubeSchema::Create(
+      std::move(dims), 1,
+      {{schema::AggFn::kSum, 0, "sum"}, {schema::AggFn::kCount, 0, "cnt"}});
+  ASSERT_TRUE(schema.ok());
+  schema::FactTable table(kDims, 1);
+  for (uint32_t r = 0; r < 4; ++r) {
+    uint32_t row[kDims];
+    for (int d = 0; d < kDims; ++d) {
+      row[d] = d % 3 == 0 ? r / 2 : d % 3 == 1 ? r % 2 : (r == 0 || r == 3);
+    }
+    const int64_t m = 10 * (r + 1);
+    table.AppendRow(row, &m);
+  }
+  FactInput input{.table = &table};
+  Result<std::unique_ptr<CureCube>> cube =
+      BuildCure(*schema, input, CureOptions{});
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  Result<std::unique_ptr<query::CureQueryEngine>> engine =
+      query::CureQueryEngine::Create(cube->get(), 1.0);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  const schema::NodeIdCodec& codec = (*cube)->store().codec();
+  ASSERT_EQ(codec.num_nodes(), NodeId{1} << kDims);
+  std::vector<NodeId> nodes = query::RandomNodeWorkload(codec, 40, 25);
+  nodes.push_back(codec.num_nodes() - 1);  // apex (ALL)
+  nodes.push_back(0);                      // base: every dimension grouped
+  for (NodeId id : nodes) {
+    ResultSink sink(true);
+    ASSERT_TRUE((*engine)->QueryNode(id, &sink).ok()) << id;
+    Result<std::vector<ResultSink::Row>> expected =
+        query::ReferenceNodeResult(*schema, table, id);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(query::SameResults(sink.TakeRows(), std::move(expected).value()))
+        << codec.Name(id, *schema);
+  }
 }
 
 }  // namespace

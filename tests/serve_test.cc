@@ -736,8 +736,13 @@ class LineClient {
   /// Sends one command; returns the response lines up to (excluding) ".".
   std::vector<std::string> Roundtrip(const std::string& command) {
     const std::string out = command + "\n";
-    EXPECT_EQ(::send(fd_, out.data(), out.size(), 0),
+    EXPECT_EQ(::send(fd_, out.data(), out.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(out.size()));
+    return ReadResponse();
+  }
+
+  /// Reads one response: the lines up to (excluding) ".".
+  std::vector<std::string> ReadResponse() {
     std::vector<std::string> lines;
     std::string line;
     char c;
@@ -890,6 +895,44 @@ TEST(TcpLineServerTest, CodesTokenSkipsTheValueDecoder) {
                 "ERR InvalidArgument", 0),
             0u);
   (*tcp)->Stop();
+}
+
+TEST(LineTransportTest, TurnsAwayConnectionsBeyondTheCap) {
+  auto transport = serve::LineTransport::Start(
+      [](const std::string& line) { return "OK " + line + "\n.\n"; },
+      LineTransportOptions{});
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  const int port = (*transport)->port();
+
+  // A round trip on each client proves the transport accepted and counted
+  // it before the next one connects.
+  std::vector<std::unique_ptr<LineClient>> clients;
+  for (int i = 0; i < serve::LineTransport::kMaxConnections; ++i) {
+    clients.push_back(std::make_unique<LineClient>(port));
+    ASSERT_TRUE(clients.back()->connected()) << i;
+    ASSERT_EQ(clients.back()->Roundtrip("PING"),
+              std::vector<std::string>{"OK PING"})
+        << i;
+  }
+  LineClient extra(port);
+  ASSERT_TRUE(extra.connected());
+  EXPECT_EQ(extra.ReadResponse(),
+            std::vector<std::string>{
+                "ERR ResourceExhausted connection limit reached"});
+
+  // The cap counts live connections: once the clients hang up, a new one is
+  // served again (the handler threads finish asynchronously, so retry).
+  clients.clear();
+  std::vector<std::string> reply;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    LineClient again(port);
+    ASSERT_TRUE(again.connected());
+    reply = again.Roundtrip("PING");
+    if (reply == std::vector<std::string>{"OK PING"}) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(reply, std::vector<std::string>{"OK PING"});
+  (*transport)->Stop();
 }
 
 TEST(TcpLineServerTest, EchoesClientSuppliedTraceId) {
