@@ -20,6 +20,8 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cube/cube_store.h"
 #include "cube/signature.h"
@@ -427,19 +429,30 @@ int RunSmoke() {
     }
   }
   // Row-id dereference: coalesced ReadRows must return the bytes of one
-  // Read per row, for sparse, dense and single-row requests.
+  // Read per row, for sparse, dense and single-row requests, for unsorted
+  // requests that repeat a few rows many times, and for short requests
+  // across the whole relation, whose 18-bit row-ids take several narrow
+  // radix passes to order.
   for (bool file_backed : {false, true}) {
     const cure::storage::Relation& rel = KernelRelation(file_backed);
+    std::vector<std::pair<std::string, std::vector<uint64_t>>> requests;
     for (size_t n : {1ul, 100ul, 16384ul, 200000ul}) {
-      const std::vector<uint64_t> rows = RandomRows(rel, n, 37 + n);
+      requests.emplace_back("", RandomRows(rel, n, 37 + n));
+    }
+    std::vector<uint64_t> dups = RandomRows(rel, 16384, 43);
+    for (uint64_t& row : dups) row = row % 64 * 4099;
+    requests.emplace_back("dups ", std::move(dups));
+    requests.emplace_back("multipass ", RandomRows(rel, 8, 47));
+    for (const auto& [kind, rows] : requests) {
+      const size_t n = rows.size();
       std::vector<uint8_t> per_row(n * rel.record_size());
       std::vector<uint8_t> batched(n * rel.record_size(), 0xA5);
       const bool ok = DereferencePerRow(rel, rows, per_row.data()) &&
                       DereferenceBatched(rel, rows, batched.data()) &&
                       per_row == batched;
       failures += ok ? 0 : 1;
-      std::printf("smoke %s deref rows=%zu %s\n",
-                  file_backed ? "file" : "memory", n,
+      std::printf("smoke %s deref %srows=%zu %s\n",
+                  file_backed ? "file" : "memory", kind.c_str(), n,
                   ok ? "OK" : "MISMATCH");
     }
   }

@@ -1,7 +1,8 @@
 #include "storage/relation.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -94,12 +95,54 @@ Status Relation::Read(uint64_t row, void* out) const {
   return reader->ReadAt(view_offset_ + row * record_size_, out, record_size_);
 }
 
+namespace {
+
+// One requested row-id of Relation::ReadRows and the position of its record
+// in the caller's output.
+struct RowSlot {
+  uint64_t row;
+  size_t pos;
+};
+
+// Sorts `slots`, whose rows are all at most `max_row`, by row: an LSD radix
+// sort with as many passes as the bit width of `max_row` needs.
+void SortRowSlots(std::vector<RowSlot>* slots, uint64_t max_row) {
+  // The digit is at most 11 bits and no wider than the slot count needs, so
+  // a short request does not pay for clearing a large count array; the
+  // passes split the key width evenly.
+  constexpr int kMaxDigitBits = 11;
+  const size_t n = slots->size();
+  const int key_bits = std::bit_width(max_row);
+  if (n < 2 || key_bits == 0) return;
+  const int max_digit = std::min(static_cast<int>(std::bit_width(n)), kMaxDigitBits);
+  const int passes = (key_bits + max_digit - 1) / max_digit;
+  const int digit_bits = (key_bits + passes - 1) / passes;
+  const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+  std::vector<size_t> counts(size_t{1} << digit_bits);
+  std::vector<RowSlot> scratch(n);
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * digit_bits;
+    auto digit = [&](const RowSlot& s) { return (s.row >> shift) & mask; };
+    std::fill(counts.begin(), counts.end(), size_t{0});
+    for (const RowSlot& s : *slots) ++counts[digit(s)];
+    size_t start = 0;
+    for (size_t& c : counts) start += std::exchange(c, start);
+    // Each pass keeps the order of equal digits, as LSD radix sorting needs.
+    for (const RowSlot& s : *slots) scratch[counts[digit(s)]++] = s;
+    slots->swap(scratch);
+  }
+}
+
+}  // namespace
+
 Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
+  uint64_t max_row = 0;
   for (size_t i = 0; i < n; ++i) {
     if (rows[i] >= num_rows_) {
       return Status::OutOfRange("row " + std::to_string(rows[i]) + " >= " +
                                 std::to_string(num_rows_));
     }
+    max_row = std::max(max_row, rows[i]);
   }
   const size_t width = record_size_;
   if (memory_) {
@@ -111,22 +154,18 @@ Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
   const FileReader* reader = file_reader();
   if (reader == nullptr) return Status::Internal("Read from unsealed file relation");
   // Visit the rows in ascending order without reordering the caller's.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  if (!std::is_sorted(rows, rows + n)) {
-    std::sort(order.begin(), order.end(), [rows](size_t a, size_t b) {
-      return rows[a] < rows[b];
-    });
-  }
+  std::vector<RowSlot> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = {rows[i], i};
+  if (!std::is_sorted(rows, rows + n)) SortRowSlots(&order, max_row);
   std::vector<uint8_t> run;
   for (size_t i = 0; i < n;) {
     // Extend the run while the next record starts within the gap limit of
     // the last one and the whole run stays within the run limit.
-    const uint64_t first = rows[order[i]];
+    const uint64_t first = order[i].row;
     uint64_t last = first;
     size_t j = i + 1;
     for (; j < n; ++j) {
-      const uint64_t next = rows[order[j]];
+      const uint64_t next = order[j].row;
       if ((next - last) * width > kCoalesceGapBytes + width ||
           (next - first + 1) * width > kCoalesceRunBytes) {
         break;
@@ -135,13 +174,13 @@ Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
     }
     const uint64_t offset = view_offset_ + first * width;
     if (j == i + 1) {
-      CURE_RETURN_IF_ERROR(reader->ReadAt(offset, out + order[i] * width, width));
+      CURE_RETURN_IF_ERROR(reader->ReadAt(offset, out + order[i].pos * width, width));
     } else {
       run.resize((last - first + 1) * width);
       CURE_RETURN_IF_ERROR(reader->ReadAt(offset, run.data(), run.size()));
       for (size_t k = i; k < j; ++k) {
-        std::memcpy(out + order[k] * width,
-                    run.data() + (rows[order[k]] - first) * width, width);
+        std::memcpy(out + order[k].pos * width,
+                    run.data() + (order[k].row - first) * width, width);
       }
     }
     i = j;

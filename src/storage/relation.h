@@ -68,9 +68,10 @@ class Relation {
 
   /// Reads the records at `rows[0..n)` (any order, duplicates allowed) into
   /// `out`, record i at `out + i * record_size()`. Every row is range-checked
-  /// first. File-backed relations visit the rows in ascending order and read
-  /// each run of nearby rows (kCoalesceGapBytes / kCoalesceRunBytes) with one
-  /// FileReader::ReadAt — the row-id dereference of DESIGN.md §13.
+  /// first. File-backed relations visit the rows in ascending order (a
+  /// radix sort, linear in `n`) and read each run of nearby rows
+  /// (kCoalesceGapBytes / kCoalesceRunBytes) with one FileReader::ReadAt —
+  /// the row-id dereference of DESIGN.md §13.
   Status ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const;
 
   /// Memory-backed relations expose their raw record pointer for zero-copy

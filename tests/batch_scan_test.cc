@@ -8,7 +8,6 @@
 // in the scalar path's order, and surface read faults as errors.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <fstream>
@@ -27,6 +26,7 @@
 #include "query/reference.h"
 #include "schema/node_id.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -68,10 +68,6 @@ Dataset MakeZipfDataset(uint64_t tuples, uint64_t seed) {
   return ds;
 }
 
-std::string TempPath(const std::string& name) {
-  return "/tmp/cure_batch_scan_" + std::to_string(::getpid()) + "_" + name;
-}
-
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -90,15 +86,16 @@ Result<storage::Relation> MakeFileRelation(const Dataset& ds,
 
 // Builds with the given batch_rows, persists the packed store, returns its
 // bytes.
-std::string BuildAndPack(const Dataset& ds, const storage::Relation& rel,
-                         CureOptions options, size_t batch_rows) {
+std::string BuildAndPack(const test::ScopedTempDir& tmp, const Dataset& ds,
+                         const storage::Relation& rel, CureOptions options,
+                         size_t batch_rows) {
   options.batch_rows = batch_rows;
   FactInput input{.relation = &rel};
   Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
   EXPECT_TRUE(cube.ok()) << cube.status().ToString();
   if (!cube.ok()) return "";
   const std::string path =
-      TempPath("pack_b" + std::to_string(batch_rows) + ".bin");
+      tmp.File("pack_b" + std::to_string(batch_rows) + ".bin");
   Status s = (*cube)->store().PersistPacked(path);
   EXPECT_TRUE(s.ok()) << s.ToString();
   std::string bytes = ReadFileBytes(path);
@@ -107,17 +104,18 @@ std::string BuildAndPack(const Dataset& ds, const storage::Relation& rel,
 }
 
 TEST(BatchScanBuildTest, ByteIdenticalPackedCubesMemoryBacked) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeZipfDataset(3000, 101);
   storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
   ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
   for (bool dims_in_nt : {false, true}) {
     CureOptions options;
     options.dims_in_nt = dims_in_nt;
-    const std::string reference = BuildAndPack(ds, rel, options, 1);
+    const std::string reference = BuildAndPack(tmp, ds, rel, options, 1);
     ASSERT_FALSE(reference.empty());
     for (size_t batch : kBatchMatrix) {
       if (batch == 1) continue;
-      const std::string packed = BuildAndPack(ds, rel, options, batch);
+      const std::string packed = BuildAndPack(tmp, ds, rel, options, batch);
       ASSERT_EQ(packed.size(), reference.size())
           << "batch_rows=" << batch << " dims_in_nt=" << dims_in_nt;
       EXPECT_TRUE(packed == reference)
@@ -128,8 +126,9 @@ TEST(BatchScanBuildTest, ByteIdenticalPackedCubesMemoryBacked) {
 }
 
 TEST(BatchScanBuildTest, ByteIdenticalPackedCubesFileBackedExternal) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeZipfDataset(4000, 202);
-  const std::string rel_path = TempPath("fact.bin");
+  const std::string rel_path = tmp.File("fact.bin");
   Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
 
@@ -139,11 +138,13 @@ TEST(BatchScanBuildTest, ByteIdenticalPackedCubesFileBackedExternal) {
   // enough that the build still splits into several partitions.
   options.memory_budget_bytes = 96 * 1024;
   options.signature_pool_capacity = 256;
-  const std::string reference = BuildAndPack(ds, rel.value(), options, 1);
+  const std::string reference =
+      BuildAndPack(tmp, ds, rel.value(), options, 1);
   ASSERT_FALSE(reference.empty());
   for (size_t batch : kBatchMatrix) {
     if (batch == 1) continue;
-    const std::string packed = BuildAndPack(ds, rel.value(), options, batch);
+    const std::string packed =
+        BuildAndPack(tmp, ds, rel.value(), options, batch);
     ASSERT_EQ(packed.size(), reference.size()) << "batch_rows=" << batch;
     EXPECT_TRUE(packed == reference)
         << "packed cube differs from the scalar reference at batch_rows="
@@ -153,8 +154,9 @@ TEST(BatchScanBuildTest, ByteIdenticalPackedCubesFileBackedExternal) {
 }
 
 TEST(BatchScanBuildTest, LevelHistogramsIdenticalAcrossBatchRows) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeZipfDataset(2500, 303);
-  const std::string rel_path = TempPath("hist.bin");
+  const std::string rel_path = tmp.File("hist.bin");
   Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
   ASSERT_TRUE(rel.ok());
   Result<std::vector<std::vector<uint64_t>>> reference =
@@ -231,8 +233,9 @@ TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsInMemory) {
 }
 
 TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsFileBacked) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeZipfDataset(3000, 505);
-  const std::string rel_path = TempPath("qfact.bin");
+  const std::string rel_path = tmp.File("qfact.bin");
   Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
   ASSERT_TRUE(rel.ok());
   CureOptions options;
@@ -240,7 +243,7 @@ TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsFileBacked) {
   Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   // Spill the store so the block scanners really read files.
-  const std::string pack_path = TempPath("qpack.bin");
+  const std::string pack_path = tmp.File("qpack.bin");
   ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
   Result<std::unique_ptr<CureQueryEngine>> eng =
       CureQueryEngine::Create(cube->get(), 0.5);
@@ -371,8 +374,9 @@ std::vector<DerefCase> DerefCases() {
 // must equal the scalar path's, in order, at every fact-cache fraction, and
 // match the brute-force reference as a set.
 TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeWideZipfDataset(30000, 808);
-  const std::string rel_path = TempPath("deref_fact.bin");
+  const std::string rel_path = tmp.File("deref_fact.bin");
   Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
   const schema::NodeIdCodec codec(ds.schema);
@@ -393,7 +397,7 @@ TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
     if (c.cure_plus) {
       ASSERT_TRUE(engine::CurePostProcess(cube->get()).ok());
     }
-    const std::string pack_path = TempPath(std::string("deref_") + c.name);
+    const std::string pack_path = tmp.File(std::string("deref_") + c.name);
     ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
 
     // The case really exercises what it names.
@@ -466,15 +470,16 @@ TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
 // packed cube — coalesced dereference reads included — fails the query with
 // that error at every batch size.
 TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeWideZipfDataset(30000, 909);
-  const std::string rel_path = TempPath("fault_fact.bin");
+  const std::string rel_path = tmp.File("fault_fact.bin");
   Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
   FactInput input{.relation = &rel.value()};
   Result<std::unique_ptr<CureCube>> cube =
       BuildCure(ds.schema, input, CureOptions{});
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-  const std::string pack_path = TempPath("fault_pack.bin");
+  const std::string pack_path = tmp.File("fault_pack.bin");
   ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
   Result<std::unique_ptr<CureQueryEngine>> eng =
       CureQueryEngine::Create(cube->get(), 0.0);
@@ -556,6 +561,7 @@ TEST(BatchScanBaselineTest, BucIdenticalAcrossBatchRows) {
 }
 
 TEST(BatchScanBaselineTest, BubstIdenticalAcrossBatchRows) {
+  const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeZipfDataset(1200, 707);
   const schema::CubeSchema flat = ds.schema.Flattened();
   const schema::NodeIdCodec codec(flat);
@@ -569,7 +575,7 @@ TEST(BatchScanBaselineTest, BubstIdenticalAcrossBatchRows) {
     EXPECT_TRUE(cube.ok()) << cube.status().ToString();
     // The monolithic relation must be byte-identical across batch sizes.
     const std::string path =
-        TempPath("bubst_b" + std::to_string(batch) + ".bin");
+        tmp.File("bubst_b" + std::to_string(batch) + ".bin");
     EXPECT_TRUE((*cube)->SpillToDisk(path).ok());
     *monolithic = ReadFileBytes(path);
     query::BubstQueryEngine eng(cube->get());

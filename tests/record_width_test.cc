@@ -3,7 +3,6 @@
 // against the brute-force reference, across every engine variant, build
 // path, thread count and storage mode.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <limits>
 #include <memory>
@@ -20,6 +19,7 @@
 #include "query/node_query.h"
 #include "query/reference.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -199,8 +199,8 @@ TEST(RecordWidthTest, MixedWidthCubesMatchTheReference) {
   const std::vector<Reference> expected = ReferenceAnswers(ds);
   storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
   ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
-  const std::string pack =
-      "/tmp/cure_record_width_" + std::to_string(::getpid()) + ".bin";
+  const test::ScopedTempDir tmp("record_width");
+  const std::string pack = tmp.File("cube.bin");
 
   enum class Variant { kCure, kCurePlus, kCureDr };
   for (const Variant variant : {Variant::kCure, Variant::kCurePlus, Variant::kCureDr}) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "storage/bitmap.h"
@@ -10,17 +14,15 @@
 #include "storage/file_io.h"
 #include "storage/relation.h"
 #include "storage/row_block.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace storage {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return std::string("/tmp/cure_storage_test_") + name;
-}
-
 TEST(FileIoTest, WriteThenReadBack) {
-  const std::string path = TempPath("rw.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("rw.bin");
   FileWriter writer;
   ASSERT_TRUE(writer.Open(path, /*buffer_bytes=*/16).ok());
   const char data[] = "hello cure storage layer";
@@ -40,7 +42,8 @@ TEST(FileIoTest, WriteThenReadBack) {
 }
 
 TEST(FileIoTest, ReadPastEndFails) {
-  const std::string path = TempPath("short.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("short.bin");
   FileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append("abc", 3).ok());
@@ -128,7 +131,8 @@ TEST(RowBlockTest, MemoryBlockScannerIsZeroCopy) {
 }
 
 TEST(RowBlockTest, FileBlockScannerMatchesScalarScan) {
-  const std::string path = TempPath("blocks.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("blocks.bin");
   Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
   ASSERT_TRUE(rel.ok());
   const uint64_t n = 10000;
@@ -157,7 +161,8 @@ TEST(RowBlockTest, FileBlockScannerMatchesScalarScan) {
 }
 
 TEST(RowBlockTest, BlockScannerRejectsUnsealedFile) {
-  const std::string path = TempPath("unsealed.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("unsealed.bin");
   Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
   ASSERT_TRUE(rel.ok());
   Rec r{1, 1, 0};
@@ -210,7 +215,8 @@ TEST(RowBlockTest, ZeroBlockRowsClampsToOne) {
 }
 
 TEST(RelationTest, FileBackedAppendSealReadScan) {
-  const std::string path = TempPath("rel.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("rel.bin");
   Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
   for (uint64_t i = 0; i < 10000; ++i) {
@@ -236,7 +242,8 @@ TEST(RelationTest, FileBackedAppendSealReadScan) {
 }
 
 TEST(RelationTest, ReopenExistingFile) {
-  const std::string path = TempPath("reopen.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("reopen.bin");
   {
     Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
     ASSERT_TRUE(rel.ok());
@@ -254,7 +261,8 @@ TEST(RelationTest, ReopenExistingFile) {
 }
 
 TEST(RelationTest, OpenFileSizeMismatchFails) {
-  const std::string path = TempPath("mismatch.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("mismatch.bin");
   FileWriter w;
   ASSERT_TRUE(w.Open(path).ok());
   ASSERT_TRUE(w.Append("12345", 5).ok());
@@ -290,7 +298,8 @@ TEST(BitmapTest, ForEachIteratesInOrder) {
 }
 
 TEST(BufferCacheTest, PinnedPrefixServesHits) {
-  const std::string path = TempPath("cache.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("cache.bin");
   Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
   ASSERT_TRUE(rel.ok());
   for (uint64_t i = 0; i < 1000; ++i) {
@@ -329,7 +338,8 @@ TEST(BufferCacheTest, MemoryRelationAlwaysHits) {
 // duplicates, reversed order and far-apart rows included — and reads each
 // run of nearby rows of a file with one pread.
 TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
-  const std::string path = TempPath("readrows.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("readrows.bin");
   Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
   ASSERT_TRUE(file.ok());
   Relation memory = Relation::Memory(sizeof(Rec));
@@ -385,9 +395,168 @@ TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
   ASSERT_TRUE(RemoveFile(path).ok());
 }
 
+// ---- Differential checks of the row-id ordering and dereference ----
+
+// The preads the coalescing rule of Relation::ReadRows predicts for
+// `rows` of `width`-byte records, worked out from a sorted copy.
+uint64_t PredictedReads(std::vector<uint64_t> rows, uint64_t width) {
+  std::sort(rows.begin(), rows.end());
+  uint64_t reads = 0;
+  size_t i = 0;
+  while (i < rows.size()) {
+    const uint64_t first = rows[i];
+    uint64_t last = first;
+    for (++i; i < rows.size(); ++i) {
+      const bool near = rows[i] - last <= kCoalesceGapBytes / width + 1;
+      const bool fits = (rows[i] - first + 1) * width <= kCoalesceRunBytes;
+      if (!near || !fits) break;
+      last = rows[i];
+    }
+    ++reads;
+  }
+  return reads;
+}
+
+// The "read" ops of `path` that `fn` issues.
+template <typename Fn>
+uint64_t CountReads(const std::string& path, Fn fn) {
+  FaultPlan count;
+  count.op = "read";
+  count.target_substr = path;
+  count.fail_index = UINT64_MAX;
+  ScopedFaultInjection counting(FaultInjector::Disk(), count);
+  fn();
+  return counting.ops_matched();
+}
+
+// `n` row-ids below `num_rows` in one of the request shapes the ordering
+// must handle. "dups" draws from few distinct rows, so most repeat.
+std::vector<uint64_t> RowSet(const std::string& shape, size_t n,
+                             uint64_t num_rows, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<uint64_t> rows(n);
+  const uint64_t domain = shape == "dups" ? std::min<uint64_t>(num_rows, 37)
+                                          : num_rows;
+  for (uint64_t& row : rows) row = rng() % domain;
+  if (shape == "sorted") std::sort(rows.begin(), rows.end());
+  if (shape == "reversed") std::sort(rows.rbegin(), rows.rend());
+  if (shape == "equal") std::fill(rows.begin(), rows.end(), num_rows / 2);
+  return rows;
+}
+
+const char* const kShapes[] = {"random", "sorted", "reversed", "equal",
+                               "dups"};
+const size_t kSizes[] = {0, 1, 2, 1023, 1024, 16384, 16385};
+
+// Record of row `r` in the differential tests: distinct for every row.
+uint64_t RowValue(uint64_t r) { return (r + 1) * 0x9E3779B97F4A7C15ull; }
+
+// For every shape and size, ReadRows returns one Read per row, in the
+// caller's order, on both backings, and a file-backed request issues
+// exactly the preads the coalescing rule predicts.
+TEST(RelationTest, ReadRowsMatchesPerRowReadForEveryShape) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("shapes.bin");
+  Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(file.ok());
+  Relation memory = Relation::Memory(sizeof(Rec));
+  constexpr uint64_t kRows = 247860;  // the APB-1 density-4 fact table
+  for (uint64_t i = 0; i < kRows; ++i) {
+    Rec r{RowValue(i), static_cast<uint32_t>(i), 0};
+    ASSERT_TRUE(file->Append(&r).ok());
+    ASSERT_TRUE(memory.Append(&r).ok());
+  }
+  ASSERT_TRUE(file->Seal().ok());
+  for (const char* shape : kShapes) {
+    for (const size_t n : kSizes) {
+      const std::vector<uint64_t> rows = RowSet(shape, n, kRows, 7 * n + 1);
+      std::vector<Rec> expected(n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(memory.Read(rows[i], &expected[i]).ok());
+      }
+      for (const Relation* rel : {&memory, &file.value()}) {
+        std::vector<Rec> got(n);
+        uint64_t reads = 0;
+        if (rel->memory_backed()) {
+          ASSERT_TRUE(rel->ReadRows(rows.data(), n,
+                                    reinterpret_cast<uint8_t*>(got.data()))
+                          .ok());
+        } else {
+          reads = CountReads(path, [&] {
+            EXPECT_TRUE(rel->ReadRows(rows.data(), n,
+                                      reinterpret_cast<uint8_t*>(got.data()))
+                            .ok());
+          });
+          EXPECT_EQ(reads, PredictedReads(rows, sizeof(Rec)))
+              << shape << " n=" << n;
+        }
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::memcmp(&got[i], &expected[i], sizeof(Rec)), 0)
+              << shape << " n=" << n << " at " << i
+              << (rel->memory_backed() ? " memory" : " file");
+        }
+      }
+    }
+  }
+}
+
+// Rows at and beyond 2^32 of a sparse file, read through a file view: the
+// keys span 33 bits, so the ordering takes several radix passes.
+TEST(RelationTest, ReadRowsOrdersRowsBeyondFourBillion) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("sparse.bin");
+  constexpr uint64_t kWidth = sizeof(uint64_t);
+  constexpr uint64_t kHigh = uint64_t{1} << 32;  // first row of the far region
+  constexpr uint64_t kRegion = 1 << 15;          // rows written per region
+  // Rows [0, kRegion) and [kHigh, kHigh + kRegion) hold data; the hole
+  // between them reads as zeros and is never requested.
+  auto write_region = [&](uint64_t first, FileWriter::OpenMode mode) {
+    FileWriter writer;
+    ASSERT_TRUE(writer.Open(path, 1 << 20, mode).ok());
+    for (uint64_t r = first; r < first + kRegion; ++r) {
+      const uint64_t v = RowValue(r);
+      ASSERT_TRUE(writer.Append(&v, kWidth).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  };
+  write_region(0, FileWriter::OpenMode::kTruncate);
+  ASSERT_TRUE(TruncateFile(path, kHigh * kWidth).ok());
+  write_region(kHigh, FileWriter::OpenMode::kAppend);
+  auto reader = std::make_shared<FileReader>();
+  ASSERT_TRUE(reader->Open(path).ok());
+  ASSERT_EQ(reader->file_size(), (kHigh + kRegion) * kWidth);
+  const Relation view = Relation::FileView(reader, 0, kHigh + kRegion, kWidth);
+
+  std::mt19937_64 rng(2024);
+  for (const size_t n : kSizes) {
+    for (const bool dups : {false, true}) {
+      std::vector<uint64_t> rows(n);
+      for (uint64_t& row : rows) {
+        const uint64_t offset = rng() % (dups ? 9 : kRegion);
+        row = (rng() & 1) ? kHigh + offset : offset;
+      }
+      std::vector<uint64_t> got(n);
+      const uint64_t reads = CountReads(path, [&] {
+        EXPECT_TRUE(view.ReadRows(rows.data(), n,
+                                  reinterpret_cast<uint8_t*>(got.data()))
+                        .ok());
+      });
+      EXPECT_EQ(reads, PredictedReads(rows, kWidth)) << "n=" << n;
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t single = 0;
+        ASSERT_TRUE(view.Read(rows[i], &single).ok());
+        ASSERT_EQ(single, RowValue(rows[i])) << "n=" << n << " at " << i;
+        ASSERT_EQ(got[i], single)
+            << "n=" << n << " dups=" << dups << " at " << i;
+      }
+    }
+  }
+}
+
 // BufferCache::ReadRows counts hits and misses per row, as Read does.
 TEST(BufferCacheTest, ReadRowsCountsEveryRow) {
-  const std::string path = TempPath("cache_rows.bin");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("cache_rows.bin");
   Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
   ASSERT_TRUE(rel.ok());
   for (uint64_t i = 0; i < 1000; ++i) {
@@ -408,12 +577,61 @@ TEST(BufferCacheTest, ReadRowsCountsEveryRow) {
   ASSERT_TRUE(RemoveFile(path).ok());
 }
 
+// A BufferCache request mixing pinned-prefix hits and misses returns one
+// Read per row, counts every row, and reads the misses alone, coalesced.
+TEST(BufferCacheTest, ReadRowsMixesPinnedAndMissedRows) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("cache_mixed.bin");
+  Result<Relation> rel = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(rel.ok());
+  constexpr uint64_t kRows = 60000;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    Rec r{RowValue(i), static_cast<uint32_t>(i), 0};
+    ASSERT_TRUE(rel->Append(&r).ok());
+  }
+  ASSERT_TRUE(rel->Seal().ok());
+  BufferCache cache;
+  ASSERT_TRUE(cache.Init(&rel.value(), 0.25).ok());
+  ASSERT_EQ(cache.cached_rows(), kRows / 4);
+  uint64_t hits = 0, misses = 0;
+  for (const char* shape : kShapes) {
+    for (const size_t n : kSizes) {
+      const std::vector<uint64_t> rows = RowSet(shape, n, kRows, 3 * n + 5);
+      std::vector<uint64_t> missed;
+      for (const uint64_t row : rows) {
+        if (row >= cache.cached_rows()) missed.push_back(row);
+      }
+      std::vector<Rec> got(n);
+      const uint64_t reads = CountReads(path, [&] {
+        EXPECT_TRUE(cache.ReadRows(rows.data(), n,
+                                   reinterpret_cast<uint8_t*>(got.data()))
+                        .ok());
+      });
+      EXPECT_EQ(reads, PredictedReads(missed, sizeof(Rec)))
+          << shape << " n=" << n;
+      hits += n - missed.size();
+      misses += missed.size();
+      EXPECT_EQ(cache.hits(), hits) << shape << " n=" << n;
+      EXPECT_EQ(cache.misses(), misses) << shape << " n=" << n;
+      for (size_t i = 0; i < n; ++i) {
+        Rec single;
+        ASSERT_TRUE(rel->Read(rows[i], &single).ok());
+        ASSERT_EQ(std::memcmp(&got[i], &single, sizeof(Rec)), 0)
+            << shape << " n=" << n << " at " << i;
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+}
+
 TEST(DirHelpersTest, EnsureAndRemoveTree) {
-  const std::string dir = TempPath("tree/sub/dir");
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string dir = tmp.File("tree/sub/dir");
   ASSERT_TRUE(EnsureDir(dir).ok());
   EXPECT_TRUE(std::filesystem::exists(dir));
-  ASSERT_TRUE(RemoveDirTree(TempPath("tree")).ok());
-  EXPECT_FALSE(std::filesystem::exists(TempPath("tree")));
+  ASSERT_TRUE(RemoveDirTree(tmp.File("tree")).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp.File("tree")));
 }
 
 }  // namespace
