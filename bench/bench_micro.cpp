@@ -227,6 +227,10 @@ cure::storage::Relation MakeKernelRelation(uint64_t n, bool file_backed,
   if (file_backed) {
     cure::Status s = rel.Seal();
     benchmark::DoNotOptimize(s);
+    // The sealed relation reads through its open descriptor, so the name
+    // can go now: no run, however it ends, leaves the file behind.
+    s = cure::storage::RemoveFile(path);
+    benchmark::DoNotOptimize(s);
   }
   return rel;
 }

@@ -65,8 +65,10 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // Shutting down and fully drained.
       task = std::move(queue_.front());
       queue_.pop_front();
+      // Counted busy under the lock that pops it, so HasIdleWorker never
+      // sees a task that is neither queued nor busy.
+      busy_workers_.fetch_add(1, std::memory_order_relaxed);
     }
-    busy_workers_.fetch_add(1, std::memory_order_relaxed);
     task();  // Status travels through the promise; tasks do not throw.
     busy_workers_.fetch_sub(1, std::memory_order_relaxed);
     tasks_completed_.fetch_add(1, std::memory_order_relaxed);

@@ -60,6 +60,14 @@ class ThreadPool {
   int busy_workers() const {
     return busy_workers_.load(std::memory_order_relaxed);
   }
+  /// True when a task submitted now would start at once: fewer tasks are
+  /// running or queued than there are workers. A snapshot — another thread
+  /// may take the idle worker before this caller submits.
+  bool HasIdleWorker() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t busy = busy_workers_.load(std::memory_order_relaxed);
+    return busy + queue_.size() < workers_.size();
+  }
   /// Tasks accepted by Submit() over the pool's lifetime.
   uint64_t tasks_submitted() const {
     return tasks_submitted_.load(std::memory_order_relaxed);

@@ -1,8 +1,13 @@
 #include "query/node_query.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -28,8 +33,18 @@ Result<std::unique_ptr<CureQueryEngine>> CureQueryEngine::Create(
   }
   CURE_ASSIGN_OR_RETURN(cube::SourceSet sources,
                         cube->MakeSources(fact_cache_fraction));
-  return std::unique_ptr<CureQueryEngine>(
-      new CureQueryEngine(cube, std::move(sources)));
+  // Read once here: per query, the environment lookup would cost as much as
+  // a small query.
+  return std::unique_ptr<CureQueryEngine>(new CureQueryEngine(
+      cube, std::move(sources), ThreadPool::DefaultThreadCount() - 1));
+}
+
+ThreadPool* CureQueryEngine::DerefPool() const {
+  if (deref_workers_ == 0) return nullptr;
+  std::call_once(deref_pool_once_, [this] {
+    deref_pool_ = std::make_unique<ThreadPool>(deref_workers_);
+  });
+  return deref_pool_.get();
 }
 
 Status CureQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
@@ -116,64 +131,169 @@ class RowEmitter {
 };
 
 /// The block path's row-id dereference buffer (DESIGN.md §13). Tuples whose
-/// codes live behind a row-id are queued with the aggregates they carry; a
-/// flush dereferences the whole chunk with one SourceSet::GetRows — a
-/// file-backed source reads it in row-id order, nearby rows coalesced into
-/// one read — and then emits the tuples in queue order, the order the
-/// record-at-a-time path emits them in. With every source in memory there
-/// is no read to save, and each tuple is flushed as it is queued. The
-/// vectors grow only as tuples are queued and are reused across flushes.
+/// codes live behind a row-id are queued in chunks with the aggregates they
+/// carry. One SourceSet::GetRows dereferences a chunk — a file-backed source
+/// reads it in row-id order, nearby rows coalesced into one read — and its
+/// tuples are then emitted in queue order, the order the record-at-a-time
+/// path emits them in. Over files the buffer is a pipeline: a full chunk is
+/// read on an idle worker of the engine's pool while this thread scans on,
+/// and chunks are emitted on this thread, strictly in queue order. With
+/// every source in memory there is no read to save, and each tuple is read
+/// and emitted as it is queued.
 class DerefBuffer {
  public:
+  /// `pool` yields the engine's dereference pool (nullptr without workers);
+  /// it is asked at the first full chunk of a file-backed source.
   DerefBuffer(const cube::SourceSet& sources, RowEmitter* emitter,
-              int num_dims, int y)
+              int num_dims, int y, std::function<ThreadPool*()> pool)
       : sources_(sources),
         emitter_(emitter),
+        pool_(std::move(pool)),
         chunk_rows_(sources.reads_files() ? kDereferenceChunkRows : 1),
         num_dims_(num_dims),
         y_(y) {}
 
+  /// A worker may still be writing into a chunk of a query that failed.
+  ~DerefBuffer() {
+    for (const std::unique_ptr<Chunk>& chunk : queue_) chunk->Wait();
+  }
+
   /// Queues a tuple that carries its own aggregates (an NT or a CAT).
   Status Add(RowId rowid, const int64_t* aggrs) {
-    carried_.insert(carried_.end(), aggrs, aggrs + y_);
+    cur_.carried.insert(cur_.carried.end(), aggrs, aggrs + y_);
     return Add(rowid);
   }
 
   /// Queues a tuple emitted with its source row's aggregates (a TT). One
-  /// flush never mixes the two kinds: the caller flushes between them.
+  /// chunk never mixes the two kinds: the caller flushes between them.
   Status Add(RowId rowid) {
-    rowids_.push_back(rowid);
-    return rowids_.size() < chunk_rows_ ? Status::OK() : Flush();
+    cur_.rowids.push_back(rowid);
+    return cur_.rowids.size() < chunk_rows_ ? Status::OK() : HandOff();
   }
 
+  /// Ends a part of the query: reads the last, partial chunk on this thread
+  /// and emits every queued chunk.
   Status Flush() {
-    const size_t n = rowids_.size();
-    if (n == 0) return Status::OK();
-    native_.resize(n * num_dims_);
-    row_aggrs_.resize(n * y_);
-    CURE_RETURN_IF_ERROR(sources_.GetRows(rowids_.data(), n, native_.data(),
-                                          row_aggrs_.data()));
-    const int64_t* aggrs =
-        carried_.empty() ? row_aggrs_.data() : carried_.data();
-    for (size_t i = 0; i < n; ++i) {
-      CURE_RETURN_IF_ERROR(emitter_->Emit(
-          rowids_[i], native_.data() + i * num_dims_, aggrs + i * y_));
-    }
-    rowids_.clear();
-    carried_.clear();
-    return Status::OK();
+    if (!cur_.rowids.empty()) CURE_RETURN_IF_ERROR(ReadHere());
+    return EmitQueued(0);
   }
 
  private:
+  struct Chunk {
+    std::vector<RowId> rowids;
+    std::vector<int64_t> carried;
+    std::vector<uint32_t> native;
+    std::vector<int64_t> row_aggrs;
+    std::future<Status> pending;  // valid while a worker reads the chunk
+    Status status;                // the finished read's
+
+    bool Done() const {
+      return !pending.valid() || pending.wait_for(std::chrono::seconds(0)) ==
+                                     std::future_status::ready;
+    }
+    Status Wait() {
+      if (pending.valid()) status = pending.get();
+      return status;
+    }
+  };
+
+  // Runs on a worker or on the query thread.
+  Status Read(Chunk* c) const {
+    const size_t n = c->rowids.size();
+    c->native.resize(n * num_dims_);
+    c->row_aggrs.resize(n * y_);
+    return sources_.GetRows(c->rowids.data(), n, c->native.data(),
+                            c->row_aggrs.data());
+  }
+
+  Status Emit(const Chunk& c) {
+    const int64_t* aggrs =
+        c.carried.empty() ? c.row_aggrs.data() : c.carried.data();
+    for (size_t i = 0; i < c.rowids.size(); ++i) {
+      CURE_RETURN_IF_ERROR(emitter_->Emit(
+          c.rowids[i], c.native.data() + i * num_dims_, aggrs + i * y_));
+    }
+    return Status::OK();
+  }
+
+  // The current chunk is full: hand it to an idle worker, else read it here.
+  // Either way it joins the queue, which holds at most workers + 1 chunks.
+  Status HandOff() {
+    ThreadPool* pool = chunk_rows_ > 1 ? pool_() : nullptr;
+    if (pool != nullptr) {
+      CURE_RETURN_IF_ERROR(EmitQueued(pool->num_threads()));
+      if (pool->HasIdleWorker()) {
+        Chunk* c = Enqueue();
+        c->pending = pool->Submit([this, c] { return Read(c); });
+        return Status::OK();
+      }
+    }
+    return ReadHere();
+  }
+
+  // Reads the current chunk on this thread; emits it at once when no chunk
+  // is queued ahead of it — always so without a pool, where this is every
+  // in-memory tuple's path and is kept free of Status copies.
+  Status ReadHere() {
+    if (!queue_.empty()) {
+      cur_.status = Read(&cur_);
+      Enqueue();
+      return Status::OK();
+    }
+    CURE_RETURN_IF_ERROR(Read(&cur_));
+    CURE_RETURN_IF_ERROR(Emit(cur_));
+    cur_.rowids.clear();
+    cur_.carried.clear();
+    return Status::OK();
+  }
+
+  // Moves the current chunk to the back of the queue, where its address
+  // stays put for a worker; the current chunk takes a spare's buffers.
+  Chunk* Enqueue() {
+    std::unique_ptr<Chunk> c;
+    if (spare_.empty()) {
+      c = std::make_unique<Chunk>();
+    } else {
+      c = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    std::swap(*c, cur_);
+    queue_.push_back(std::move(c));
+    return queue_.back().get();
+  }
+
+  // Emits queued chunks in queue order: each one whose read is done and,
+  // waiting for it, the oldest while more than `max_queued` are queued. On
+  // the first failure it emits nothing more and returns that status once
+  // every read in flight has finished.
+  Status EmitQueued(size_t max_queued) {
+    Status s = Status::OK();
+    while (!queue_.empty()) {
+      Chunk& head = *queue_.front();
+      if (s.ok() && queue_.size() <= max_queued && !head.Done()) break;
+      if (Status read = head.Wait(); s.ok()) {
+        s = read.ok() ? Emit(head) : std::move(read);
+      }
+      head.rowids.clear();
+      head.carried.clear();
+      head.status = Status::OK();
+      spare_.push_back(std::move(queue_.front()));
+      queue_.erase(queue_.begin());
+    }
+    return s;
+  }
+
   const cube::SourceSet& sources_;
   RowEmitter* const emitter_;
+  const std::function<ThreadPool*()> pool_;
   const size_t chunk_rows_;
   const size_t num_dims_;
   const size_t y_;
-  std::vector<RowId> rowids_;
-  std::vector<int64_t> carried_;
-  std::vector<uint32_t> native_;
-  std::vector<int64_t> row_aggrs_;
+  // Nothing here allocates before a chunk fills, so small queries pay no
+  // heap allocation for the pipeline.
+  Chunk cur_;
+  std::vector<std::unique_ptr<Chunk>> queue_;  // in queue order, <= workers+1
+  std::vector<std::unique_ptr<Chunk>> spare_;
 };
 
 }  // namespace
@@ -226,7 +346,8 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
   const size_t nt_aggrs_offset = store.NtAggregatesOffset(g);
   RowEmitter emitter(sources_, levels, prepared, iceberg ? count_aggregate : -1,
                      min_count, g, y, sink);
-  DerefBuffer deref(sources_, &emitter, num_dims, y);
+  DerefBuffer deref(sources_, &emitter, num_dims, y,
+                    [this] { return DerefPool(); });
 
   // Normal tuples.
   if (node != nullptr && node->has_nt && block_rows > 1) {

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "cube/source.h"
 #include "engine/bubst.h"
 #include "engine/buc.h"
@@ -16,9 +18,9 @@ namespace cure {
 namespace query {
 
 /// Row-ids the block path of CureQueryEngine dereferences per batch when a
-/// source reads from a file: the dereference buffer is flushed when it holds
-/// this many tuples and between the NT, CAT and TT parts of a query
-/// (DESIGN.md §13).
+/// source reads from a file: a chunk this full goes to an idle worker of the
+/// engine's dereference pool, and the last, partial chunk of the NT, CAT and
+/// TT parts of a query is read on the query thread (DESIGN.md §13).
 inline constexpr size_t kDereferenceChunkRows = 16384;
 
 /// Receives query result tuples. Always counts tuples and maintains an
@@ -77,6 +79,10 @@ class ResultSink {
 /// back): NTs and CATs from the node's relations (dereferencing row-ids
 /// through the fact table / node N), TTs collected along the execution-plan
 /// path from the root — the reader side of the paper's TT sub-tree sharing.
+///
+/// Over a file-backed source, full dereference chunks are read on a pool of
+/// ThreadPool::DefaultThreadCount() - 1 workers the engine owns, created at
+/// the first full chunk; the rows still come out in one thread's order.
 class CureQueryEngine {
  public:
   /// `fact_cache_fraction`: pinned fraction of the fact relation (Fig. 17);
@@ -129,15 +135,25 @@ class CureQueryEngine {
   void set_batch_rows(size_t batch_rows) { batch_rows_ = batch_rows; }
 
  private:
-  CureQueryEngine(const engine::CureCube* cube, cube::SourceSet sources)
-      : cube_(cube), sources_(std::move(sources)) {}
+  CureQueryEngine(const engine::CureCube* cube, cube::SourceSet sources,
+                  int deref_workers)
+      : cube_(cube),
+        sources_(std::move(sources)),
+        deref_workers_(deref_workers) {}
 
   Status QueryImpl(schema::NodeId id, int count_aggregate, int64_t min_count,
                    const std::vector<Slice>* slices, ResultSink* sink) const;
 
+  /// The dereference pool, started on the first call; nullptr when the
+  /// engine has no dereference workers.
+  ThreadPool* DerefPool() const;
+
   const engine::CureCube* cube_;
   cube::SourceSet sources_;
   size_t batch_rows_ = 0;
+  const int deref_workers_;
+  mutable std::once_flag deref_pool_once_;
+  mutable std::unique_ptr<ThreadPool> deref_pool_;
 };
 
 /// Answers node queries over a BUC cube: a direct scan of the node's

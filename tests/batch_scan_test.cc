@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -267,10 +269,11 @@ TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsFileBacked) {
 // Wide, skewed leaf cardinalities: most base-node cells are singletons, so
 // the base node's trivial tuples outnumber one dereference chunk, while the
 // Zipf head still yields NTs and CATs.
-Dataset MakeWideZipfDataset(uint64_t tuples, uint64_t seed) {
+Dataset MakeWideZipfDataset(uint64_t tuples, uint64_t seed,
+                            uint32_t a_leaf = 4000) {
   Dataset ds;
   std::vector<schema::Dimension> dims;
-  dims.push_back(schema::Dimension::Linear("A", {4000, 40, 4}));
+  dims.push_back(schema::Dimension::Linear("A", {a_leaf, 40, 4}));
   dims.push_back(schema::Dimension::Linear("B", {60, 6}));
   dims.push_back(schema::Dimension::Flat("C", 7));
   Result<schema::CubeSchema> schema = schema::CubeSchema::Create(
@@ -280,7 +283,7 @@ Dataset MakeWideZipfDataset(uint64_t tuples, uint64_t seed) {
   ds.schema = std::move(schema).value();
   ds.table = schema::FactTable(3, 1);
   gen::Rng rng(seed);
-  gen::ZipfSampler zipf_a(4000, 0.9);
+  gen::ZipfSampler zipf_a(a_leaf, 0.9);
   gen::ZipfSampler zipf_b(60, 0.6);
   for (uint64_t t = 0; t < tuples; ++t) {
     const uint32_t dims_row[3] = {zipf_a.Sample(&rng), zipf_b.Sample(&rng),
@@ -527,6 +530,138 @@ TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
   cube->reset();
   ASSERT_TRUE(storage::RemoveFile(pack_path).ok());
   ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
+}
+
+// ---- Pipelined dereference (DESIGN.md §13) ----
+
+// Sets CURE_THREADS for a scope; a query engine reads it at Create.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) {
+    if (const char* old = std::getenv("CURE_THREADS")) old_ = old;
+    setenv("CURE_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ScopedThreads() {
+    if (old_) {
+      setenv("CURE_THREADS", old_->c_str(), 1);
+    } else {
+      unsetenv("CURE_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> old_;
+};
+
+// A base node whose trivial tuples fill more dereference chunks than the
+// largest pool here has workers, so full chunks are read on workers, wait
+// in the queue at its bound and go inline when no worker is idle. At every
+// worker count (none, one, seven) each node's rows must equal the scalar
+// path's in order and the reference as a set. A read fault on the fact file
+// at the first, a middle and the last read — the middle one sticky, failing
+// every read after it on every thread — and a fault on the packed cube
+// while fact chunks are in flight must each fail the query with IoError,
+// and the engine must answer the next query correctly.
+TEST(BatchScanDerefTest, PipelinedDereferenceKeepsRowsOrderAndErrors) {
+  const test::ScopedTempDir tmp("batch_scan");
+  const Dataset ds = MakeWideZipfDataset(260000, 1212, /*a_leaf=*/40000);
+  const std::string rel_path = tmp.File("pipe_fact.bin");
+  Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  FactInput input{.relation = &rel.value()};
+  Result<std::unique_ptr<CureCube>> cube =
+      BuildCure(ds.schema, input, CureOptions{});
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  const std::string pack_path = tmp.File("pipe_pack.bin");
+  ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
+  const schema::NodeIdCodec codec(ds.schema);
+  const NodeId base = 0;
+
+  std::vector<std::vector<ResultSink::Row>> scalar(codec.num_nodes());
+  {
+    Result<std::unique_ptr<CureQueryEngine>> eng =
+        CureQueryEngine::Create(cube->get(), 0.0);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    (*eng)->set_batch_rows(1);
+    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+      ResultSink sink(/*retain=*/true);
+      ASSERT_TRUE((*eng)->QueryNode(id, &sink).ok()) << "node " << id;
+      scalar[id] = sink.TakeRows();
+      Result<std::vector<ResultSink::Row>> reference =
+          query::ReferenceNodeResult(ds.schema, ds.table, id);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      EXPECT_TRUE(query::SameResults(scalar[id], reference.value()))
+          << "node " << id;
+    }
+  }
+  // The base node fills more than ten chunks, most of them with the trivial
+  // tuples of one part: more than seven workers' chunks plus the queue
+  // bound's one chunk of slack.
+  ASSERT_GT(scalar[base].size(), 10 * query::kDereferenceChunkRows);
+
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("CURE_THREADS=" + std::to_string(threads));
+    const ScopedThreads env(threads);
+    Result<std::unique_ptr<CureQueryEngine>> eng =
+        CureQueryEngine::Create(cube->get(), 0.0);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    auto answers_base = [&] {
+      ResultSink sink(/*retain=*/true);
+      return (*eng)->QueryNode(base, &sink).ok() &&
+             SameRowsInOrder(sink.rows(), scalar[base]);
+    };
+    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+      ResultSink block(/*retain=*/true);
+      ASSERT_TRUE((*eng)->QueryNode(id, &block).ok()) << "node " << id;
+      EXPECT_TRUE(SameRowsInOrder(block.rows(), scalar[id])) << "node " << id;
+    }
+
+    auto count_reads = [&](const std::string& target) -> uint64_t {
+      FaultPlan count;
+      count.op = "read";
+      count.target_substr = target;
+      count.fail_index = UINT64_MAX;
+      ScopedFaultInjection counting(FaultInjector::Disk(), count);
+      ResultSink sink;
+      EXPECT_TRUE((*eng)->QueryNode(base, &sink).ok());
+      return counting.ops_matched();
+    };
+    const uint64_t reads = count_reads(rel_path);
+    const uint64_t pack_reads = count_reads(pack_path);
+    ASSERT_GT(reads, 9u);
+    ASSERT_GT(pack_reads, 0u);
+    struct Fault {
+      const std::string* target;
+      uint64_t index;
+      bool once;
+    };
+    // The packed cube's last read belongs to the TT scan, which hands full
+    // fact chunks to the pool as it goes: the scan fails with chunks in
+    // flight.
+    for (const Fault& f : {Fault{&rel_path, 0, true},
+                           Fault{&rel_path, reads / 2, false},
+                           Fault{&rel_path, reads - 1, true},
+                           Fault{&pack_path, pack_reads - 1, true}}) {
+      SCOPED_TRACE(*f.target + " read " + std::to_string(f.index));
+      {
+        FaultPlan plan;
+        plan.op = "read";
+        plan.target_substr = *f.target;
+        plan.fail_index = f.index;
+        plan.once = f.once;
+        plan.error = EIO;
+        ScopedFaultInjection fault(FaultInjector::Disk(), plan);
+        ResultSink sink;
+        const Status s = (*eng)->QueryNode(base, &sink);
+        EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+        EXPECT_NE(s.message().find(*f.target), std::string::npos)
+            << s.ToString();
+        if (f.once) EXPECT_EQ(fault.faults_injected(), 1u);
+      }
+      EXPECT_TRUE(answers_base());
+    }
+  }
+  cube->reset();
 }
 
 TEST(BatchScanBaselineTest, BucIdenticalAcrossBatchRows) {

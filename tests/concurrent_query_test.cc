@@ -3,8 +3,11 @@
 // fact file must each get the serial (count, checksum) of every node. Every
 // query then runs the file-backed row-id dereference (the ordering and the
 // coalesced reads of Relation::ReadRows, the buffer cache's miss path) at
-// once on several threads. Built with -fsanitize=thread in the CI tsan
-// job, this proves that dereference keeps its scratch per call.
+// once on several threads. The largest nodes span several dereference
+// chunks, so the threads share the engine's dereference pool and read
+// chunks on their own thread when it is busy. Built with -fsanitize=thread
+// in the CI tsan job, this proves that dereference keeps its scratch per
+// call and per chunk.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -26,11 +29,12 @@ using query::ResultSink;
 using schema::NodeId;
 
 // Hierarchical Zipf data: skewed dimensions, so node relations hold NTs,
-// TTs and CATs whose row-ids reach all over the fact table.
+// TTs and CATs whose row-ids reach all over the fact table; the wide,
+// long-tailed first dimension makes most leaf cells singletons.
 gen::Dataset MakeZipfDataset(uint64_t tuples, uint64_t seed) {
   gen::Dataset ds;
   std::vector<schema::Dimension> dims;
-  dims.push_back(schema::Dimension::Linear("A", {300, 30, 3}));
+  dims.push_back(schema::Dimension::Linear("A", {30000, 300, 3}));
   dims.push_back(schema::Dimension::Linear("B", {40, 5}));
   dims.push_back(schema::Dimension::Flat("C", 7));
   Result<schema::CubeSchema> schema = schema::CubeSchema::Create(
@@ -40,7 +44,7 @@ gen::Dataset MakeZipfDataset(uint64_t tuples, uint64_t seed) {
   ds.schema = std::move(schema).value();
   ds.table = schema::FactTable(3, 1);
   gen::Rng rng(seed);
-  gen::ZipfSampler zipf_a(300, 0.8);
+  gen::ZipfSampler zipf_a(30000, 0.8);
   gen::ZipfSampler zipf_b(40, 0.5);
   for (uint64_t t = 0; t < tuples; ++t) {
     const uint32_t row[3] = {zipf_a.Sample(&rng), zipf_b.Sample(&rng),
@@ -80,7 +84,7 @@ Answer Ask(const CureQueryEngine& engine, NodeId id) {
 
 TEST(ConcurrentQueryTest, FileBackedCubeAnswersMatchSerial) {
   const test::ScopedTempDir tmp("concurrent_query");
-  const gen::Dataset ds = MakeZipfDataset(40000, 4242);
+  const gen::Dataset ds = MakeZipfDataset(100000, 4242);
   Result<storage::Relation> fact = storage::Relation::CreateFile(
       tmp.File("fact.bin"), ds.table.RecordSize());
   ASSERT_TRUE(fact.ok()) << fact.status().ToString();
@@ -108,6 +112,8 @@ TEST(ConcurrentQueryTest, FileBackedCubeAnswersMatchSerial) {
   const NodeId num_nodes = (*cube)->store().codec().num_nodes();
   std::vector<Answer> serial(num_nodes);
   for (NodeId id = 0; id < num_nodes; ++id) serial[id] = Ask(**engine, id);
+  // The base node (every dimension at its leaf) spans several chunks.
+  ASSERT_GT(serial[0].count, 3 * query::kDereferenceChunkRows);
 
   // Each thread walks every node twice from its own starting point, so
   // different nodes' dereferences overlap, and counts its wrong answers.

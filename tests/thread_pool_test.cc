@@ -83,6 +83,35 @@ TEST(ThreadPoolTest, StartedTasksFormPrefixOfSubmissionOrder) {
   EXPECT_EQ(violations.load(), 0);
 }
 
+TEST(ThreadPoolTest, HasIdleWorkerCountsRunningAndQueuedTasks) {
+  // A task counts against the idle check from Submit on, whether it still
+  // waits in the queue or already runs: the query engine reads a chunk on
+  // its own thread rather than queue it behind another query's chunks.
+  ThreadPool pool(2);
+  EXPECT_TRUE(pool.HasIdleWorker());
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> started{0};
+  auto blocked = [&started, gate] {
+    started.fetch_add(1);
+    gate.wait();
+    return Status::OK();
+  };
+  std::vector<std::future<Status>> futures;
+  futures.push_back(pool.Submit(blocked));
+  EXPECT_TRUE(pool.HasIdleWorker());
+  futures.push_back(pool.Submit(blocked));
+  EXPECT_FALSE(pool.HasIdleWorker());
+  while (started.load() < 2) std::this_thread::yield();
+  EXPECT_FALSE(pool.HasIdleWorker());
+  futures.push_back(pool.Submit(blocked));
+  EXPECT_FALSE(pool.HasIdleWorker());
+  release.set_value();
+  for (std::future<Status>& f : futures) EXPECT_TRUE(f.get().ok());
+  while (pool.busy_workers() > 0) std::this_thread::yield();
+  EXPECT_TRUE(pool.HasIdleWorker());
+}
+
 TEST(ThreadPoolTest, ErrorStatusPropagatesThroughFuture) {
   ThreadPool pool(2);
   std::future<Status> ok = pool.Submit([] { return Status::OK(); });
