@@ -9,8 +9,6 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
-#include "engine/kernels.h"
 #include "storage/file_io.h"
 #include "storage/relation.h"
 
@@ -133,71 +131,6 @@ int main() {
   }
   std::printf("\nSTATS-format latency histograms (identical renderer to "
               "cure_serve):\n%s", qrt_metrics.TextSnapshot().c_str());
-
-  // Batch vs scalar scan path (DESIGN.md §13): the cubes are byte-identical,
-  // only the speed differs. Plain CURE is rebuilt twice on each path — the
-  // default block path and the record-at-a-time reference (batch_rows = 1)
-  // — in alternating order, after the variant builds above have warmed the
-  // page cache and the allocator, and each path's two build times are
-  // averaged. The two QRT passes alternate the same way. The batch QRT is
-  // the default engine's: block scans plus the pipelined row-id dereference
-  // (full chunks read on the engine's worker pool); the scalar QRT reads one
-  // row-id at a time on the query thread.
-  {
-    const double fact_cache_fraction = std::min(
-        1.0, 0.25 * static_cast<double>(budget) /
-                 static_cast<double>(rel->bytes()));
-    const std::string scalar_path = "/tmp/cure_bench_fig25_scalar.bin";
-    double build_s[2] = {0, 0};  // [0] batch, [1] scalar
-    std::unique_ptr<engine::CureCube> scalar_cube;
-    for (int round = 0; round < 2; ++round) {
-      for (int k = 0; k < 2; ++k) {
-        const int scalar = (round + k) % 2;
-        engine::CureOptions options;
-        options.memory_budget_bytes = budget;
-        options.temp_dir = "/tmp";
-        options.batch_rows = scalar;  // 0 = the default block size
-        CureBuildResult built =
-            BuildCureVariant(scalar ? "CURE(scalar)" : "CURE(batch)",
-                             apb.schema, input, options, false);
-        build_s[scalar] += built.cube->stats().build_seconds / 2;
-        if (scalar) scalar_cube = std::move(built.cube);
-      }
-    }
-    SpillCure(scalar_cube.get(), scalar_path);
-    auto scalar_engine =
-        query::CureQueryEngine::Create(scalar_cube.get(), fact_cache_fraction);
-    CURE_CHECK(scalar_engine.ok()) << scalar_engine.status().ToString();
-    (*scalar_engine)->set_batch_rows(1);
-    const query::CureQueryEngine* engines[2] = {variants[0].engine.get(),
-                                                scalar_engine->get()};
-    double qrt_s[2] = {0, 0};
-    for (int round = 0; round < 2; ++round) {
-      for (int k = 0; k < 2; ++k) {
-        const int scalar = (round + k + 1) % 2;
-        const query::QrtStats stats = MeasureEngineQrt(
-            all_nodes, [&](schema::NodeId id, query::ResultSink* sink) {
-              return engines[scalar]->QueryNode(id, sink);
-            });
-        qrt_s[scalar] += stats.avg_seconds / 2;
-      }
-    }
-    std::printf(
-        "\nBatch vs scalar scan path (plain CURE, batch_rows=%zu vs 1; "
-        "means of two alternating runs after warm-up):\n"
-        "  end-to-end build: %s batch vs %s scalar (%.2fx)\n"
-        "  all-node avg QRT: %s batch (pipelined dereference, %d worker(s)) "
-        "vs %s scalar (%.2fx)\n",
-        engine::ResolveBatchRows(0), FormatSeconds(build_s[0]).c_str(),
-        FormatSeconds(build_s[1]).c_str(),
-        build_s[0] > 0 ? build_s[1] / build_s[0] : 0.0,
-        FormatSeconds(qrt_s[0]).c_str(), ThreadPool::DefaultThreadCount() - 1,
-        FormatSeconds(qrt_s[1]).c_str(),
-        qrt_s[0] > 0 ? qrt_s[1] / qrt_s[0] : 0.0);
-    scalar_engine->reset();
-    scalar_cube.reset();
-    CURE_CHECK_OK(storage::RemoveFile(scalar_path));
-  }
 
   CURE_CHECK_OK(storage::RemoveFile(path));
   for (Variant& v : variants) {

@@ -37,7 +37,6 @@ class BubstExecutor {
     for (size_t i = 0; i < idx_.size(); ++i) idx_[i] = static_cast<uint32_t>(i);
     included_.assign(num_dims_, false);
     node_levels_buf_.resize(num_dims_);
-    batched_ = ResolveBatchRows(options->batch_rows) > 1;
     for (int a = 0; a < y_; ++a) {
       if (schema->aggregate(a).fn == schema::AggFn::kCount) {
         count_ones_.assign(table->num_rows(), 1);
@@ -116,37 +115,17 @@ class BubstExecutor {
       const uint32_t cardinality = schema_->dim(d).leaf_cardinality();
       const std::vector<uint32_t>& col = table_->dim_column(d);
       included_[d] = true;
+      SortSpan(
+          idx_.data() + begin, count, cardinality,
+          [&](uint32_t row) { return col[row]; }, options_->sort_policy,
+          &scratch_);
       Status status = Status::OK();
-      if (batched_) {
-        const size_t depth = static_cast<size_t>(edge_depth_++);
-        if (segments_pool_.size() <= depth) segments_pool_.resize(depth + 1);
-        SortSpanSegments(
-            idx_.data() + begin, count, cardinality,
-            [&](uint32_t row) { return col[row]; }, options_->sort_policy,
-            &scratch_, &segments_pool_[depth]);
-        for (size_t s = 0; status.ok(); ++s) {
-          const std::vector<uint32_t>& segs = segments_pool_[depth];
-          if (s >= segs.size()) break;
-          const size_t i = begin + segs[s];
-          const size_t j =
-              s + 1 < segs.size() ? begin + segs[s + 1] : begin + count;
-          status = Recurse(i, j, d + 1);
-        }
-        --edge_depth_;
-      } else {
-        SortSpan(
-            idx_.data() + begin, count, cardinality,
-            [&](uint32_t row) { return col[row]; }, options_->sort_policy,
-            &scratch_);
-        size_t i = begin;
-        while (i < end) {
-          const uint32_t value = col[idx_[i]];
-          size_t j = i + 1;
-          while (j < end && col[idx_[j]] == value) ++j;
-          status = Recurse(i, j, d + 1);
-          if (!status.ok()) break;
-          i = j;
-        }
+      for (size_t i = begin; i < end && status.ok();) {
+        const uint32_t value = col[idx_[i]];
+        size_t j = i + 1;
+        while (j < end && col[idx_[j]] == value) ++j;
+        status = Recurse(i, j, d + 1);
+        i = j;
       }
       included_[d] = false;
       CURE_RETURN_IF_ERROR(status);
@@ -170,9 +149,6 @@ class BubstExecutor {
   std::vector<int> node_levels_buf_;
   std::vector<int64_t> count_ones_;
   SortScratch scratch_;
-  bool batched_ = true;
-  int edge_depth_ = 0;
-  std::vector<std::vector<uint32_t>> segments_pool_;
 };
 
 }  // namespace

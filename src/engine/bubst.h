@@ -21,9 +21,6 @@ namespace engine {
 struct BubstOptions {
   uint64_t min_support = 1;
   SortPolicy sort_policy = SortPolicy::kAuto;
-  /// Batch scan path: same contract as CureOptions::batch_rows (1 =
-  /// scalar reference path, 0 = the default).
-  size_t batch_rows = 0;
 };
 
 /// Monolithic record of the condensed cube: all D leaf/grouping codes (ALL

@@ -33,7 +33,6 @@ class BucExecutor {
     agg_buf_.resize(y_);
     dims_buf_.resize(num_dims_);
     node_levels_buf_.resize(num_dims_);
-    batched_ = ResolveBatchRows(options->batch_rows) > 1;
     // Lift COUNT aggregates once; other aggregates read measure columns.
     for (int a = 0; a < y_; ++a) {
       if (schema->aggregate(a).fn == schema::AggFn::kCount) {
@@ -74,37 +73,17 @@ class BucExecutor {
       const uint32_t cardinality = schema_->dim(d).leaf_cardinality();
       const std::vector<uint32_t>& col = table_->dim_column(d);
       included_[d] = true;
+      SortSpan(
+          idx_.data() + begin, count, cardinality,
+          [&](uint32_t row) { return col[row]; }, options_->sort_policy,
+          &scratch_);
       Status status = Status::OK();
-      if (batched_) {
-        const size_t depth = static_cast<size_t>(edge_depth_++);
-        if (segments_pool_.size() <= depth) segments_pool_.resize(depth + 1);
-        SortSpanSegments(
-            idx_.data() + begin, count, cardinality,
-            [&](uint32_t row) { return col[row]; }, options_->sort_policy,
-            &scratch_, &segments_pool_[depth]);
-        for (size_t s = 0; status.ok(); ++s) {
-          const std::vector<uint32_t>& segs = segments_pool_[depth];
-          if (s >= segs.size()) break;
-          const size_t i = begin + segs[s];
-          const size_t j =
-              s + 1 < segs.size() ? begin + segs[s + 1] : begin + count;
-          status = Recurse(i, j, d + 1);
-        }
-        --edge_depth_;
-      } else {
-        SortSpan(
-            idx_.data() + begin, count, cardinality,
-            [&](uint32_t row) { return col[row]; }, options_->sort_policy,
-            &scratch_);
-        size_t i = begin;
-        while (i < end) {
-          const uint32_t value = col[idx_[i]];
-          size_t j = i + 1;
-          while (j < end && col[idx_[j]] == value) ++j;
-          status = Recurse(i, j, d + 1);
-          if (!status.ok()) break;
-          i = j;
-        }
+      for (size_t i = begin; i < end && status.ok();) {
+        const uint32_t value = col[idx_[i]];
+        size_t j = i + 1;
+        while (j < end && col[idx_[j]] == value) ++j;
+        status = Recurse(i, j, d + 1);
+        i = j;
       }
       included_[d] = false;
       CURE_RETURN_IF_ERROR(status);
@@ -127,9 +106,6 @@ class BucExecutor {
   std::vector<int> node_levels_buf_;
   std::vector<int64_t> count_ones_;
   SortScratch scratch_;
-  bool batched_ = true;
-  int edge_depth_ = 0;
-  std::vector<std::vector<uint32_t>> segments_pool_;
 };
 
 }  // namespace

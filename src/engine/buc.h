@@ -18,9 +18,6 @@ struct BucOptions {
   /// Iceberg threshold (BUC's native capability); 1 = complete cube.
   uint64_t min_support = 1;
   SortPolicy sort_policy = SortPolicy::kAuto;
-  /// Batch scan path: same contract as CureOptions::batch_rows (1 =
-  /// scalar reference path, 0 = the default).
-  size_t batch_rows = 0;
 };
 
 /// A cube built by BUC: per-node uncondensed relations of

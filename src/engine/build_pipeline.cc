@@ -104,8 +104,7 @@ Status BuildPipeline::LoadStage() {
       load_ = LoadFromTable(*ctx_.input->table, *ctx_.schema);
     } else {
       CURE_ASSIGN_OR_RETURN(
-          load_, LoadFromFactRelation(*ctx_.input->relation, *ctx_.schema,
-                                      ctx_.options->batch_rows));
+          load_, LoadFromFactRelation(*ctx_.input->relation, *ctx_.schema));
     }
     load_ready_ = true;
     FixRecordLayout(load_.measure_ranges, 0);
@@ -134,7 +133,7 @@ Status BuildPipeline::PartitionStage() {
   CURE_ASSIGN_OR_RETURN(
       std::vector<std::vector<uint64_t>> hist,
       ComputeLevelHistograms(*ctx_.input->relation, *ctx_.schema,
-                             ctx_.options->batch_rows, &measure_ranges));
+                             &measure_ranges));
   CURE_ASSIGN_OR_RETURN(
       LevelChoice choice,
       SelectPartitionLevel(*ctx_.schema, hist, ctx_.input->relation->num_rows(),
@@ -169,8 +168,7 @@ Status BuildPipeline::ConstructOnePartition(size_t index,
   CURE_TRACE_SPAN("cure.build.partition_construct", "partition",
                   static_cast<uint64_t>(index), "rows", part.num_rows());
   stats->partition_read_bytes += part.bytes();
-  CURE_ASSIGN_OR_RETURN(Load load, LoadFromPartition(part, *ctx_.schema,
-                                                     ctx_.options->batch_rows));
+  CURE_ASSIGN_OR_RETURN(Load load, LoadFromPartition(part, *ctx_.schema));
   Executor executor(ctx_.schema, ctx_.options, store, pool, stats);
   CURE_RETURN_IF_ERROR(executor.RunPartition(load, outcome_.level));
   // Partition-boundary flush: CAT detection never spans sound partitions,

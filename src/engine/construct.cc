@@ -1,10 +1,7 @@
 #include "engine/construct.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
 
-#include "common/logging.h"
 #include "common/trace.h"
 #include "engine/cure.h"
 #include "engine/kernels.h"
@@ -14,7 +11,6 @@ namespace cure {
 namespace engine {
 
 using cube::AggTable;
-using cube::Aggregator;
 using cube::RowId;
 using schema::CubeSchema;
 using schema::Dimension;
@@ -50,68 +46,42 @@ Load LoadFromTable(const schema::FactTable& table, const CubeSchema& schema) {
 }
 
 Result<Load> LoadFromFactRelation(const storage::Relation& rel,
-                                  const CubeSchema& schema, size_t batch_rows) {
+                                  const CubeSchema& schema) {
   const int d = schema.num_dims();
   const int y = schema.num_aggregates();
-  const int raw = schema.num_raw_measures();
-  const size_t batch = ResolveBatchRows(batch_rows);
   Load load;
   load.n = rel.num_rows();
   load.native_level.assign(d, 0);
-  load.own_dims.assign(d, {});
-  load.own_aggrs.assign(y, {});
+  load.own_dims.assign(d, std::vector<uint32_t>(load.n));
+  load.own_aggrs.assign(y, std::vector<int64_t>(load.n));
   load.rowids.resize(load.n);
-  load.measure_ranges.assign(raw, {});
-  if (batch > 1) {
-    // Block path: one contiguous gather per column per block; COUNT
-    // aggregates lift to a constant fill, others to a measure-column
-    // gather (the columnarized Aggregator::Lift).
-    CURE_TRACE_SPAN("cure.engine.kernel.load_gather", "rows", load.n, "cols",
-                    static_cast<uint64_t>(d + y));
-    for (auto& col : load.own_dims) col.resize(load.n);
-    for (auto& col : load.own_aggrs) col.resize(load.n);
-    storage::Relation::BlockScanner scan(rel, batch);
-    storage::RowBlock block;
-    while (scan.Next(&block)) {
-      const size_t base = block.first_row;
-      for (int k = 0; k < d; ++k) {
-        storage::GatherBlockU32(block, 4ull * k, load.own_dims[k].data() + base);
-      }
-      for (int a = 0; a < y; ++a) {
-        const schema::AggregateSpec& spec = schema.aggregate(a);
-        int64_t* out = load.own_aggrs[a].data() + base;
-        if (spec.fn == schema::AggFn::kCount) {
-          std::fill(out, out + block.rows, int64_t{1});
-        } else {
-          storage::GatherBlockI64(block, 4ull * d + 8ull * spec.measure_index,
-                                  out);
-          cube::ValueRange& range = load.measure_ranges[spec.measure_index];
-          for (size_t i = 0; i < block.rows; ++i) range.Add(out[i]);
-        }
+  load.measure_ranges.assign(schema.num_raw_measures(), {});
+  // One contiguous gather per column per block; COUNT aggregates lift to a
+  // constant fill, others to a measure-column gather (the columnarized
+  // Aggregator::Lift).
+  CURE_TRACE_SPAN("cure.engine.kernel.load_gather", "rows", load.n, "cols",
+                  static_cast<uint64_t>(d + y));
+  storage::Relation::BlockScanner scan(rel);
+  storage::RowBlock block;
+  while (scan.Next(&block)) {
+    const size_t base = block.first_row;
+    for (int k = 0; k < d; ++k) {
+      storage::GatherBlockU32(block, 4ull * k, load.own_dims[k].data() + base);
+    }
+    for (int a = 0; a < y; ++a) {
+      const schema::AggregateSpec& spec = schema.aggregate(a);
+      int64_t* out = load.own_aggrs[a].data() + base;
+      if (spec.fn == schema::AggFn::kCount) {
+        std::fill(out, out + block.rows, int64_t{1});
+      } else {
+        storage::GatherBlockI64(block, 4ull * d + 8ull * spec.measure_index,
+                                out);
+        cube::ValueRange& range = load.measure_ranges[spec.measure_index];
+        for (size_t i = 0; i < block.rows; ++i) range.Add(out[i]);
       }
     }
-    CURE_RETURN_IF_ERROR(scan.status());
-  } else {
-    // Scalar reference path: record at a time through Scanner::Next().
-    for (auto& col : load.own_dims) col.reserve(load.n);
-    for (auto& col : load.own_aggrs) col.reserve(load.n);
-    Aggregator aggregator(schema);
-    std::vector<int64_t> raw_buf(std::max(raw, 1));
-    std::vector<int64_t> lifted(y);
-    storage::Relation::Scanner scan(rel);
-    while (const uint8_t* rec = scan.Next()) {
-      uint32_t code;
-      for (int k = 0; k < d; ++k) {
-        std::memcpy(&code, rec + 4ull * k, 4);
-        load.own_dims[k].push_back(code);
-      }
-      std::memcpy(raw_buf.data(), rec + 4ull * d, 8ull * raw);
-      for (int m = 0; m < raw; ++m) load.measure_ranges[m].Add(raw_buf[m]);
-      aggregator.Lift(raw_buf.data(), lifted.data());
-      for (int a = 0; a < y; ++a) load.own_aggrs[a].push_back(lifted[a]);
-    }
-    CURE_RETURN_IF_ERROR(scan.status());
   }
+  CURE_RETURN_IF_ERROR(scan.status());
   for (size_t i = 0; i < load.n; ++i) {
     load.rowids[i] = cube::MakeRowId(cube::kSourceFact, i);
   }
@@ -123,65 +93,36 @@ Result<Load> LoadFromFactRelation(const storage::Relation& rel,
 }
 
 Result<Load> LoadFromPartition(const storage::Relation& rel,
-                               const CubeSchema& schema, size_t batch_rows) {
+                               const CubeSchema& schema) {
   const int d = schema.num_dims();
   const int y = schema.num_aggregates();
-  const size_t batch = ResolveBatchRows(batch_rows);
   Load load;
   load.n = rel.num_rows();
   load.native_level.assign(d, 0);
-  load.own_dims.assign(d, {});
-  load.own_aggrs.assign(y, {});
-  if (batch > 1) {
-    // Block path: partition records carry lifted aggregates and raw
-    // fact-table ordinals, so every column is a straight gather.
-    CURE_TRACE_SPAN("cure.engine.kernel.load_gather", "rows", load.n, "cols",
-                    static_cast<uint64_t>(d + y + 1));
-    for (auto& col : load.own_dims) col.resize(load.n);
-    for (auto& col : load.own_aggrs) col.resize(load.n);
-    load.rowids.resize(load.n);
-    storage::Relation::BlockScanner scan(rel, batch);
-    storage::RowBlock block;
-    while (scan.Next(&block)) {
-      const size_t base = block.first_row;
-      for (int k = 0; k < d; ++k) {
-        storage::GatherBlockU32(block, 4ull * k, load.own_dims[k].data() + base);
-      }
-      for (int a = 0; a < y; ++a) {
-        storage::GatherBlockI64(block, 4ull * d + 8ull * a,
-                                load.own_aggrs[a].data() + base);
-      }
-      storage::GatherBlockU64(block, 4ull * d + 8ull * y,
-                              load.rowids.data() + base);
+  load.own_dims.assign(d, std::vector<uint32_t>(load.n));
+  load.own_aggrs.assign(y, std::vector<int64_t>(load.n));
+  load.rowids.resize(load.n);
+  // Partition records carry lifted aggregates and raw fact-table ordinals,
+  // so every column is a straight gather.
+  CURE_TRACE_SPAN("cure.engine.kernel.load_gather", "rows", load.n, "cols",
+                  static_cast<uint64_t>(d + y + 1));
+  storage::Relation::BlockScanner scan(rel);
+  storage::RowBlock block;
+  while (scan.Next(&block)) {
+    const size_t base = block.first_row;
+    for (int k = 0; k < d; ++k) {
+      storage::GatherBlockU32(block, 4ull * k, load.own_dims[k].data() + base);
     }
-    CURE_RETURN_IF_ERROR(scan.status());
-    for (size_t i = 0; i < load.n; ++i) {
-      load.rowids[i] = cube::MakeRowId(cube::kSourceFact, load.rowids[i]);
+    for (int a = 0; a < y; ++a) {
+      storage::GatherBlockI64(block, 4ull * d + 8ull * a,
+                              load.own_aggrs[a].data() + base);
     }
-  } else {
-    for (auto& col : load.own_dims) col.reserve(load.n);
-    for (auto& col : load.own_aggrs) col.reserve(load.n);
-    load.rowids.reserve(load.n);
-    storage::Relation::Scanner scan(rel);
-    while (const uint8_t* rec = scan.Next()) {
-      const uint8_t* p = rec;
-      uint32_t code;
-      for (int k = 0; k < d; ++k) {
-        std::memcpy(&code, p, 4);
-        load.own_dims[k].push_back(code);
-        p += 4;
-      }
-      int64_t v;
-      for (int a = 0; a < y; ++a) {
-        std::memcpy(&v, p, 8);
-        load.own_aggrs[a].push_back(v);
-        p += 8;
-      }
-      uint64_t rowid;
-      std::memcpy(&rowid, p, 8);
-      load.rowids.push_back(cube::MakeRowId(cube::kSourceFact, rowid));
-    }
-    CURE_RETURN_IF_ERROR(scan.status());
+    storage::GatherBlockU64(block, 4ull * d + 8ull * y,
+                            load.rowids.data() + base);
+  }
+  CURE_RETURN_IF_ERROR(scan.status());
+  for (size_t i = 0; i < load.n; ++i) {
+    load.rowids[i] = cube::MakeRowId(cube::kSourceFact, load.rowids[i]);
   }
   load.native.resize(d);
   load.aggrs.resize(y);
@@ -220,7 +161,6 @@ Executor::Executor(const CubeSchema* schema, const CureOptions* options,
       y_(schema->num_aggregates()) {
   agg_buf_.resize(y_);
   dr_dims_.resize(num_dims_);
-  batched_ = ResolveBatchRows(options->batch_rows) > 1;
 }
 
 Status Executor::RunInMemory(const Load& load) {
@@ -321,30 +261,6 @@ Status Executor::FollowEdge(size_t begin, size_t end, int d) {
   }
   const int level = cursor_.level(d);
   const uint32_t cardinality = schema_->dim(d).cardinality(level);
-  if (batched_) {
-    // Batch path: the sort gathers keys once and hands back the equal-key
-    // segment boundaries, so no Key() re-evaluation happens here. One
-    // segment buffer per recursion depth; re-index the pool on every
-    // iteration because deeper edges may grow it (which moves elements).
-    const size_t depth = static_cast<size_t>(edge_depth_++);
-    if (segments_pool_.size() <= depth) segments_pool_.resize(depth + 1);
-    SortSpanSegments(
-        idx_.data() + begin, end - begin, cardinality,
-        [&](uint32_t row) { return Key(row, d, level); }, options_->sort_policy,
-        &scratch_, &segments_pool_[depth]);
-    Status status = Status::OK();
-    const size_t n = end - begin;
-    for (size_t s = 0; status.ok(); ++s) {
-      const std::vector<uint32_t>& segs = segments_pool_[depth];
-      if (s >= segs.size()) break;
-      const size_t i = begin + segs[s];
-      const size_t j = s + 1 < segs.size() ? begin + segs[s + 1] : begin + n;
-      status = ExecutePlan(i, j, d + 1);
-    }
-    --edge_depth_;
-    return status;
-  }
-  // Scalar reference path (batch_rows = 1): per-row key evaluation.
   SortSpan(
       idx_.data() + begin, end - begin, cardinality,
       [&](uint32_t row) { return Key(row, d, level); }, options_->sort_policy,

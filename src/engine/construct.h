@@ -45,22 +45,18 @@ struct Load {
 Load LoadFromTable(const schema::FactTable& table,
                    const schema::CubeSchema& schema);
 
-/// Scans a sealed binary fact relation ([D x u32][M x i64] records), lifting
-/// raw measures into aggregate space and recording the range of every
-/// measure an aggregate reads. `batch_rows` > 1 runs the block-
-/// oriented column-gather path (one contiguous gather per column per
-/// block); 1 the record-at-a-time reference path; 0 the built-in default.
-/// Identical Loads either way.
+/// Scans a sealed binary fact relation ([D x u32][M x i64] records) in
+/// blocks of storage::kDefaultBlockRows, one contiguous gather per column per
+/// block, lifting raw measures into aggregate space and recording the range
+/// of every measure an aggregate reads.
 Result<Load> LoadFromFactRelation(const storage::Relation& rel,
-                                  const schema::CubeSchema& schema,
-                                  size_t batch_rows = 0);
+                                  const schema::CubeSchema& schema);
 
 /// Scans a sound-partition relation ([D x u32][Y x i64 lifted][u64 rowid]
-/// records) written by PartitionFact. Same `batch_rows` contract as
+/// records) written by PartitionFact, block by block like
 /// LoadFromFactRelation.
 Result<Load> LoadFromPartition(const storage::Relation& rel,
-                               const schema::CubeSchema& schema,
-                               size_t batch_rows = 0);
+                               const schema::CubeSchema& schema);
 
 /// Aliases the partition-pass node N (already aggregated; row-ids reference
 /// N itself).
@@ -113,14 +109,6 @@ class Executor {
   SortScratch scratch_;
   std::vector<int64_t> agg_buf_;
   std::vector<uint32_t> dr_dims_;
-
-  // Batch path (batched_ = resolved batch_rows > 1): FollowEdge takes
-  // segment boundaries straight from the batched counting sort instead of
-  // re-evaluating Key() per row. One segment buffer per recursion depth —
-  // an edge iterates its segments while deeper edges fill their own.
-  bool batched_ = true;
-  int edge_depth_ = 0;
-  std::vector<std::vector<uint32_t>> segments_pool_;
 };
 
 }  // namespace engine

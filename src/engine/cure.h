@@ -46,14 +46,6 @@ struct CureOptions {
   /// Segment sort policy (counting sort matters under skew).
   SortPolicy sort_policy = SortPolicy::kAuto;
 
-  /// Rows per block of the columnar batch scan path (DESIGN.md §13):
-  /// relation scans run through Relation::BlockScanner in blocks of this
-  /// many rows and the aggregation kernels run over contiguous column
-  /// slices. 1 selects the record-at-a-time scalar reference path
-  /// (differential testing); 0 means storage::kDefaultBlockRows. Every
-  /// setting produces byte-identical cubes and query results.
-  size_t batch_rows = 0;
-
   /// Base directory for build scratch files. Every build creates (and
   /// removes, on success and error alike) its own unique subdirectory here,
   /// so concurrent builds sharing a temp_dir never collide.

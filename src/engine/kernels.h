@@ -22,8 +22,10 @@ namespace engine {
 ///    vectorize the load but still beat the legacy loops by hoisting the
 ///    per-aggregate dispatch and bounds logic out of the loop.
 
-/// counts[key + 1] += 1 for every key — the counting-sort histogram fill,
-/// offset by one so the prefix sum yields start offsets in place.
+/// counts[key + 1] += 1 for every key — a counting-sort histogram fill,
+/// offset by one so the prefix sum yields start offsets in place. The
+/// build's SortSpan counts through its key function instead; this kernel is
+/// bench_micro's block-histogram baseline.
 inline void HistogramFill(const uint32_t* keys, size_t n, uint32_t* counts) {
   const uint32_t* CURE_RESTRICT k = keys;
   uint32_t* CURE_RESTRICT c = counts;
@@ -159,14 +161,6 @@ inline size_t SelectEqOrFlagU64(const uint64_t* v, size_t n, uint64_t value,
     out += (p[i] == value || (p[i] & flag) != 0) ? 1 : 0;
   }
   return out;
-}
-
-/// Resolves the effective block size of the batch scan path: an explicit
-/// option wins; 0 means the built-in default. A result of 1 selects the
-/// scalar record-at-a-time reference path everywhere (differential
-/// testing).
-inline size_t ResolveBatchRows(size_t option_value) {
-  return option_value != 0 ? option_value : storage::kDefaultBlockRows;
 }
 
 }  // namespace engine

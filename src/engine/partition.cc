@@ -88,7 +88,7 @@ uint64_t PackCapacityRows(const std::vector<uint64_t>& counts,
 
 Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
     const storage::Relation& fact, const CubeSchema& schema,
-    size_t batch_rows, std::vector<cube::ValueRange>* measure_ranges) {
+    std::vector<cube::ValueRange>* measure_ranges) {
   const Dimension& dim0 = schema.dim(0);
   std::vector<std::vector<uint64_t>> hist(dim0.num_levels());
   for (int l = 0; l < dim0.num_levels(); ++l) hist[l].assign(dim0.cardinality(l), 0);
@@ -96,54 +96,35 @@ Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
   const size_t measures_offset = 4ull * schema.num_dims();
   if (measure_ranges != nullptr) measure_ranges->assign(raw, {});
 
-  const size_t block_rows = ResolveBatchRows(batch_rows);
-  if (block_rows > 1) {
-    // Block path: gather the leaf-code column of each block once, then fill
-    // each level's histogram from the contiguous slice (a plain counting
-    // loop over already-mapped codes for level 0; per-level CodeAt above).
-    CURE_TRACE_SPAN("cure.engine.kernel.histogram", "rows", fact.num_rows(),
-                    "levels", static_cast<uint64_t>(dim0.num_levels()));
-    storage::Relation::BlockScanner scan(fact, block_rows);
-    storage::RowBlock block;
-    std::vector<uint32_t> leaves(block_rows);
-    std::vector<int64_t> values(measure_ranges != nullptr ? block_rows : 0);
-    const uint32_t leaf_cardinality = dim0.leaf_cardinality();
-    while (scan.Next(&block)) {
-      storage::GatherBlockU32(block, 0, leaves.data());
-      const uint32_t* CURE_RESTRICT codes = leaves.data();
-      uint32_t max_code = 0;
-      for (size_t i = 0; i < block.rows; ++i) {
-        max_code = codes[i] > max_code ? codes[i] : max_code;
-      }
-      if (max_code >= leaf_cardinality) {
-        return Status::InvalidArgument("dim0 code out of range in fact relation");
-      }
-      for (int l = 0; l < dim0.num_levels(); ++l) {
-        uint64_t* CURE_RESTRICT h = hist[l].data();
-        for (size_t i = 0; i < block.rows; ++i) ++h[dim0.CodeAt(codes[i], l)];
-      }
-      for (int m = 0; measure_ranges != nullptr && m < raw; ++m) {
-        storage::GatherBlockI64(block, measures_offset + 8ull * m, values.data());
-        cube::ValueRange& range = (*measure_ranges)[m];
-        for (size_t i = 0; i < block.rows; ++i) range.Add(values[i]);
-      }
+  // Gather the leaf-code column of each block once, then fill each level's
+  // histogram from the contiguous slice (a plain counting loop over
+  // already-mapped codes for level 0; per-level CodeAt above).
+  CURE_TRACE_SPAN("cure.engine.kernel.histogram", "rows", fact.num_rows(),
+                  "levels", static_cast<uint64_t>(dim0.num_levels()));
+  const size_t block_rows = storage::kDefaultBlockRows;
+  storage::Relation::BlockScanner scan(fact, block_rows);
+  storage::RowBlock block;
+  std::vector<uint32_t> leaves(block_rows);
+  std::vector<int64_t> values(measure_ranges != nullptr ? block_rows : 0);
+  const uint32_t leaf_cardinality = dim0.leaf_cardinality();
+  while (scan.Next(&block)) {
+    storage::GatherBlockU32(block, 0, leaves.data());
+    const uint32_t* CURE_RESTRICT codes = leaves.data();
+    uint32_t max_code = 0;
+    for (size_t i = 0; i < block.rows; ++i) {
+      max_code = codes[i] > max_code ? codes[i] : max_code;
     }
-    CURE_RETURN_IF_ERROR(scan.status());
-    return hist;
-  }
-
-  storage::Relation::Scanner scan(fact);
-  while (const uint8_t* rec = scan.Next()) {
-    uint32_t leaf;
-    std::memcpy(&leaf, rec, 4);
-    if (leaf >= dim0.leaf_cardinality()) {
+    if (max_code >= leaf_cardinality) {
       return Status::InvalidArgument("dim0 code out of range in fact relation");
     }
-    for (int l = 0; l < dim0.num_levels(); ++l) ++hist[l][dim0.CodeAt(leaf, l)];
+    for (int l = 0; l < dim0.num_levels(); ++l) {
+      uint64_t* CURE_RESTRICT h = hist[l].data();
+      for (size_t i = 0; i < block.rows; ++i) ++h[dim0.CodeAt(codes[i], l)];
+    }
     for (int m = 0; measure_ranges != nullptr && m < raw; ++m) {
-      int64_t v;
-      std::memcpy(&v, rec + measures_offset + 8ull * m, 8);
-      (*measure_ranges)[m].Add(v);
+      storage::GatherBlockI64(block, measures_offset + 8ull * m, values.data());
+      cube::ValueRange& range = (*measure_ranges)[m];
+      for (size_t i = 0; i < block.rows; ++i) range.Add(values[i]);
     }
   }
   CURE_RETURN_IF_ERROR(scan.status());

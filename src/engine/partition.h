@@ -63,15 +63,12 @@ Result<LevelChoice> SelectPartitionLevel(
     uint64_t num_rows, const PartitionOptions& options);
 
 /// Computes the per-level histograms of dimension 0 with one sequential
-/// scan of the fact relation. `batch_rows` follows the CureOptions contract
-/// (1 = record-at-a-time reference path; 0 = the default);
-/// > 1 scans in blocks and fills the histograms from a gathered leaf-code
-/// slice. Identical histograms either way. When `measure_ranges` is set,
-/// the same scan also records the value range of every raw measure (the
-/// record-width bounds of the external build).
+/// block scan of the fact relation, filling the histograms from a gathered
+/// leaf-code slice per block. When `measure_ranges` is set, the same scan
+/// also records the value range of every raw measure (the record-width
+/// bounds of the external build).
 Result<std::vector<std::vector<uint64_t>>> ComputeLevelHistograms(
     const storage::Relation& fact, const schema::CubeSchema& schema,
-    size_t batch_rows = 0,
     std::vector<cube::ValueRange>* measure_ranges = nullptr);
 
 /// Runs the partitioning pass: scans `fact` once, routes each row to its

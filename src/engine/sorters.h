@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/kernels.h"
-
 namespace cure {
 namespace engine {
 
@@ -16,11 +14,10 @@ namespace engine {
 /// counting sort whenever the key cardinality is small relative to the span.
 enum class SortPolicy { kAuto, kCountingOnly, kComparisonOnly };
 
-/// Reusable scratch buffers for counting sort and the batched key gather.
+/// Reusable scratch buffers for counting sort.
 struct SortScratch {
   std::vector<uint32_t> counts;
   std::vector<uint32_t> out;
-  std::vector<uint32_t> keys;  // batched path: keys gathered once per sort
 };
 
 /// Sorts idx[0, n) ascending by key(idx[i]); all keys are < cardinality.
@@ -49,60 +46,6 @@ void SortSpan(uint32_t* idx, size_t n, uint32_t cardinality, const KeyFn& key,
   }
   std::sort(idx, idx + n,
             [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
-}
-
-/// Batched variant of SortSpan that also emits the equal-key segment start
-/// offsets (span-relative; the final segment ends at n). The batch kernels'
-/// sort: keys are gathered ONCE into a contiguous slice (the legacy path
-/// evaluates key() twice per element — once for the histogram, once for the
-/// scatter — and the caller then re-evaluates it ~2n more times to find
-/// segment boundaries), the counting-sort histogram fill and scatter run
-/// over that slice, and segment boundaries fall out of the prefix-summed
-/// histogram for free. Produces exactly the permutation of SortSpan with
-/// the same policy (counting sort is stable in both; the comparison path is
-/// the identical std::sort call), so build output is byte-identical.
-template <typename KeyFn>
-void SortSpanSegments(uint32_t* idx, size_t n, uint32_t cardinality,
-                      const KeyFn& key, SortPolicy policy, SortScratch* scratch,
-                      std::vector<uint32_t>* segments) {
-  segments->clear();
-  if (n == 0) return;
-  if (n == 1) {
-    segments->push_back(0);
-    return;
-  }
-  const bool counting_ok =
-      cardinality > 0 &&
-      (policy == SortPolicy::kCountingOnly ||
-       (policy == SortPolicy::kAuto &&
-        static_cast<uint64_t>(cardinality) <= 2 * static_cast<uint64_t>(n) + 1024));
-  scratch->keys.resize(n);
-  uint32_t* CURE_RESTRICT keys = scratch->keys.data();
-  if (counting_ok && policy != SortPolicy::kComparisonOnly) {
-    for (size_t i = 0; i < n; ++i) keys[i] = key(idx[i]);
-    scratch->counts.assign(cardinality + 1, 0);
-    uint32_t* CURE_RESTRICT counts = scratch->counts.data();
-    HistogramFill(keys, n, counts);
-    for (uint32_t c = 0; c < cardinality; ++c) counts[c + 1] += counts[c];
-    // Before the scatter consumes the offsets: every key with a non-empty
-    // range starts a segment at its prefix offset.
-    for (uint32_t c = 0; c < cardinality; ++c) {
-      if (counts[c + 1] > counts[c]) segments->push_back(counts[c]);
-    }
-    scratch->out.resize(n);
-    uint32_t* CURE_RESTRICT out = scratch->out.data();
-    for (size_t i = 0; i < n; ++i) out[counts[keys[i]]++] = idx[i];
-    std::copy(scratch->out.begin(), scratch->out.end(), idx);
-    return;
-  }
-  std::sort(idx, idx + n,
-            [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
-  // Gather the now-sorted keys once, then find boundaries contiguously.
-  for (size_t i = 0; i < n; ++i) keys[i] = key(idx[i]);
-  segments->push_back(0);
-  for (size_t i = 1; i < n; ++i) {
-    if (keys[i] != keys[i - 1]) segments->push_back(static_cast<uint32_t>(i));
-  }
 }
 
 }  // namespace engine

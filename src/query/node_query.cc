@@ -94,11 +94,6 @@ class RowEmitter {
     }
   }
 
-  bool PassesSlices(const uint32_t* dims) const {
-    return std::all_of(slices_.begin(), slices_.end(),
-                       [&](const SliceFilter& p) { return p.Passes(dims); });
-  }
-
   /// Emits the row behind `rowid` (native codes `native`) with `aggrs`
   /// when it passes the iceberg test, projected onto the node and sliced.
   Status Emit(RowId rowid, const uint32_t* native, const int64_t* aggrs) {
@@ -119,6 +114,11 @@ class RowEmitter {
   }
 
  private:
+  bool PassesSlices(const uint32_t* dims) const {
+    return std::all_of(slices_.begin(), slices_.end(),
+                       [&](const SliceFilter& p) { return p.Passes(dims); });
+  }
+
   const std::vector<SliceFilter>& slices_;
   const int count_aggregate_;
   const int64_t min_count_;
@@ -130,12 +130,12 @@ class RowEmitter {
   uint32_t dims_[cube::kMaxProjectedDims];
 };
 
-/// The block path's row-id dereference buffer (DESIGN.md §13). Tuples whose
+/// The node query's row-id dereference buffer (DESIGN.md §13). Tuples whose
 /// codes live behind a row-id are queued in chunks with the aggregates they
 /// carry. One SourceSet::GetRows dereferences a chunk — a file-backed source
 /// reads it in row-id order, nearby rows coalesced into one read — and its
-/// tuples are then emitted in queue order, the order the record-at-a-time
-/// path emits them in. Over files the buffer is a pipeline: a full chunk is
+/// tuples are then emitted in queue order, the order the scans queued them
+/// in. Over files the buffer is a pipeline: a full chunk is
 /// read on an idle worker of the engine's pool while this thread scans on,
 /// and chunks are emitted on this thread, strictly in queue order. With
 /// every source in memory there is no read to save, and each tuple is read
@@ -333,15 +333,12 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
     }
   }
 
-  uint32_t native[64];
   uint32_t dims[64];
   int64_t aggrs[16];
-  int64_t row_aggrs[16];
   CURE_CHECK_LE(num_dims, 64);
   CURE_CHECK_LE(y, 16);
 
   const CubeStore::NodeData* node = store.node(id);
-  const size_t block_rows = engine::ResolveBatchRows(batch_rows_);
   const cube::RecordLayout& layout = store.layout();
   const size_t nt_aggrs_offset = store.NtAggregatesOffset(g);
   RowEmitter emitter(sources_, levels, prepared, iceberg ? count_aggregate : -1,
@@ -349,19 +346,18 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
   DerefBuffer deref(sources_, &emitter, num_dims, y,
                     [this] { return DerefPool(); });
 
-  // Normal tuples.
-  if (node != nullptr && node->has_nt && block_rows > 1) {
-    // Block path: predicates run as selection-vector kernels over column
-    // slices gathered once per block; only surviving rows are materialized
-    // (and, in the row-id scheme, queued for dereference).
+  // Normal tuples. Predicates run as selection-vector kernels over column
+  // slices gathered once per block; only surviving rows are materialized
+  // (and, in the row-id scheme, queued for dereference).
+  if (node != nullptr && node->has_nt) {
     CURE_TRACE_SPAN("cure.engine.kernel.nt_scan", "rows", node->nt.num_rows());
     const bool dims_in_nt = store.options().dims_in_nt;
-    storage::Relation::BlockScanner scan(node->nt, block_rows);
+    storage::Relation::BlockScanner scan(node->nt, block_rows_);
     storage::RowBlock block;
-    storage::SelectionVector sel(block_rows);
-    std::vector<int64_t> count_col(iceberg ? block_rows : 0);
+    storage::SelectionVector sel(block_rows_);
+    std::vector<int64_t> count_col(iceberg ? block_rows_ : 0);
     std::vector<uint32_t> dim_col(
-        dims_in_nt && !prepared.empty() ? block_rows : 0);
+        dims_in_nt && !prepared.empty() ? block_rows_ : 0);
     while (scan.Next(&block)) {
       size_t n;
       if (iceberg) {
@@ -399,88 +395,52 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
     }
     CURE_RETURN_IF_ERROR(scan.status());
     CURE_RETURN_IF_ERROR(deref.Flush());
-  } else if (node != nullptr && node->has_nt) {
-    storage::Relation::Scanner scan(node->nt);
-    while (const uint8_t* rec = scan.Next()) {
-      layout.GetAggregates(rec + nt_aggrs_offset, aggrs);
-      if (store.options().dims_in_nt) {
-        std::memcpy(dims, rec, 4ull * g);
-        if (iceberg && aggrs[count_aggregate] < min_count) continue;
-        if (emitter.PassesSlices(dims)) sink->Emit(dims, g, aggrs, y);
-      } else {
-        const RowId rowid = layout.GetRowId(rec);
-        CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-        CURE_RETURN_IF_ERROR(emitter.Emit(rowid, native, aggrs));
-      }
-    }
-    CURE_RETURN_IF_ERROR(scan.status());
   }
 
   // Common aggregate tuples: each CAT's aggregates (and, in format (a), its
-  // R-rowid) live in the AGGREGATES relation at the CAT's arowid.
+  // R-rowid) live in the AGGREGATES relation at the CAT's arowid. One
+  // sorted, coalesced AGGREGATES read per CAT block, then the iceberg test
+  // and the queue for the source dereference.
   if (node != nullptr && node->has_cat) {
     const storage::Relation& aggregates = store.aggregates();
     const size_t agg_width = aggregates.record_size();
     const size_t arowid_offset = store.CatArowidOffset();
     const size_t agg_offset = store.AggregatesAggrOffset();
     const bool format_a = store.cat_format() == CatFormat::kFormatA;
-    if (block_rows > 1) {
-      // Block path: one sorted, coalesced AGGREGATES read per CAT block,
-      // then the iceberg test and the queue for the source dereference.
-      const size_t cat_block =
-          std::min<uint64_t>(block_rows, node->cat.num_rows());
-      storage::Relation::BlockScanner scan(node->cat, cat_block);
-      storage::RowBlock block;
-      std::vector<uint64_t> arowids(cat_block);
-      std::vector<uint8_t> agg_recs(cat_block * agg_width);
-      while (scan.Next(&block)) {
-        for (size_t i = 0; i < block.rows; ++i) {
-          arowids[i] = layout.GetArowid(block.record(i) + arowid_offset);
-        }
-        CURE_RETURN_IF_ERROR(
-            aggregates.ReadRows(arowids.data(), block.rows, agg_recs.data()));
-        for (size_t i = 0; i < block.rows; ++i) {
-          const uint8_t* agg_rec = agg_recs.data() + i * agg_width;
-          // Format (a) keeps the R-rowid in AGGREGATES, format (b) in the CAT.
-          const RowId rowid =
-              layout.GetRowId(format_a ? agg_rec : block.record(i));
-          layout.GetAggregates(agg_rec + agg_offset, aggrs);
-          if (iceberg && aggrs[count_aggregate] < min_count) continue;
-          CURE_RETURN_IF_ERROR(deref.Add(rowid, aggrs));
-        }
+    const size_t cat_block =
+        std::min<uint64_t>(block_rows_, node->cat.num_rows());
+    storage::Relation::BlockScanner scan(node->cat, cat_block);
+    storage::RowBlock block;
+    std::vector<uint64_t> arowids(cat_block);
+    std::vector<uint8_t> agg_recs(cat_block * agg_width);
+    while (scan.Next(&block)) {
+      for (size_t i = 0; i < block.rows; ++i) {
+        arowids[i] = layout.GetArowid(block.record(i) + arowid_offset);
       }
-      CURE_RETURN_IF_ERROR(scan.status());
-      CURE_RETURN_IF_ERROR(deref.Flush());
-    } else {
-      uint8_t agg_rec[256];
-      CURE_CHECK_LE(agg_width, sizeof(agg_rec));
-      storage::Relation::Scanner scan(node->cat);
-      while (const uint8_t* rec = scan.Next()) {
-        CURE_RETURN_IF_ERROR(
-            aggregates.Read(layout.GetArowid(rec + arowid_offset), agg_rec));
-        const RowId rowid = layout.GetRowId(format_a ? agg_rec : rec);
+      CURE_RETURN_IF_ERROR(
+          aggregates.ReadRows(arowids.data(), block.rows, agg_recs.data()));
+      for (size_t i = 0; i < block.rows; ++i) {
+        const uint8_t* agg_rec = agg_recs.data() + i * agg_width;
+        // Format (a) keeps the R-rowid in AGGREGATES, format (b) in the CAT.
+        const RowId rowid =
+            layout.GetRowId(format_a ? agg_rec : block.record(i));
         layout.GetAggregates(agg_rec + agg_offset, aggrs);
         if (iceberg && aggrs[count_aggregate] < min_count) continue;
-        CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-        CURE_RETURN_IF_ERROR(emitter.Emit(rowid, native, aggrs));
+        CURE_RETURN_IF_ERROR(deref.Add(rowid, aggrs));
       }
-      CURE_RETURN_IF_ERROR(scan.status());
     }
+    CURE_RETURN_IF_ERROR(scan.status());
+    CURE_RETURN_IF_ERROR(deref.Flush());
   }
 
   // Trivial tuples, shared along the plan path. A TT stands for one source
   // row: a fact row's COUNT is 1, so iceberg queries skip the TTs of nodes
   // built from R outright; a node-N row (region 1 of a partitioned build)
   // aggregates many fact rows and takes the emitter's iceberg test. The
-  // block path queues the whole path's row-ids, so one dereference chunk
-  // spans several TT relations.
+  // whole path's row-ids are queued, so one dereference chunk spans several
+  // TT relations.
   const int region = cube_->NodeRegion(id);
   if (!iceberg || region != 0) {
-    auto emit_tt = [&](RowId rowid) -> Status {
-      if (block_rows > 1) return deref.Add(rowid);
-      CURE_RETURN_IF_ERROR(sources_.GetRow(rowid, native, row_aggrs));
-      return emitter.Emit(rowid, native, row_aggrs);
-    };
     for (NodeId path_node : plan::PathFromRoot(schema, store.codec(), id)) {
       if (cube_->NodeRegion(path_node) != region) continue;
       const CubeStore::NodeData* pd = store.node(path_node);
@@ -489,22 +449,16 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
         Status status = Status::OK();
         pd->tt_bitmap->ForEach([&](uint64_t ordinal) {
           if (!status.ok()) return;
-          status = emit_tt(cube::MakeRowId(pd->tt_source, ordinal));
+          status = deref.Add(cube::MakeRowId(pd->tt_source, ordinal));
         });
         CURE_RETURN_IF_ERROR(status);
-      } else if (pd->has_tt && block_rows > 1) {
-        storage::Relation::BlockScanner scan(pd->tt, block_rows);
+      } else if (pd->has_tt) {
+        storage::Relation::BlockScanner scan(pd->tt, block_rows_);
         storage::RowBlock block;
         while (scan.Next(&block)) {
           for (size_t i = 0; i < block.rows; ++i) {
             CURE_RETURN_IF_ERROR(deref.Add(layout.GetRowId(block.record(i))));
           }
-        }
-        CURE_RETURN_IF_ERROR(scan.status());
-      } else if (pd->has_tt) {
-        storage::Relation::Scanner scan(pd->tt);
-        while (const uint8_t* rec = scan.Next()) {
-          CURE_RETURN_IF_ERROR(emit_tt(layout.GetRowId(rec)));
         }
         CURE_RETURN_IF_ERROR(scan.status());
       }
@@ -524,25 +478,15 @@ Status BucQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
   uint32_t dims[64];
   int64_t aggrs[16];
   const cube::RecordLayout& layout = store.layout();
-  const size_t block_rows = engine::ResolveBatchRows(batch_rows_);
-  if (block_rows > 1) {
-    storage::Relation::BlockScanner scan(node->plain, block_rows);
-    storage::RowBlock block;
-    while (scan.Next(&block)) {
-      for (size_t i = 0; i < block.rows; ++i) {
-        const uint8_t* rec = block.record(i);
-        std::memcpy(dims, rec, 4ull * g);
-        layout.GetAggregates(rec + 4ull * g, aggrs);
-        sink->Emit(dims, g, aggrs, y);
-      }
+  storage::Relation::BlockScanner scan(node->plain);
+  storage::RowBlock block;
+  while (scan.Next(&block)) {
+    for (size_t i = 0; i < block.rows; ++i) {
+      const uint8_t* rec = block.record(i);
+      std::memcpy(dims, rec, 4ull * g);
+      layout.GetAggregates(rec + 4ull * g, aggrs);
+      sink->Emit(dims, g, aggrs, y);
     }
-    return scan.status();
-  }
-  storage::Relation::Scanner scan(node->plain);
-  while (const uint8_t* rec = scan.Next()) {
-    std::memcpy(dims, rec, 4ull * g);
-    layout.GetAggregates(rec + 4ull * g, aggrs);
-    sink->Emit(dims, g, aggrs, y);
   }
   return scan.status();
 }
@@ -608,26 +552,19 @@ Status BubstQueryEngine::QueryNode(NodeId id, ResultSink* sink) const {
   };
 
   // The format's cost: every query scans the entire monolithic relation.
-  const size_t block_rows = engine::ResolveBatchRows(batch_rows_);
-  if (block_rows > 1) {
-    // Block path: gather the node-tag column once per block and prefilter
-    // with a branch-free kernel — only exact-node rows and BSTs (which need
-    // the full sub-tree test) reach the per-row logic.
-    storage::Relation::BlockScanner scan(cube_->monolithic(), block_rows);
-    storage::RowBlock block;
-    std::vector<uint64_t> tags(block_rows);
-    storage::SelectionVector sel(block_rows);
-    while (scan.Next(&block)) {
-      engine::BubstRecord::GatherTags(block, tag_offset, tag_width, tags.data());
-      const size_t n = engine::SelectEqOrFlagU64(
-          tags.data(), block.rows, id, engine::BubstRecord::kBstFlag,
-          sel.data());
-      for (size_t j = 0; j < n; ++j) emit_row(block.record(sel[j]));
-    }
-    return scan.status();
+  // The node-tag column is gathered once per block and prefiltered with a
+  // branch-free kernel — only exact-node rows and BSTs (which need the full
+  // sub-tree test) reach the per-row logic.
+  storage::Relation::BlockScanner scan(cube_->monolithic());
+  storage::RowBlock block;
+  std::vector<uint64_t> tags(storage::kDefaultBlockRows);
+  storage::SelectionVector sel(storage::kDefaultBlockRows);
+  while (scan.Next(&block)) {
+    engine::BubstRecord::GatherTags(block, tag_offset, tag_width, tags.data());
+    const size_t n = engine::SelectEqOrFlagU64(
+        tags.data(), block.rows, id, engine::BubstRecord::kBstFlag, sel.data());
+    for (size_t j = 0; j < n; ++j) emit_row(block.record(sel[j]));
   }
-  storage::Relation::Scanner scan(cube_->monolithic());
-  while (const uint8_t* rec = scan.Next()) emit_row(rec);
   return scan.status();
 }
 

@@ -13,11 +13,12 @@
 #include "engine/buc.h"
 #include "engine/cure.h"
 #include "schema/node_id.h"
+#include "storage/row_block.h"
 
 namespace cure {
 namespace query {
 
-/// Row-ids the block path of CureQueryEngine dereferences per batch when a
+/// Row-ids CureQueryEngine dereferences per batch when a
 /// source reads from a file: a chunk this full goes to an idle worker of the
 /// engine's dereference pool, and the last, partial chunk of the NT, CAT and
 /// TT parts of a query is read on the query thread (DESIGN.md §13).
@@ -129,10 +130,12 @@ class CureQueryEngine {
 
   const cube::SourceSet& sources() const { return sources_; }
 
-  /// Batch scan path of the readers, same contract as
-  /// CureOptions::batch_rows: 1 = record-at-a-time reference path, 0 =
-  /// built-in default. Identical results either way.
-  void set_batch_rows(size_t batch_rows) { batch_rows_ = batch_rows; }
+  /// Rows per block of the node relation scans (DESIGN.md §13); 0 means
+  /// storage::kDefaultBlockRows. 1 reads one-row blocks of the same path.
+  /// Results are identical, in order, at every block size.
+  void set_batch_rows(size_t batch_rows) {
+    block_rows_ = batch_rows != 0 ? batch_rows : storage::kDefaultBlockRows;
+  }
 
  private:
   CureQueryEngine(const engine::CureCube* cube, cube::SourceSet sources,
@@ -150,7 +153,7 @@ class CureQueryEngine {
 
   const engine::CureCube* cube_;
   cube::SourceSet sources_;
-  size_t batch_rows_ = 0;
+  size_t block_rows_ = storage::kDefaultBlockRows;
   const int deref_workers_;
   mutable std::once_flag deref_pool_once_;
   mutable std::unique_ptr<ThreadPool> deref_pool_;
@@ -164,12 +167,8 @@ class BucQueryEngine {
 
   Status QueryNode(schema::NodeId id, ResultSink* sink) const;
 
-  /// Same contract as CureQueryEngine::set_batch_rows.
-  void set_batch_rows(size_t batch_rows) { batch_rows_ = batch_rows; }
-
  private:
   const engine::BucCube* cube_;
-  size_t batch_rows_ = 0;
 };
 
 /// Answers node queries over a BU-BST cube: a sequential scan of the entire
@@ -181,13 +180,9 @@ class BubstQueryEngine {
 
   Status QueryNode(schema::NodeId id, ResultSink* sink) const;
 
-  /// Same contract as CureQueryEngine::set_batch_rows.
-  void set_batch_rows(size_t batch_rows) { batch_rows_ = batch_rows; }
-
  private:
   const engine::BubstCube* cube_;
   schema::NodeIdCodec codec_;
-  size_t batch_rows_ = 0;
 };
 
 /// Mapping between a hierarchical node and its leaf-level (flat) twin.

@@ -1,17 +1,18 @@
-// Differential property tests of the columnar batch scan path (DESIGN.md
-// §13): the block size is a pure performance knob. For every batch_rows
-// setting — scalar reference (1), a tiny odd size (3), and realistic block
-// sizes (64, 1024) — over memory- and file-backed fact relations of skewed
-// (Zipf) data, the build must produce byte-identical packed cubes and the
-// readers identical (count, checksum) query results. The block path's
-// sorted, coalesced row-id dereference must return the scalar path's rows
-// in the scalar path's order, and surface read faults as errors.
+// Differential property tests of the columnar block scan path (DESIGN.md
+// §13), checked against the brute-force reference of query/reference.h.
+// Over memory- and file-backed fact relations of skewed (Zipf) data, the
+// build's block loads, level histograms and edge sorts must yield cubes
+// whose every node query matches the reference as a set, for CURE (in
+// memory and external), BUC and BU-BST. The query block size is a pure
+// performance knob: at block sizes 1, 7 and 1024 the readers retain the
+// same rows in the same order. The sorted, coalesced row-id dereference
+// must keep that order and surface read faults as errors.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,7 +43,10 @@ using query::CureQueryEngine;
 using query::ResultSink;
 using schema::NodeId;
 
-const size_t kBatchMatrix[] = {1, 3, 64, 1024};
+// Query block sizes: the default first, then one-row blocks and a small odd
+// size whose blocks end mid-relation. Rows at the others are compared, in
+// order, with the default's.
+const size_t kBlockSizes[] = {1024, 1, 7};
 
 // Hierarchical Zipf dataset: skewed first dimension (exercises the counting
 // sort under skew), one SUM and one COUNT aggregate.
@@ -70,13 +74,6 @@ Dataset MakeZipfDataset(uint64_t tuples, uint64_t seed) {
   return ds;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 Result<storage::Relation> MakeFileRelation(const Dataset& ds,
                                            const std::string& path) {
   CURE_ASSIGN_OR_RETURN(storage::Relation rel, storage::Relation::CreateFile(
@@ -85,186 +82,6 @@ Result<storage::Relation> MakeFileRelation(const Dataset& ds,
   CURE_RETURN_IF_ERROR(rel.Seal());
   return rel;
 }
-
-// Builds with the given batch_rows, persists the packed store, returns its
-// bytes.
-std::string BuildAndPack(const test::ScopedTempDir& tmp, const Dataset& ds,
-                         const storage::Relation& rel, CureOptions options,
-                         size_t batch_rows) {
-  options.batch_rows = batch_rows;
-  FactInput input{.relation = &rel};
-  Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
-  EXPECT_TRUE(cube.ok()) << cube.status().ToString();
-  if (!cube.ok()) return "";
-  const std::string path =
-      tmp.File("pack_b" + std::to_string(batch_rows) + ".bin");
-  Status s = (*cube)->store().PersistPacked(path);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  std::string bytes = ReadFileBytes(path);
-  EXPECT_TRUE(storage::RemoveFile(path).ok());
-  return bytes;
-}
-
-TEST(BatchScanBuildTest, ByteIdenticalPackedCubesMemoryBacked) {
-  const test::ScopedTempDir tmp("batch_scan");
-  Dataset ds = MakeZipfDataset(3000, 101);
-  storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
-  ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
-  for (bool dims_in_nt : {false, true}) {
-    CureOptions options;
-    options.dims_in_nt = dims_in_nt;
-    const std::string reference = BuildAndPack(tmp, ds, rel, options, 1);
-    ASSERT_FALSE(reference.empty());
-    for (size_t batch : kBatchMatrix) {
-      if (batch == 1) continue;
-      const std::string packed = BuildAndPack(tmp, ds, rel, options, batch);
-      ASSERT_EQ(packed.size(), reference.size())
-          << "batch_rows=" << batch << " dims_in_nt=" << dims_in_nt;
-      EXPECT_TRUE(packed == reference)
-          << "packed cube differs from the scalar reference at batch_rows="
-          << batch << " dims_in_nt=" << dims_in_nt;
-    }
-  }
-}
-
-TEST(BatchScanBuildTest, ByteIdenticalPackedCubesFileBackedExternal) {
-  const test::ScopedTempDir tmp("batch_scan");
-  Dataset ds = MakeZipfDataset(4000, 202);
-  const std::string rel_path = tmp.File("fact.bin");
-  Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
-  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
-
-  CureOptions options;
-  options.force_external = true;  // partition + per-partition + node-N path
-  // Large enough for the Zipf-skewed heaviest leaf partition to fit, small
-  // enough that the build still splits into several partitions.
-  options.memory_budget_bytes = 96 * 1024;
-  options.signature_pool_capacity = 256;
-  const std::string reference =
-      BuildAndPack(tmp, ds, rel.value(), options, 1);
-  ASSERT_FALSE(reference.empty());
-  for (size_t batch : kBatchMatrix) {
-    if (batch == 1) continue;
-    const std::string packed =
-        BuildAndPack(tmp, ds, rel.value(), options, batch);
-    ASSERT_EQ(packed.size(), reference.size()) << "batch_rows=" << batch;
-    EXPECT_TRUE(packed == reference)
-        << "packed cube differs from the scalar reference at batch_rows="
-        << batch;
-  }
-  ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
-}
-
-TEST(BatchScanBuildTest, LevelHistogramsIdenticalAcrossBatchRows) {
-  const test::ScopedTempDir tmp("batch_scan");
-  Dataset ds = MakeZipfDataset(2500, 303);
-  const std::string rel_path = tmp.File("hist.bin");
-  Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
-  ASSERT_TRUE(rel.ok());
-  Result<std::vector<std::vector<uint64_t>>> reference =
-      engine::ComputeLevelHistograms(rel.value(), ds.schema, 1);
-  ASSERT_TRUE(reference.ok());
-  for (size_t batch : kBatchMatrix) {
-    if (batch == 1) continue;
-    Result<std::vector<std::vector<uint64_t>>> hist =
-        engine::ComputeLevelHistograms(rel.value(), ds.schema, batch);
-    ASSERT_TRUE(hist.ok());
-    EXPECT_EQ(hist.value(), reference.value()) << "batch_rows=" << batch;
-  }
-  ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
-}
-
-// Runs plain, iceberg, sliced, and sliced-iceberg queries over every lattice
-// node and folds (count, checksum) of each into one digest.
-std::pair<uint64_t, uint64_t> QueryDigest(const CureQueryEngine& eng,
-                                          const schema::CubeSchema& schema) {
-  const schema::NodeIdCodec codec(schema);
-  uint64_t count = 0, checksum = 0;
-  ResultSink sink;
-  const std::vector<CureQueryEngine::Slice> slices = {{0, 1, 1}};
-  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
-    sink.Reset();
-    EXPECT_TRUE(eng.QueryNode(id, &sink).ok());
-    count += sink.count();
-    checksum ^= sink.checksum();
-    sink.Reset();
-    EXPECT_TRUE(eng.QueryNodeCountIceberg(id, 1, 3, &sink).ok());
-    count += sink.count();
-    checksum ^= sink.checksum();
-    // Slices are only valid on nodes grouping dim 0 at level <= 1; both
-    // engines must agree on the rejection too.
-    sink.Reset();
-    Status s = eng.QueryNodeSliced(id, slices, &sink);
-    if (s.ok()) {
-      count += sink.count();
-      checksum ^= sink.checksum();
-    }
-    sink.Reset();
-    Status si = eng.QueryNodeSlicedIceberg(id, slices, 1, 2, &sink);
-    EXPECT_EQ(s.ok(), si.ok());
-    if (si.ok()) {
-      count += sink.count();
-      checksum ^= sink.checksum();
-    }
-  }
-  return {count, checksum};
-}
-
-TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsInMemory) {
-  Dataset ds = MakeZipfDataset(3000, 404);
-  for (bool dims_in_nt : {false, true}) {
-    CureOptions options;
-    options.dims_in_nt = dims_in_nt;
-    FactInput input{.table = &ds.table};
-    Result<std::unique_ptr<CureCube>> cube =
-        BuildCure(ds.schema, input, options);
-    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-    Result<std::unique_ptr<CureQueryEngine>> eng =
-        CureQueryEngine::Create(cube->get(), 1.0);
-    ASSERT_TRUE(eng.ok());
-    (*eng)->set_batch_rows(1);
-    const auto reference = QueryDigest(**eng, (*cube)->schema());
-    ASSERT_GT(reference.first, 0u);
-    for (size_t batch : kBatchMatrix) {
-      if (batch == 1) continue;
-      (*eng)->set_batch_rows(batch);
-      EXPECT_EQ(QueryDigest(**eng, (*cube)->schema()), reference)
-          << "batch_rows=" << batch << " dims_in_nt=" << dims_in_nt;
-    }
-  }
-}
-
-TEST(BatchScanQueryTest, IdenticalResultsAcrossBatchRowsFileBacked) {
-  const test::ScopedTempDir tmp("batch_scan");
-  Dataset ds = MakeZipfDataset(3000, 505);
-  const std::string rel_path = tmp.File("qfact.bin");
-  Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
-  ASSERT_TRUE(rel.ok());
-  CureOptions options;
-  FactInput input{.relation = &rel.value()};
-  Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
-  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-  // Spill the store so the block scanners really read files.
-  const std::string pack_path = tmp.File("qpack.bin");
-  ASSERT_TRUE((*cube)->SpillStoreToDisk(pack_path).ok());
-  Result<std::unique_ptr<CureQueryEngine>> eng =
-      CureQueryEngine::Create(cube->get(), 0.5);
-  ASSERT_TRUE(eng.ok());
-  (*eng)->set_batch_rows(1);
-  const auto reference = QueryDigest(**eng, (*cube)->schema());
-  ASSERT_GT(reference.first, 0u);
-  for (size_t batch : kBatchMatrix) {
-    if (batch == 1) continue;
-    (*eng)->set_batch_rows(batch);
-    EXPECT_EQ(QueryDigest(**eng, (*cube)->schema()), reference)
-        << "batch_rows=" << batch;
-  }
-  cube->reset();  // Close the packed store before unlinking.
-  ASSERT_TRUE(storage::RemoveFile(pack_path).ok());
-  ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
-}
-
-// ---- Sorted, coalesced row-id dereference (DESIGN.md §13) ----
 
 // Wide, skewed leaf cardinalities: most base-node cells are singletons, so
 // the base node's trivial tuples outnumber one dereference chunk, while the
@@ -353,6 +170,163 @@ bool SameRowsInOrder(const std::vector<ResultSink::Row>& a,
   return true;
 }
 
+// Reference answers of every node ([node][shape], shapes of DerefShapes).
+using Answers = std::vector<std::vector<std::vector<ResultSink::Row>>>;
+
+Answers ReferenceAnswers(const Dataset& ds) {
+  const schema::NodeIdCodec codec(ds.schema);
+  const std::vector<QueryShape> shapes = DerefShapes(ds.schema);
+  Answers reference(codec.num_nodes());
+  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+    for (const QueryShape& shape : shapes) {
+      reference[id].push_back(ReferenceRows(ds, id, shape));
+    }
+  }
+  return reference;
+}
+
+// Every node's answer to every query shape, at every block size: the same
+// rows in the same order as at the default block size, and the reference
+// as a set. Returns the largest answer's row count.
+size_t ExpectBlockSizesAgreeWithReference(CureQueryEngine* eng,
+                                          const Dataset& ds,
+                                          const Answers& reference) {
+  const std::vector<QueryShape> shapes = DerefShapes(ds.schema);
+  size_t max_rows = 0;
+  for (NodeId id = 0; id < reference.size(); ++id) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      const QueryShape& shape = shapes[s];
+      SCOPED_TRACE("node " + std::to_string(id) + " " + shape.name);
+      std::optional<Status> first_status;
+      std::vector<ResultSink::Row> first;
+      for (size_t block_rows : kBlockSizes) {
+        SCOPED_TRACE("block rows " + std::to_string(block_rows));
+        eng->set_batch_rows(block_rows);
+        ResultSink sink(/*retain=*/true);
+        const Status status = eng->QueryNodeSlicedIceberg(
+            id, shape.slices, 1, shape.min_count, &sink);
+        if (!first_status) {
+          first_status = status;
+          if (!status.ok()) continue;  // slice on a coarser node
+          EXPECT_TRUE(query::SameResults(sink.rows(), reference[id][s]))
+              << sink.rows().size() << " rows, reference "
+              << reference[id][s].size();
+          max_rows = std::max(max_rows, sink.rows().size());
+          first = sink.TakeRows();
+          continue;
+        }
+        EXPECT_EQ(status.ok(), first_status->ok()) << status.ToString();
+        if (status.ok() && first_status->ok()) {
+          EXPECT_TRUE(SameRowsInOrder(sink.rows(), first));
+        }
+      }
+    }
+  }
+  return max_rows;
+}
+
+TEST(BatchScanBuildTest, MemoryRelationBuildMatchesReference) {
+  Dataset ds = MakeZipfDataset(3000, 101);
+  storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
+  ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
+  for (bool dims_in_nt : {false, true}) {
+    SCOPED_TRACE(dims_in_nt ? "dims_in_nt" : "row-ids");
+    CureOptions options;
+    options.dims_in_nt = dims_in_nt;
+    FactInput input{.relation = &rel};
+    Result<std::unique_ptr<CureCube>> cube =
+        BuildCure(ds.schema, input, options);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    ASSERT_FALSE((*cube)->stats().external);
+    Result<std::unique_ptr<CureQueryEngine>> eng =
+        CureQueryEngine::Create(cube->get(), 1.0);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    ExpectBlockSizesAgreeWithReference(eng->get(), ds, ReferenceAnswers(ds));
+  }
+}
+
+TEST(BatchScanBuildTest, ExternalFileBuildMatchesReference) {
+  const test::ScopedTempDir tmp("batch_scan");
+  Dataset ds = MakeZipfDataset(4000, 202);
+  Result<storage::Relation> rel = MakeFileRelation(ds, tmp.File("fact.bin"));
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  CureOptions options;
+  options.force_external = true;  // partition + per-partition + node-N path
+  // Large enough for the Zipf-skewed heaviest leaf partition to fit, small
+  // enough that the build still splits into several partitions.
+  options.memory_budget_bytes = 96 * 1024;
+  options.signature_pool_capacity = 256;
+  FactInput input{.relation = &rel.value()};
+  Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ASSERT_TRUE((*cube)->stats().external);
+  ASSERT_GT((*cube)->stats().num_partitions, 1u);
+  ASSERT_TRUE((*cube)->SpillStoreToDisk(tmp.File("pack.bin")).ok());
+  Result<std::unique_ptr<CureQueryEngine>> eng =
+      CureQueryEngine::Create(cube->get(), 0.5);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  ExpectBlockSizesAgreeWithReference(eng->get(), ds, ReferenceAnswers(ds));
+}
+
+TEST(BatchScanBuildTest, LevelHistogramsMatchFactTable) {
+  const test::ScopedTempDir tmp("batch_scan");
+  Dataset ds = MakeZipfDataset(2500, 303);
+  Result<storage::Relation> rel = MakeFileRelation(ds, tmp.File("hist.bin"));
+  ASSERT_TRUE(rel.ok());
+  std::vector<cube::ValueRange> ranges;
+  Result<std::vector<std::vector<uint64_t>>> hist =
+      engine::ComputeLevelHistograms(rel.value(), ds.schema, &ranges);
+  ASSERT_TRUE(hist.ok()) << hist.status().ToString();
+  const schema::Dimension& a = ds.schema.dim(0);
+  std::vector<std::vector<uint64_t>> expected(a.num_levels());
+  for (int l = 0; l < a.num_levels(); ++l) expected[l].assign(a.cardinality(l), 0);
+  for (uint64_t r = 0; r < ds.table.num_rows(); ++r) {
+    for (int l = 0; l < a.num_levels(); ++l) {
+      ++expected[l][a.CodeAt(ds.table.dim(0, r), l)];
+    }
+  }
+  EXPECT_EQ(hist.value(), expected);
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].lo, ds.table.measure_min(0));
+  EXPECT_EQ(ranges[0].hi, ds.table.measure_max(0));
+}
+
+TEST(BatchScanQueryTest, BlockSizesAgreeWithReferenceInMemory) {
+  Dataset ds = MakeZipfDataset(3000, 404);
+  for (bool dims_in_nt : {false, true}) {
+    SCOPED_TRACE(dims_in_nt ? "dims_in_nt" : "row-ids");
+    CureOptions options;
+    options.dims_in_nt = dims_in_nt;
+    FactInput input{.table = &ds.table};
+    Result<std::unique_ptr<CureCube>> cube =
+        BuildCure(ds.schema, input, options);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    Result<std::unique_ptr<CureQueryEngine>> eng =
+        CureQueryEngine::Create(cube->get(), 1.0);
+    ASSERT_TRUE(eng.ok());
+    ExpectBlockSizesAgreeWithReference(eng->get(), ds, ReferenceAnswers(ds));
+  }
+}
+
+TEST(BatchScanQueryTest, BlockSizesAgreeWithReferenceFileBacked) {
+  const test::ScopedTempDir tmp("batch_scan");
+  Dataset ds = MakeZipfDataset(3000, 505);
+  Result<storage::Relation> rel = MakeFileRelation(ds, tmp.File("qfact.bin"));
+  ASSERT_TRUE(rel.ok());
+  FactInput input{.relation = &rel.value()};
+  Result<std::unique_ptr<CureCube>> cube =
+      BuildCure(ds.schema, input, CureOptions{});
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  // Spill the store so the block scanners really read files.
+  ASSERT_TRUE((*cube)->SpillStoreToDisk(tmp.File("qpack.bin")).ok());
+  Result<std::unique_ptr<CureQueryEngine>> eng =
+      CureQueryEngine::Create(cube->get(), 0.5);
+  ASSERT_TRUE(eng.ok());
+  ExpectBlockSizesAgreeWithReference(eng->get(), ds, ReferenceAnswers(ds));
+}
+
+// ---- Sorted, coalesced row-id dereference (DESIGN.md §13) ----
+
 struct DerefCase {
   const char* name;
   CureOptions options;
@@ -373,9 +347,9 @@ std::vector<DerefCase> DerefCases() {
   return cases;
 }
 
-// Per node and query shape, the retained rows of the default block path
-// must equal the scalar path's, in order, at every fact-cache fraction, and
-// match the brute-force reference as a set.
+// Per node and query shape, the retained rows at every block size must
+// equal the default block size's, in order, at every fact-cache fraction,
+// and match the brute-force reference as a set.
 TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
   const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeWideZipfDataset(30000, 808);
@@ -383,14 +357,7 @@ TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
   Result<storage::Relation> rel = MakeFileRelation(ds, rel_path);
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
   const schema::NodeIdCodec codec(ds.schema);
-  const std::vector<QueryShape> shapes = DerefShapes(ds.schema);
-  std::vector<std::vector<std::vector<ResultSink::Row>>> reference(
-      codec.num_nodes());
-  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
-    for (const QueryShape& shape : shapes) {
-      reference[id].push_back(ReferenceRows(ds, id, shape));
-    }
-  }
+  const Answers reference = ReferenceAnswers(ds);
   for (const DerefCase& c : DerefCases()) {
     SCOPED_TRACE(c.name);
     FactInput input{.relation = &rel.value()};
@@ -437,30 +404,9 @@ TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
       Result<std::unique_ptr<CureQueryEngine>> eng =
           CureQueryEngine::Create(cube->get(), fraction);
       ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-      for (NodeId id = 0; id < codec.num_nodes(); ++id) {
-        for (size_t s = 0; s < shapes.size(); ++s) {
-          const QueryShape& shape = shapes[s];
-          ResultSink scalar(/*retain=*/true);
-          ResultSink block(/*retain=*/true);
-          (*eng)->set_batch_rows(1);
-          const Status scalar_status = (*eng)->QueryNodeSlicedIceberg(
-              id, shape.slices, 1, shape.min_count, &scalar);
-          (*eng)->set_batch_rows(0);
-          const Status block_status = (*eng)->QueryNodeSlicedIceberg(
-              id, shape.slices, 1, shape.min_count, &block);
-          ASSERT_EQ(scalar_status.ok(), block_status.ok())
-              << "node " << id << " " << shape.name;
-          if (!scalar_status.ok()) continue;  // slice on a coarser node
-          EXPECT_TRUE(SameRowsInOrder(scalar.rows(), block.rows()))
-              << "node " << id << " " << shape.name;
-          EXPECT_TRUE(query::SameResults(block.rows(), reference[id][s]))
-              << "node " << id << " " << shape.name << ": "
-              << block.rows().size() << " rows, reference "
-              << reference[id][s].size();
-          crossed_chunk =
-              crossed_chunk || block.count() > query::kDereferenceChunkRows;
-        }
-      }
+      const size_t max_rows =
+          ExpectBlockSizesAgreeWithReference(eng->get(), ds, reference);
+      crossed_chunk = crossed_chunk || max_rows > query::kDereferenceChunkRows;
     }
     EXPECT_TRUE(crossed_chunk);
     cube->reset();
@@ -471,7 +417,7 @@ TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
 
 // A read fault in the middle of a query's reads of the fact file or of the
 // packed cube — coalesced dereference reads included — fails the query with
-// that error at every batch size.
+// that error at every block size.
 TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
   const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeWideZipfDataset(30000, 909);
@@ -490,9 +436,9 @@ TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
   const NodeId base = 0;  // every dimension at its leaf: the largest node
 
   for (const std::string& target : {rel_path, pack_path}) {
-    for (size_t batch : {size_t{1}, size_t{0}}) {
-      SCOPED_TRACE(target + " batch_rows=" + std::to_string(batch));
-      (*eng)->set_batch_rows(batch);
+    for (size_t block_rows : kBlockSizes) {
+      SCOPED_TRACE(target + " block rows " + std::to_string(block_rows));
+      (*eng)->set_batch_rows(block_rows);
       uint64_t reads = 0;
       uint64_t rows = 0;
       {
@@ -507,7 +453,7 @@ TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
         rows = sink.count();
       }
       ASSERT_GT(reads, 0u);
-      if (batch == 0 && target == rel_path) {
+      if (target == rel_path) {
         // Coalesced: far fewer fact-file reads than dereferenced rows.
         EXPECT_LT(reads * 20, rows) << reads << " reads for " << rows << " rows";
       }
@@ -556,8 +502,8 @@ class ScopedThreads {
 // A base node whose trivial tuples fill more dereference chunks than the
 // largest pool here has workers, so full chunks are read on workers, wait
 // in the queue at its bound and go inline when no worker is idle. At every
-// worker count (none, one, seven) each node's rows must equal the scalar
-// path's in order and the reference as a set. A read fault on the fact file
+// worker count (none, one, seven) each node's rows must equal those of
+// one-row blocks with no pool, in order, and the reference as a set. A read fault on the fact file
 // at the first, a middle and the last read — the middle one sticky, failing
 // every read after it on every thread — and a fault on the packed cube
 // while fact chunks are in flight must each fail the query with IoError,
@@ -577,8 +523,9 @@ TEST(BatchScanDerefTest, PipelinedDereferenceKeepsRowsOrderAndErrors) {
   const schema::NodeIdCodec codec(ds.schema);
   const NodeId base = 0;
 
-  std::vector<std::vector<ResultSink::Row>> scalar(codec.num_nodes());
+  std::vector<std::vector<ResultSink::Row>> one_row(codec.num_nodes());
   {
+    const ScopedThreads env(1);
     Result<std::unique_ptr<CureQueryEngine>> eng =
         CureQueryEngine::Create(cube->get(), 0.0);
     ASSERT_TRUE(eng.ok()) << eng.status().ToString();
@@ -586,18 +533,18 @@ TEST(BatchScanDerefTest, PipelinedDereferenceKeepsRowsOrderAndErrors) {
     for (NodeId id = 0; id < codec.num_nodes(); ++id) {
       ResultSink sink(/*retain=*/true);
       ASSERT_TRUE((*eng)->QueryNode(id, &sink).ok()) << "node " << id;
-      scalar[id] = sink.TakeRows();
+      one_row[id] = sink.TakeRows();
       Result<std::vector<ResultSink::Row>> reference =
           query::ReferenceNodeResult(ds.schema, ds.table, id);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      EXPECT_TRUE(query::SameResults(scalar[id], reference.value()))
+      EXPECT_TRUE(query::SameResults(one_row[id], reference.value()))
           << "node " << id;
     }
   }
   // The base node fills more than ten chunks, most of them with the trivial
   // tuples of one part: more than seven workers' chunks plus the queue
   // bound's one chunk of slack.
-  ASSERT_GT(scalar[base].size(), 10 * query::kDereferenceChunkRows);
+  ASSERT_GT(one_row[base].size(), 10 * query::kDereferenceChunkRows);
 
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("CURE_THREADS=" + std::to_string(threads));
@@ -608,12 +555,12 @@ TEST(BatchScanDerefTest, PipelinedDereferenceKeepsRowsOrderAndErrors) {
     auto answers_base = [&] {
       ResultSink sink(/*retain=*/true);
       return (*eng)->QueryNode(base, &sink).ok() &&
-             SameRowsInOrder(sink.rows(), scalar[base]);
+             SameRowsInOrder(sink.rows(), one_row[base]);
     };
     for (NodeId id = 0; id < codec.num_nodes(); ++id) {
       ResultSink block(/*retain=*/true);
       ASSERT_TRUE((*eng)->QueryNode(id, &block).ok()) << "node " << id;
-      EXPECT_TRUE(SameRowsInOrder(block.rows(), scalar[id])) << "node " << id;
+      EXPECT_TRUE(SameRowsInOrder(block.rows(), one_row[id])) << "node " << id;
     }
 
     auto count_reads = [&](const std::string& target) -> uint64_t {
@@ -664,78 +611,46 @@ TEST(BatchScanDerefTest, PipelinedDereferenceKeepsRowsOrderAndErrors) {
   cube->reset();
 }
 
-TEST(BatchScanBaselineTest, BucIdenticalAcrossBatchRows) {
+// The baselines' node queries scan in blocks of the default size: every
+// node of BUC's per-node relations and of BU-BST's monolithic relation
+// (spilled, so the scan reads a file) matches the reference.
+TEST(BatchScanBaselineTest, BucMatchesReference) {
   Dataset ds = MakeZipfDataset(1200, 606);
-  const schema::CubeSchema flat = ds.schema.Flattened();
-  const schema::NodeIdCodec codec(flat);
-
-  auto digest = [&](size_t batch) -> std::pair<uint64_t, uint64_t> {
-    engine::BucOptions options;
-    options.batch_rows = batch;
-    Result<std::unique_ptr<engine::BucCube>> cube =
-        engine::BuildBuc(ds.schema, ds.table, options);
-    EXPECT_TRUE(cube.ok()) << cube.status().ToString();
-    query::BucQueryEngine eng(cube->get());
-    eng.set_batch_rows(batch);
-    uint64_t count = 0, checksum = 0;
-    ResultSink sink;
-    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
-      sink.Reset();
-      EXPECT_TRUE(eng.QueryNode(id, &sink).ok());
-      count += sink.count();
-      checksum ^= sink.checksum();
-    }
-    return {count, checksum};
-  };
-  const auto reference = digest(1);
-  ASSERT_GT(reference.first, 0u);
-  for (size_t batch : kBatchMatrix) {
-    if (batch == 1) continue;
-    EXPECT_EQ(digest(batch), reference) << "batch_rows=" << batch;
+  Result<std::unique_ptr<engine::BucCube>> cube =
+      engine::BuildBuc(ds.schema, ds.table, {});
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  const query::BucQueryEngine eng(cube->get());
+  const schema::NodeIdCodec codec((*cube)->schema());
+  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+    ResultSink sink(/*retain=*/true);
+    ASSERT_TRUE(eng.QueryNode(id, &sink).ok());
+    Result<std::vector<ResultSink::Row>> reference =
+        query::ReferenceNodeResult((*cube)->schema(), ds.table, id);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_TRUE(query::SameResults(sink.rows(), reference.value()))
+        << "node " << id;
   }
 }
 
-TEST(BatchScanBaselineTest, BubstIdenticalAcrossBatchRows) {
+TEST(BatchScanBaselineTest, BubstMatchesReference) {
   const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeZipfDataset(1200, 707);
-  const schema::CubeSchema flat = ds.schema.Flattened();
-  const schema::NodeIdCodec codec(flat);
-
-  auto digest = [&](size_t batch,
-                    std::string* monolithic) -> std::pair<uint64_t, uint64_t> {
-    engine::BubstOptions options;
-    options.batch_rows = batch;
-    Result<std::unique_ptr<engine::BubstCube>> cube =
-        engine::BuildBubst(ds.schema, ds.table, options);
-    EXPECT_TRUE(cube.ok()) << cube.status().ToString();
-    // The monolithic relation must be byte-identical across batch sizes.
-    const std::string path =
-        tmp.File("bubst_b" + std::to_string(batch) + ".bin");
-    EXPECT_TRUE((*cube)->SpillToDisk(path).ok());
-    *monolithic = ReadFileBytes(path);
-    query::BubstQueryEngine eng(cube->get());
-    eng.set_batch_rows(batch);
-    uint64_t count = 0, checksum = 0;
-    ResultSink sink;
-    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
-      sink.Reset();
-      EXPECT_TRUE(eng.QueryNode(id, &sink).ok());
-      count += sink.count();
-      checksum ^= sink.checksum();
-    }
-    cube->reset();  // Close before unlinking.
-    EXPECT_TRUE(storage::RemoveFile(path).ok());
-    return {count, checksum};
-  };
-  std::string reference_bytes;
-  const auto reference = digest(1, &reference_bytes);
-  ASSERT_GT(reference.first, 0u);
-  for (size_t batch : kBatchMatrix) {
-    if (batch == 1) continue;
-    std::string bytes;
-    EXPECT_EQ(digest(batch, &bytes), reference) << "batch_rows=" << batch;
-    EXPECT_TRUE(bytes == reference_bytes)
-        << "monolithic relation differs at batch_rows=" << batch;
+  Result<std::unique_ptr<engine::BubstCube>> cube =
+      engine::BuildBubst(ds.schema, ds.table, {});
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ASSERT_TRUE((*cube)->SpillToDisk(tmp.File("bubst.bin")).ok());
+  // More than one block, the last one partial.
+  ASSERT_GT((*cube)->monolithic().num_rows(), storage::kDefaultBlockRows);
+  const query::BubstQueryEngine eng(cube->get());
+  const schema::NodeIdCodec codec((*cube)->schema());
+  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+    ResultSink sink(/*retain=*/true);
+    ASSERT_TRUE(eng.QueryNode(id, &sink).ok());
+    Result<std::vector<ResultSink::Row>> reference =
+        query::ReferenceNodeResult((*cube)->schema(), ds.table, id);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_TRUE(query::SameResults(sink.rows(), reference.value()))
+        << "node " << id;
   }
 }
 

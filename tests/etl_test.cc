@@ -7,6 +7,7 @@
 #include "etl/schema_io.h"
 #include "query/node_query.h"
 #include "query/reference.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace etl {
@@ -227,16 +228,18 @@ TEST(SchemaIoTest, PersistedCubeReopensAndAnswers) {
   engine::FactInput input{.table = &loaded->table};
   auto cube = engine::BuildCure(loaded->schema, input, options);
   ASSERT_TRUE(cube.ok());
-  ASSERT_TRUE(
-      (*cube)->mutable_store().PersistPacked("/tmp/cure_etl_cube.bin").ok());
-  auto fact = storage::Relation::CreateFile("/tmp/cure_etl_fact.bin",
-                                            loaded->table.RecordSize());
+  const test::ScopedTempDir tmp("etl");
+  const std::string cube_path = tmp.File("cube.bin");
+  const std::string fact_path = tmp.File("fact.bin");
+  ASSERT_TRUE((*cube)->mutable_store().PersistPacked(cube_path).ok());
+  auto fact =
+      storage::Relation::CreateFile(fact_path, loaded->table.RecordSize());
   ASSERT_TRUE(fact.ok());
   ASSERT_TRUE(loaded->table.WriteTo(&fact.value()).ok());
   ASSERT_TRUE(fact->Seal().ok());
 
   auto reopened = engine::CureCube::OpenPersisted(
-      loaded->schema, "/tmp/cure_etl_cube.bin", &fact.value());
+      loaded->schema, cube_path, &fact.value());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto engine = query::CureQueryEngine::Create(reopened->get(), 1.0);
   ASSERT_TRUE(engine.ok());
@@ -248,8 +251,8 @@ TEST(SchemaIoTest, PersistedCubeReopensAndAnswers) {
     ASSERT_TRUE(expected.ok());
     EXPECT_TRUE(query::SameResults(sink.TakeRows(), std::move(expected).value()));
   }
-  ASSERT_TRUE(storage::RemoveFile("/tmp/cure_etl_cube.bin").ok());
-  ASSERT_TRUE(storage::RemoveFile("/tmp/cure_etl_fact.bin").ok());
+  ASSERT_TRUE(storage::RemoveFile(cube_path).ok());
+  ASSERT_TRUE(storage::RemoveFile(fact_path).ok());
 }
 
 }  // namespace

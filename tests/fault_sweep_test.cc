@@ -6,7 +6,6 @@
 // succeed with a byte-identical cube. Serial (num_threads = 1) so the op
 // ordering, and therefore the sweep, is deterministic.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
@@ -22,6 +21,7 @@
 #include "gen/random.h"
 #include "maintain/live_cube.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -34,10 +34,6 @@ using engine::FactInput;
 using maintain::LiveCube;
 using maintain::MaintainOptions;
 using maintain::RowBatch;
-
-std::string SweepDir(const char* tag) {
-  return "/tmp/cure_fault_sweep_" + std::to_string(::getpid()) + "_" + tag;
-}
 
 gen::Dataset MakeDataset(uint64_t tuples, uint64_t seed) {
   gen::Dataset ds;
@@ -71,8 +67,8 @@ std::string ReadBytes(const std::string& path) {
 
 // The swept workload: external serial build into `temp_dir` scratch,
 // persist packed to `out_path`, reopen + verify. Everything it touches
-// lives under /tmp/cure_fault_sweep_*, so the sweep's path_substr scopes
-// faults away from unrelated test I/O.
+// lives under a cure_fault_sweep_* temp directory, so the sweep's
+// path_substr scopes faults away from unrelated test I/O.
 Status BuildPersistOpen(const gen::Dataset& ds, const storage::Relation& rel,
                         const std::string& temp_dir,
                         const std::string& out_path) {
@@ -119,12 +115,12 @@ void ExpectCleanOutcome(const Status& status, const std::string& temp_dir,
 class FaultSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    temp_dir_ = SweepDir("scratch");
+    temp_dir_ = tmp_.File("scratch");
     ASSERT_TRUE(storage::EnsureDir(temp_dir_).ok());
     ds_ = MakeDataset(500, 4711);
     rel_ = storage::Relation::Memory(ds_.table.RecordSize());
     ASSERT_TRUE(ds_.table.WriteTo(&rel_).ok());
-    reference_path_ = SweepDir("ref") + ".bin";
+    reference_path_ = tmp_.File("ref.bin");
     const Status ref_status = BuildPersistOpen(ds_, rel_, temp_dir_, reference_path_);
     ASSERT_TRUE(ref_status.ok()) << ref_status.ToString();
     reference_ = ReadBytes(reference_path_);
@@ -136,7 +132,7 @@ class FaultSweepTest : public ::testing::Test {
     counter.fail_index = UINT64_MAX;
     {
       ScopedFaultInjection count(FaultInjector::Disk(), counter);
-      const std::string path = SweepDir("count") + ".bin";
+      const std::string path = tmp_.File("count.bin");
       ASSERT_TRUE(BuildPersistOpen(ds_, rel_, temp_dir_, path).ok());
       num_ops_ = count.ops_matched();
       ASSERT_TRUE(storage::RemoveFile(path).ok());
@@ -152,7 +148,7 @@ class FaultSweepTest : public ::testing::Test {
 
   // Sweeps a sticky `error` across every I/O index of the workload.
   void SweepErrno(int error, const char* tag) {
-    const std::string out_path = SweepDir(tag) + ".bin";
+    const std::string out_path = tmp_.File(std::string(tag) + ".bin");
     uint64_t failures = 0;
     for (uint64_t i = 0; i < num_ops_; ++i) {
       FaultPlan plan;
@@ -177,6 +173,7 @@ class FaultSweepTest : public ::testing::Test {
     EXPECT_GT(failures, num_ops_ / 2) << "sweep failed to inject";
   }
 
+  test::ScopedTempDir tmp_{"fault_sweep"};
   gen::Dataset ds_;
   storage::Relation rel_;
   std::string temp_dir_;
@@ -213,7 +210,7 @@ TEST_F(FaultSweepTest, ShortWritesAtEveryIndexStayByteIdentical) {
   uint64_t num_writes = 0;
   {
     ScopedFaultInjection count(FaultInjector::Disk(), counter);
-    const std::string path = SweepDir("wcount") + ".bin";
+    const std::string path = tmp_.File("wcount.bin");
     ASSERT_TRUE(BuildPersistOpen(ds_, rel_, temp_dir_, path).ok());
     num_writes = count.ops_matched();
     ASSERT_TRUE(storage::RemoveFile(path).ok());
@@ -221,7 +218,7 @@ TEST_F(FaultSweepTest, ShortWritesAtEveryIndexStayByteIdentical) {
   // The writers buffer 64 KB, so a small cube needs only a handful of
   // write() calls; the sweep still covers every one of them.
   ASSERT_GE(num_writes, 2u);
-  const std::string out_path = SweepDir("short") + ".bin";
+  const std::string out_path = tmp_.File("short.bin");
   for (uint64_t i = 0; i < num_writes; ++i) {
     FaultPlan plan;
     plan.op = "write";
@@ -242,7 +239,7 @@ TEST_F(FaultSweepTest, ShortWritesAtEveryIndexStayByteIdentical) {
 TEST_F(FaultSweepTest, TransientFaultAtEveryOpRecoversOnRetry) {
   // `once` faults model a transient hiccup: the run fails (or survives, if
   // the op's caller retries), and the very next run must always succeed.
-  const std::string out_path = SweepDir("transient") + ".bin";
+  const std::string out_path = tmp_.File("transient.bin");
   for (uint64_t i = 0; i < num_ops_; i += 7) {
     FaultPlan plan;
     plan.target_substr = "cure_fault_sweep_";
@@ -266,7 +263,7 @@ TEST_F(FaultSweepTest, BuildPersistOpenNeverReachesTheNetInjector) {
   // lands on Disk() only, even though "read" and "write" are net ops too.
   FaultPlan counter;
   counter.fail_index = UINT64_MAX;
-  const std::string out_path = SweepDir("domains") + ".bin";
+  const std::string out_path = tmp_.File("domains.bin");
   uint64_t disk_ops = 0;
   {
     ScopedFaultInjection net(FaultInjector::Net(), counter);
@@ -303,7 +300,8 @@ RowBatch MakeBatch(uint64_t count, uint64_t seed) {
 // published snapshot serving.
 TEST(FaultSweepWalTest, StickyEioAtEveryWalOpFailsCleanly) {
   gen::Dataset ds = MakeDataset(300, 4712);
-  const std::string wal_path = SweepDir("wal") + ".wal";
+  const test::ScopedTempDir tmp("fault_sweep");
+  const std::string wal_path = tmp.File("wal.wal");
 
   MaintainOptions options;
   options.wal_path = wal_path;
@@ -371,8 +369,9 @@ TEST(FaultSweepWalTest, StickyEioAtEveryWalOpFailsCleanly) {
 
 TEST(RefreshRetryTest, TransientIoErrorIsRetriedAndSucceeds) {
   gen::Dataset ds = MakeDataset(300, 4713);
+  const test::ScopedTempDir tmp("fault_sweep");
   MaintainOptions options;
-  options.wal_path = SweepDir("retry_ok") + ".wal";
+  options.wal_path = tmp.File("retry_ok.wal");
   (void)storage::RemoveFile(options.wal_path);
   options.refresh_rows = ~0ull;
   options.refresh_bytes = ~0ull;
@@ -399,8 +398,9 @@ TEST(RefreshRetryTest, TransientIoErrorIsRetriedAndSucceeds) {
 
 TEST(RefreshRetryTest, PersistentIoErrorLeavesSnapshotUntouched) {
   gen::Dataset ds = MakeDataset(300, 4714);
+  const test::ScopedTempDir tmp("fault_sweep");
   MaintainOptions options;
-  options.wal_path = SweepDir("retry_fail") + ".wal";
+  options.wal_path = tmp.File("retry_fail.wal");
   (void)storage::RemoveFile(options.wal_path);
   options.refresh_rows = ~0ull;
   options.refresh_bytes = ~0ull;
@@ -438,8 +438,9 @@ TEST(RefreshRetryTest, PersistentIoErrorLeavesSnapshotUntouched) {
 
 TEST(RefreshRetryTest, NonIoErrorsNeverRetry) {
   gen::Dataset ds = MakeDataset(300, 4715);
+  const test::ScopedTempDir tmp("fault_sweep");
   MaintainOptions options;
-  options.wal_path = SweepDir("retry_nonio") + ".wal";
+  options.wal_path = tmp.File("retry_nonio.wal");
   (void)storage::RemoveFile(options.wal_path);
   options.refresh_rows = ~0ull;
   options.refresh_bytes = ~0ull;

@@ -5,7 +5,6 @@
 // legacy kInvalidArgument), never a crash or silently wrong data. Runs
 // under ASan+UBSan in CI.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <fstream>
@@ -19,6 +18,7 @@
 #include "query/node_query.h"
 #include "query/reference.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -81,6 +81,7 @@ uint64_t ReadU64(const std::string& bytes, size_t offset) {
 // A pristine packed cube plus its raw bytes and section offsets, shared by
 // every corruption in one test.
 struct PackedFixture {
+  test::ScopedTempDir tmp{"corrupt"};
   gen::Dataset ds;
   std::string path;
   std::string pristine;
@@ -94,8 +95,7 @@ struct PackedFixture {
     FactInput input{.table = &ds.table};
     auto cube = BuildCure(ds.schema, input, options);
     EXPECT_TRUE(cube.ok()) << cube.status().ToString();
-    path = "/tmp/cure_corrupt_" + std::to_string(::getpid()) + "_" + tag +
-           ".bin";
+    path = tmp.File(std::string(tag) + ".bin");
     Status s = (*cube)->store().PersistPacked(path);
     EXPECT_TRUE(s.ok()) << s.ToString();
     pristine = ReadBytes(path);
@@ -331,14 +331,13 @@ TEST(PackedCorruptionTest, VerifiedCubeAnswersCorrectly) {
 
 // A TT row-id past the end of the fact table, persisted in a packed file
 // whose checksums are valid (so only the query can catch it), fails the
-// node's query with OutOfRange on the scalar and the block path, whether
-// the fact table is in memory, file-backed, cached or not.
+// node's query with OutOfRange at block sizes 1, 7 and 1024, whether the
+// fact table is in memory, file-backed, cached or not.
 TEST(PackedCorruptionTest, TtRowIdPastFactTableIsOutOfRange) {
   const gen::Dataset ds = MakeHier(600, 73);
-  const std::string fact_path =
-      "/tmp/cure_corrupt_" + std::to_string(::getpid()) + "_ttfact.bin";
-  const std::string pack_path =
-      "/tmp/cure_corrupt_" + std::to_string(::getpid()) + "_ttpack.bin";
+  const test::ScopedTempDir tmp("corrupt");
+  const std::string fact_path = tmp.File("ttfact.bin");
+  const std::string pack_path = tmp.File("ttpack.bin");
   auto rel = storage::Relation::CreateFile(fact_path, ds.table.RecordSize());
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
   ASSERT_TRUE(ds.table.WriteTo(&rel.value()).ok());
@@ -389,7 +388,7 @@ TEST(PackedCorruptionTest, TtRowIdPastFactTableIsOutOfRange) {
     for (const double fraction : {0.0, 1.0}) {
       auto engine = query::CureQueryEngine::Create(cube->get(), fraction);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      for (const size_t batch : {size_t{1}, size_t{0}}) {
+      for (const size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
         (*engine)->set_batch_rows(batch);
         query::ResultSink sink;
         const Status s = (*engine)->QueryNode(victim, &sink);

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,7 @@
 #include "query/node_query.h"
 #include "query/reference.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -75,9 +75,8 @@ std::string BuildAndPack(const Dataset& ds, const storage::Relation& rel,
   if (!cube.ok()) return "";
   EXPECT_TRUE((*cube)->stats().external);
   EXPECT_GT((*cube)->stats().num_partitions, 4u);
-  const std::string path = "/tmp/cure_parallel_pack_" +
-                           std::to_string(::getpid()) + "_t" +
-                           std::to_string(num_threads) + ".bin";
+  const test::ScopedTempDir tmp("parallel_pack");
+  const std::string path = tmp.File("t" + std::to_string(num_threads) + ".bin");
   Status s = (*cube)->store().PersistPacked(path);
   EXPECT_TRUE(s.ok()) << s.ToString();
   std::string bytes = ReadFileBytes(path);
@@ -199,8 +198,8 @@ TEST(ParallelBuildTest, ScratchDirectoryCleanedUpOnSuccess) {
   storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
   ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
 
-  const std::string temp_dir =
-      "/tmp/cure_scratch_test_" + std::to_string(::getpid());
+  const test::ScopedTempDir tmp("scratch_test");
+  const std::string temp_dir = tmp.File("scratch");
   std::filesystem::create_directories(temp_dir);
   CureOptions options = ExternalOptions();
   options.temp_dir = temp_dir;
@@ -219,8 +218,8 @@ TEST(ParallelBuildTest, ScratchDirectoryCleanedUpOnError) {
   storage::Relation rel = storage::Relation::Memory(ds.table.RecordSize());
   ASSERT_TRUE(ds.table.WriteTo(&rel).ok());
 
-  const std::string temp_dir =
-      "/tmp/cure_scratch_err_test_" + std::to_string(::getpid());
+  const test::ScopedTempDir tmp("scratch_err_test");
+  const std::string temp_dir = tmp.File("scratch");
   std::filesystem::create_directories(temp_dir);
   CureOptions options = ExternalOptions();
   options.temp_dir = temp_dir;

@@ -8,6 +8,7 @@
 #include "query/node_query.h"
 #include "query/reference.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -63,7 +64,8 @@ TEST(PersistenceTest, SpilledCureCubeAnswersIdentically) {
   ASSERT_TRUE(cube.ok());
   const uint64_t before = (*cube)->TotalBytes();
   const auto counts_before = (*cube)->store().Counts();
-  const std::string path = "/tmp/cure_persist_test_cube.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("cube.bin");
   ASSERT_TRUE((*cube)->SpillStoreToDisk(path).ok());
   EXPECT_EQ((*cube)->TotalBytes(), before);  // logical size preserved
   const auto counts_after = (*cube)->store().Counts();
@@ -82,7 +84,8 @@ TEST(PersistenceTest, SpilledCurePlusWithBitmaps) {
   auto cube = BuildCure(ds.schema, input, options);
   ASSERT_TRUE(cube.ok());
   ASSERT_TRUE(engine::CurePostProcess(cube->get(), /*use_bitmaps=*/true).ok());
-  const std::string path = "/tmp/cure_persist_test_plus.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("plus.bin");
   ASSERT_TRUE((*cube)->SpillStoreToDisk(path).ok());
   ExpectMatchesReference(**cube, ds);
   ASSERT_TRUE(storage::RemoveFile(path).ok());
@@ -99,7 +102,8 @@ TEST(PersistenceTest, SpilledExternalCube) {
   auto cube = BuildCure(ds.schema, input, options);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   ASSERT_TRUE((*cube)->stats().external);
-  const std::string path = "/tmp/cure_persist_test_ext.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("ext.bin");
   ASSERT_TRUE((*cube)->SpillStoreToDisk(path).ok());
   ExpectMatchesReference(**cube, ds);
   ASSERT_TRUE(storage::RemoveFile(path).ok());
@@ -112,7 +116,8 @@ TEST(PersistenceTest, SpilledDrCube) {
   FactInput input{.table = &ds.table};
   auto cube = BuildCure(ds.schema, input, options);
   ASSERT_TRUE(cube.ok());
-  const std::string path = "/tmp/cure_persist_test_dr.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("dr.bin");
   ASSERT_TRUE((*cube)->SpillStoreToDisk(path).ok());
   ExpectMatchesReference(**cube, ds);
   ASSERT_TRUE(storage::RemoveFile(path).ok());
@@ -123,7 +128,8 @@ TEST(PersistenceTest, SpilledBucCube) {
   auto buc = engine::BuildBuc(ds.schema, ds.table, {});
   ASSERT_TRUE(buc.ok());
   const uint64_t bytes = (*buc)->store().TotalBytes();
-  const std::string path = "/tmp/cure_persist_test_buc.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("buc.bin");
   ASSERT_TRUE((*buc)->SpillStoreToDisk(path).ok());
   EXPECT_EQ((*buc)->store().TotalBytes(), bytes);
   query::BucQueryEngine engine(buc->get());
@@ -142,7 +148,8 @@ TEST(PersistenceTest, SpilledBubstCube) {
   gen::Dataset ds = MakeHier(500, 66);
   auto bubst = engine::BuildBubst(ds.schema, ds.table, {});
   ASSERT_TRUE(bubst.ok());
-  const std::string path = "/tmp/cure_persist_test_bubst.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("bubst.bin");
   ASSERT_TRUE((*bubst)->SpillToDisk(path).ok());
   EXPECT_FALSE((*bubst)->monolithic().memory_backed());
   query::BubstQueryEngine engine(bubst->get());
@@ -158,7 +165,8 @@ TEST(PersistenceTest, SpilledBubstCube) {
 }
 
 TEST(PersistenceTest, OpenPackedRejectsGarbage) {
-  const std::string path = "/tmp/cure_persist_test_garbage.bin";
+  const test::ScopedTempDir tmp("persist");
+  const std::string path = tmp.File("garbage.bin");
   storage::FileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append("this is not a cube", 18).ok());

@@ -9,6 +9,7 @@
 #include "etl/schema_io.h"
 #include "gen/random.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -69,7 +70,8 @@ TEST(PackedCubeTest, TruncatedFileFailsCleanly) {
   for (uint64_t i = 0; i < 50; ++i) {
     ASSERT_TRUE(store.WriteNT(0, cube::MakeRowId(0, i), aggrs, nullptr).ok());
   }
-  const std::string path = "/tmp/cure_robust_cube.bin";
+  const test::ScopedTempDir tmp("robust");
+  const std::string path = tmp.File("cube.bin");
   ASSERT_TRUE(store.PersistPacked(path).ok());
 
   storage::FileReader reader;
@@ -83,7 +85,7 @@ TEST(PackedCubeTest, TruncatedFileFailsCleanly) {
     content = std::move(data).value();
   }
   for (uint64_t cut : {uint64_t{0}, uint64_t{4}, full / 2}) {
-    const std::string trunc_path = "/tmp/cure_robust_trunc.bin";
+    const std::string trunc_path = tmp.File("trunc.bin");
     ASSERT_TRUE(etl::WriteStringToFile(trunc_path, content.substr(0, cut)).ok());
     auto reopened = cube::CubeStore::OpenPacked(trunc_path, &schema.value());
     if (reopened.ok()) {
@@ -106,7 +108,8 @@ TEST(PackedCubeTest, EmptyStoreRoundTrips) {
                                            {{schema::AggFn::kSum, 0, "s"}});
   ASSERT_TRUE(schema.ok());
   cube::CubeStore store(&schema.value(), {});
-  const std::string path = "/tmp/cure_robust_empty.bin";
+  const test::ScopedTempDir tmp("robust");
+  const std::string path = tmp.File("empty.bin");
   ASSERT_TRUE(store.PersistPacked(path).ok());
   auto reopened = cube::CubeStore::OpenPacked(path, &schema.value());
   ASSERT_TRUE(reopened.ok());
