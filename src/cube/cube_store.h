@@ -174,8 +174,8 @@ class CubeStore {
   /// removed and `path` is untouched. See DESIGN.md §11.
   Status PersistPacked(const std::string& path) const;
 
-  /// Opens a packed cube file; node relations become read-only views served
-  /// by a shared pread-based reader, so node scans hit storage (bitmaps are
+  /// Opens a packed cube file; node relations become read-only views into
+  /// one shared mapping of the file, so node scans hit storage (bitmaps are
   /// loaded eagerly — they are small by construction). Verifies the
   /// manifest and every section checksum before returning: any mismatch,
   /// truncation, or garbage yields kDataLoss (legacy pre-manifest cubes get

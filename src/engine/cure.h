@@ -113,8 +113,8 @@ class CureCube {
   }
 
   /// Writes the cube store into a packed file at `path` and reopens it from
-  /// disk in place: subsequent queries read node relations via pread instead
-  /// of memory. Gives benchmarks the paper's disk-resident cube behaviour.
+  /// disk in place: subsequent queries read node relations from a mapping
+  /// of the file instead of memory. Gives benchmarks the paper's disk-resident cube behaviour.
   Status SpillStoreToDisk(const std::string& path);
 
   /// The fact table the cube was built from (null for relation-built cubes).

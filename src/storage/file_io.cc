@@ -1,13 +1,16 @@
 #include "storage/file_io.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
@@ -175,11 +178,10 @@ FileReader::FileReader(FileReader&& other) noexcept { *this = std::move(other); 
 FileReader& FileReader::operator=(FileReader&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
+    fd_ = std::exchange(other.fd_, -1);
+    data_ = std::exchange(other.data_, nullptr);
     path_ = std::move(other.path_);
-    file_size_ = other.file_size_;
-    other.fd_ = -1;
-    other.file_size_ = 0;
+    file_size_ = std::exchange(other.file_size_, 0);
   }
   return *this;
 }
@@ -190,15 +192,24 @@ Status FileReader::Open(const std::string& path) {
     errno = inj;
     return ErrnoStatus("open", path);
   }
-  fd_ = ::open(path.c_str(), O_RDONLY);
-  if (fd_ < 0) return ErrnoStatus("open", path);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return ErrnoStatus("open", path);
+  Status s = Status::OK();
   struct stat st;
-  if (::fstat(fd_, &st) != 0) {
-    Status s = ErrnoStatus("fstat", path);
-    ::close(fd_);
-    fd_ = -1;
+  void* map = nullptr;
+  if (::fstat(fd, &st) != 0) {
+    s = ErrnoStatus("fstat", path);
+  } else if (st.st_size > 0) {
+    map = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
+                 MAP_SHARED, fd, 0);
+    if (map == MAP_FAILED) s = ErrnoStatus("mmap", path);
+  }
+  if (!s.ok()) {
+    ::close(fd);
     return s;
   }
+  fd_ = fd;
+  data_ = static_cast<const uint8_t*>(map);
   path_ = path;
   file_size_ = static_cast<uint64_t>(st.st_size);
   return Status::OK();
@@ -207,9 +218,43 @@ Status FileReader::Open(const std::string& path) {
 Status FileReader::Close() {
   if (fd_ < 0) return Status::OK();
   Status s = Status::OK();
-  if (::close(fd_) != 0) s = ErrnoStatus("close", path_);
+  if (data_ != nullptr &&
+      ::munmap(const_cast<uint8_t*>(data_), static_cast<size_t>(file_size_)) != 0) {
+    s = ErrnoStatus("munmap", path_);
+  }
+  if (::close(fd_) != 0 && s.ok()) s = ErrnoStatus("close", path_);
   fd_ = -1;
+  data_ = nullptr;
+  file_size_ = 0;
   return s;
+}
+
+Result<const uint8_t*> FileReader::View(uint64_t offset, size_t len) const {
+  if (fd_ < 0) return Status::Internal("FileReader::View on closed file");
+  if (const int inj = Inject("read", path_)) {
+    errno = inj;
+    return ErrnoStatus("read", path_);
+  }
+  if (offset > file_size_ || len > file_size_ - offset) {
+    return Status::OutOfRange("read past end of '" + path_ + "'");
+  }
+  Io().read_bytes->Add(len);
+  Io().reads->Inc();
+  return data_ + offset;
+}
+
+void FileReader::Release(uint64_t offset, uint64_t len) const {
+  static const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  if (data_ == nullptr) return;
+  // Only whole pages inside the range: a page shared with a neighbouring
+  // relation may still be in use, and re-faulting it would cost more than
+  // keeping it. Advice only: a failure leaves the pages mapped, which is
+  // still correct.
+  const uint64_t begin = (offset + page - 1) / page * page;
+  const uint64_t end = std::min(offset + len, file_size_) / page * page;
+  if (begin < end) {
+    ::madvise(const_cast<uint8_t*>(data_) + begin, end - begin, MADV_DONTNEED);
+  }
 }
 
 Status FileReader::ReadAt(uint64_t offset, void* out, size_t len) const {

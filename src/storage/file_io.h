@@ -57,8 +57,20 @@ class FileWriter {
   uint64_t bytes_written_ = 0;
 };
 
-/// Random-access file reader (pread based, stateless reads) plus a buffered
-/// sequential scanner.
+/// Read-only random access to a whole file. Open maps a non-empty file
+/// once, read-only and shared (an empty one has no mapping); every View is
+/// a pointer into that mapping. A View consults the disk fault injector
+/// ("read"), range-checks, and counts one read op and its bytes, but
+/// copies nothing. The mapping is immutable for the reader's lifetime, so
+/// any number of threads may read through one FileReader. ReadAt copies
+/// with pread instead: the one-pass readers (WAL replay, the packed-cube
+/// manifest and checksum pass) use it so their reads do not fault the
+/// whole file into the process's resident set.
+///
+/// The file must not be truncated or rewritten in place while it is open:
+/// the project only ever writes fresh paths or publishes by rename
+/// (DESIGN.md §11), and a truncation by an outside process raises SIGBUS
+/// on the next touch of a lost page of the mapping.
 class FileReader {
  public:
   FileReader() = default;
@@ -69,10 +81,22 @@ class FileReader {
   FileReader(FileReader&& other) noexcept;
   FileReader& operator=(FileReader&& other) noexcept;
 
+  /// Opens and maps the file at `path`; IoError when it cannot be mapped.
   Status Open(const std::string& path);
+  /// Unmaps and closes the file. Safe to call twice.
   Status Close();
 
-  /// Reads exactly `len` bytes at `offset`.
+  /// The `len` bytes at `offset`, in place: valid until Close(). Fails
+  /// with OutOfRange past the end of the file.
+  Result<const uint8_t*> View(uint64_t offset, size_t len) const;
+
+  /// Drops this process's mappings of the whole pages inside `len` bytes
+  /// at `offset`. The bytes stay in the page cache, and a later View
+  /// faults them back in, so this only keeps pages a scan has finished
+  /// with out of the resident set.
+  void Release(uint64_t offset, uint64_t len) const;
+
+  /// Reads exactly `len` bytes at `offset` into `out` with pread.
   Status ReadAt(uint64_t offset, void* out, size_t len) const;
 
   bool is_open() const { return fd_ >= 0; }
@@ -81,6 +105,7 @@ class FileReader {
 
  private:
   int fd_ = -1;
+  const uint8_t* data_ = nullptr;  // the mapping; nullptr for an empty file
   std::string path_;
   uint64_t file_size_ = 0;
 };

@@ -81,6 +81,13 @@ Status Relation::Seal() {
   return Status::OK();
 }
 
+Result<const uint8_t*> Relation::ViewRows(uint64_t first, uint64_t n) const {
+  if (memory_) return data_.data() + first * record_size_;
+  const FileReader* reader = file_reader();
+  if (reader == nullptr) return Status::Internal("read of unsealed file relation");
+  return reader->View(view_offset_ + first * record_size_, n * record_size_);
+}
+
 Status Relation::Read(uint64_t row, void* out) const {
   if (row >= num_rows_) {
     return Status::OutOfRange("row " + std::to_string(row) + " >= " +
@@ -90,9 +97,9 @@ Status Relation::Read(uint64_t row, void* out) const {
     std::memcpy(out, data_.data() + row * record_size_, record_size_);
     return Status::OK();
   }
-  const FileReader* reader = file_reader();
-  if (reader == nullptr) return Status::Internal("Read from unsealed file relation");
-  return reader->ReadAt(view_offset_ + row * record_size_, out, record_size_);
+  CURE_ASSIGN_OR_RETURN(const uint8_t* rec, ViewRows(row, 1));
+  std::memcpy(out, rec, record_size_);
+  return Status::OK();
 }
 
 namespace {
@@ -151,13 +158,10 @@ Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
     }
     return Status::OK();
   }
-  const FileReader* reader = file_reader();
-  if (reader == nullptr) return Status::Internal("Read from unsealed file relation");
   // Visit the rows in ascending order without reordering the caller's.
   std::vector<RowSlot> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = {rows[i], i};
   if (!std::is_sorted(rows, rows + n)) SortRowSlots(&order, max_row);
-  std::vector<uint8_t> run;
   for (size_t i = 0; i < n;) {
     // Extend the run while the next record starts within the gap limit of
     // the last one and the whole run stays within the run limit.
@@ -172,16 +176,10 @@ Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
       }
       last = next;
     }
-    const uint64_t offset = view_offset_ + first * width;
-    if (j == i + 1) {
-      CURE_RETURN_IF_ERROR(reader->ReadAt(offset, out + order[i].pos * width, width));
-    } else {
-      run.resize((last - first + 1) * width);
-      CURE_RETURN_IF_ERROR(reader->ReadAt(offset, run.data(), run.size()));
-      for (size_t k = i; k < j; ++k) {
-        std::memcpy(out + order[k].pos * width,
-                    run.data() + (order[k].row - first) * width, width);
-      }
+    CURE_ASSIGN_OR_RETURN(const uint8_t* run, ViewRows(first, last - first + 1));
+    for (size_t k = i; k < j; ++k) {
+      std::memcpy(out + order[k].pos * width,
+                  run + (order[k].row - first) * width, width);
     }
     i = j;
   }
@@ -189,36 +187,28 @@ Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
 }
 
 Relation::Scanner::Scanner(const Relation& rel, size_t buffer_records)
-    : rel_(rel), buffer_(rel.record_size() * buffer_records) {
+    : rel_(rel), buffer_records_(buffer_records == 0 ? 1 : buffer_records) {
   CURE_CHECK_GT(rel.record_size(), 0u);
 }
 
 const uint8_t* Relation::Scanner::Next() {
   if (!status_.ok()) return nullptr;
   if (row_ >= rel_.num_rows()) return nullptr;
-  if (rel_.memory_) {
-    const uint8_t* rec = rel_.data_.data() + row_ * rel_.record_size_;
-    ++row_;
-    return rec;
-  }
   if (row_ >= buffered_end_) {
-    const uint64_t max_records = buffer_.size() / rel_.record_size_;
-    uint64_t n = rel_.num_rows() - row_;
-    if (n > max_records) n = max_records;
-    const FileReader* reader = rel_.file_reader();
-    Status s = reader->ReadAt(rel_.view_offset_ + row_ * rel_.record_size_,
-                              buffer_.data(), n * rel_.record_size_);
-    if (!s.ok()) {
+    const uint64_t n = std::min<uint64_t>(rel_.num_rows() - row_, buffer_records_);
+    Result<const uint8_t*> view = rel_.ViewRows(row_, n);
+    if (!view.ok()) {
       // Surface the failure through status() instead of aborting: serve-
       // time scans must degrade to an error reply, not take the process
       // down.
-      status_ = std::move(s);
+      status_ = view.status();
       return nullptr;
     }
+    buffered_ = *view;
     buffered_begin_ = row_;
     buffered_end_ = row_ + n;
   }
-  const uint8_t* rec = buffer_.data() + (row_ - buffered_begin_) * rel_.record_size_;
+  const uint8_t* rec = buffered_ + (row_ - buffered_begin_) * rel_.record_size_;
   ++row_;
   return rec;
 }
@@ -226,38 +216,22 @@ const uint8_t* Relation::Scanner::Next() {
 Relation::BlockScanner::BlockScanner(const Relation& rel, size_t block_rows)
     : rel_(rel), block_rows_(block_rows == 0 ? 1 : block_rows) {
   CURE_CHECK_GT(rel.record_size(), 0u);
-  if (!rel.memory_backed()) {
-    buffer_.resize(block_rows_ * rel.record_size());
-  }
 }
 
 bool Relation::BlockScanner::Next(RowBlock* block) {
   if (!status_.ok()) return false;
   if (row_ >= rel_.num_rows()) return false;
-  uint64_t n = rel_.num_rows() - row_;
-  if (n > block_rows_) n = block_rows_;
+  const uint64_t n = std::min<uint64_t>(rel_.num_rows() - row_, block_rows_);
+  Result<const uint8_t*> view = rel_.ViewRows(row_, n);
+  if (!view.ok()) {
+    // Degrade to an error result, mirroring Scanner::Next().
+    status_ = view.status();
+    return false;
+  }
+  block->data = *view;
   block->first_row = row_;
   block->rows = static_cast<size_t>(n);
   block->record_size = rel_.record_size_;
-  if (rel_.memory_) {
-    // Zero-copy: records live contiguously in the backing vector.
-    block->data = rel_.data_.data() + row_ * rel_.record_size_;
-    row_ += n;
-    return true;
-  }
-  const FileReader* reader = rel_.file_reader();
-  if (reader == nullptr) {
-    status_ = Status::Internal("block scan of unsealed file relation");
-    return false;
-  }
-  Status s = reader->ReadAt(rel_.view_offset_ + row_ * rel_.record_size_,
-                            buffer_.data(), n * rel_.record_size_);
-  if (!s.ok()) {
-    // Degrade to an error result, mirroring Scanner::Next().
-    status_ = std::move(s);
-    return false;
-  }
-  block->data = buffer_.data();
   row_ += n;
   return true;
 }

@@ -14,13 +14,13 @@
 namespace cure {
 namespace storage {
 
-/// Default buffered-read size, in records, of the legacy record-at-a-time
-/// Scanner.
+/// Records per read of a file-backed Scanner: one FileReader::View per
+/// refill.
 inline constexpr size_t kDefaultScanBufferRecords = 4096;
 
 /// Coalescing limits of Relation::ReadRows on file-backed relations: two
-/// requested records at most kCoalesceGapBytes apart share one read, and
-/// no single read spans more than kCoalesceRunBytes.
+/// requested records at most kCoalesceGapBytes apart share one read (one
+/// FileReader::View), and no single read spans more than kCoalesceRunBytes.
 inline constexpr uint64_t kCoalesceGapBytes = 4096;
 inline constexpr uint64_t kCoalesceRunBytes = 256 * 1024;
 
@@ -29,9 +29,12 @@ inline constexpr uint64_t kCoalesceRunBytes = 256 * 1024;
 /// AGGREGATES relation are all Relations.
 ///
 /// A Relation is either memory-backed (a byte vector) or file-backed
-/// (append-only writer + pread reader). Records are addressed by row-id
-/// (0-based ordinal). Appends and scans are sequential; Read() is random
-/// access.
+/// (append-only writer, then, once sealed, a read-only mapping of the file
+/// through FileReader). Records are addressed by row-id (0-based ordinal).
+/// Appends and scans are sequential; Read() is random access. Every read of
+/// a sealed file relation is a FileReader::View: scans hand out pointers
+/// into the mapping, and Read()/ReadRows() copy each record straight from
+/// it to the caller.
 class Relation {
  public:
   /// Creates an empty memory-backed relation.
@@ -59,7 +62,8 @@ class Relation {
   /// Appends one record of record_size() bytes.
   Status Append(const void* record);
 
-  /// Finishes writing: flushes buffers and (for files) reopens for reading.
+  /// Finishes writing: flushes buffers and (for files) maps the file for
+  /// reading.
   Status Seal();
 
   /// Reads the record at `row` into `out`. Requires a sealed relation for
@@ -69,9 +73,10 @@ class Relation {
   /// Reads the records at `rows[0..n)` (any order, duplicates allowed) into
   /// `out`, record i at `out + i * record_size()`. Every row is range-checked
   /// first. File-backed relations visit the rows in ascending order (a
-  /// radix sort, linear in `n`) and read each run of nearby rows
-  /// (kCoalesceGapBytes / kCoalesceRunBytes) with one FileReader::ReadAt —
-  /// the row-id dereference of DESIGN.md §13.
+  /// radix sort, linear in `n`) and take each run of nearby rows
+  /// (kCoalesceGapBytes / kCoalesceRunBytes) as one FileReader::View, from
+  /// which every record of the run is copied to its slot — the row-id
+  /// dereference of DESIGN.md §13.
   Status ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const;
 
   /// Memory-backed relations expose their raw record pointer for zero-copy
@@ -87,11 +92,15 @@ class Relation {
   bool memory_backed() const { return memory_; }
   const std::string& path() const { return path_; }
 
-  /// Buffered sequential scanner over a sealed relation.
+  /// Sequential scanner over a sealed relation: zero-copy on both backings
+  /// (file-backed ones take one View per `buffer_records` records).
   class Scanner {
    public:
     explicit Scanner(const Relation& rel,
                      size_t buffer_records = kDefaultScanBufferRecords);
+    ~Scanner() { rel_.ReleaseRows(row_); }
+    Scanner(const Scanner&) = delete;
+    Scanner& operator=(const Scanner&) = delete;
 
     /// Returns a pointer to the next record, or nullptr at end OR on a
     /// read error — check status() after the scan loop to tell the two
@@ -110,7 +119,8 @@ class Relation {
 
    private:
     const Relation& rel_;
-    std::vector<uint8_t> buffer_;
+    uint64_t buffer_records_;
+    const uint8_t* buffered_ = nullptr;  // record buffered_begin_
     uint64_t row_ = 0;
     uint64_t buffered_begin_ = 0;
     uint64_t buffered_end_ = 0;
@@ -118,15 +128,18 @@ class Relation {
   };
 
   /// Block-oriented sequential scanner: yields batches of up to
-  /// `block_rows` consecutive records as RowBlocks. Memory-backed relations
-  /// yield zero-copy views into the backing store; file-backed ones issue
-  /// one buffered read per block. The batch seam of the columnar scan path
+  /// `block_rows` consecutive records as RowBlocks: zero-copy views into the
+  /// backing vector or, for file-backed relations, one View of the mapping
+  /// per block. The batch seam of the columnar scan path
   /// (DESIGN.md §13) — pair with ColumnView to get contiguous column
   /// slices for the vectorized kernels.
   class BlockScanner {
    public:
     explicit BlockScanner(const Relation& rel,
                           size_t block_rows = kDefaultBlockRows);
+    ~BlockScanner() { rel_.ReleaseRows(row_); }
+    BlockScanner(const BlockScanner&) = delete;
+    BlockScanner& operator=(const BlockScanner&) = delete;
 
     /// Fills `*block` with the next batch. Returns false at end OR on a
     /// read error — check status() to tell the two apart. Block pointers
@@ -139,12 +152,25 @@ class Relation {
    private:
     const Relation& rel_;
     size_t block_rows_;
-    std::vector<uint8_t> buffer_;  // file-backed reads only
     uint64_t row_ = 0;
     Status status_;
   };
 
  private:
+  /// Records [first, first + n), which the caller has range-checked: a
+  /// pointer into the backing vector, or one View of the file (Internal
+  /// before a file relation is sealed).
+  Result<const uint8_t*> ViewRows(uint64_t first, uint64_t n) const;
+
+  /// Ends a scan of rows [0, n): a file-backed relation releases the
+  /// scanned pages of its mapping (FileReader::Release), so a finished scan
+  /// leaves nothing resident; a no-op for memory-backed ones.
+  void ReleaseRows(uint64_t n) const {
+    if (const FileReader* reader = file_reader()) {
+      reader->Release(view_offset_, n * record_size_);
+    }
+  }
+
   /// The reader of a sealed file-backed relation; nullptr otherwise.
   const FileReader* file_reader() const {
     return shared_reader_ != nullptr ? shared_reader_.get() : reader_.get();

@@ -23,11 +23,10 @@ inline constexpr size_t kDefaultBlockRows = 1024;
 
 /// A batch of consecutive fixed-width records yielded by
 /// Relation::BlockScanner. Records are contiguous: record i lives at
-/// `data + i * record_size`. For memory-backed relations the block is a
-/// zero-copy view into the relation's backing store; for file-backed ones
-/// it points into the scanner's read buffer (one buffered read per block).
-/// Either way the pointers are valid only until the next
-/// BlockScanner::Next() call.
+/// `data + i * record_size`. The block is a zero-copy view: into the
+/// relation's backing store, or into the read-only mapping of its file (one
+/// FileReader::View per block). Either way the pointers are valid only
+/// until the next BlockScanner::Next() call.
 struct RowBlock {
   const uint8_t* data = nullptr;
   uint64_t first_row = 0;  ///< 0-based row-id of record 0

@@ -8,6 +8,7 @@
 #include "query/reference.h"
 #include "schema/lattice.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -289,7 +290,8 @@ TEST(CureExternalTest, ForcedExternalMatchesInMemory) {
 
 TEST(CureExternalTest, ExternalFromFileRelation) {
   Dataset ds = MakeHierarchicalDataset(900, 108);
-  const std::string path = "/tmp/cure_test_fact.bin";
+  const test::ScopedTempDir tmp("cure_core_test");
+  const std::string path = tmp.File("fact.bin");
   Result<storage::Relation> rel =
       storage::Relation::CreateFile(path, ds.table.RecordSize());
   ASSERT_TRUE(rel.ok());

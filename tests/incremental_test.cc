@@ -6,6 +6,7 @@
 #include "gen/random.h"
 #include "query/node_query.h"
 #include "query/reference.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -191,14 +192,16 @@ TEST(ApplyDeltaTest, SpilledCubeIsAFailedPrecondition) {
   FactInput input{.table = &table};
   auto cube = BuildCure(schema, input, options);
   ASSERT_TRUE(cube.ok());
-  ASSERT_TRUE((*cube)->SpillStoreToDisk("/tmp/cure_incr_spill.bin").ok());
+  const test::ScopedTempDir tmp("incremental_test");
+  const std::string spill = tmp.File("spill.bin");
+  ASSERT_TRUE((*cube)->SpillStoreToDisk(spill).ok());
   const Status status =
       ApplyDelta(cube->get(), table, table.num_rows()).status();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
       << status.ToString();
   EXPECT_NE(status.message().find("spilled"), std::string::npos)
       << status.ToString();
-  ASSERT_TRUE(storage::RemoveFile("/tmp/cure_incr_spill.bin").ok());
+  ASSERT_TRUE(storage::RemoveFile(spill).ok());
 }
 
 TEST(ApplyDeltaTest, ExternallyBuiltCubeIsAFailedPrecondition) {

@@ -24,6 +24,7 @@
 #include "serve/protocol.h"
 #include "serve/tcp_server.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -97,8 +98,10 @@ void ApplyBatchToTable(const RowBatch& batch, schema::FactTable* table) {
   }
 }
 
+// The WALs of this process's tests, removed at exit.
 std::string WalPath(const std::string& name) {
-  return "/tmp/cure_live_" + name + ".wal";
+  static const test::ScopedTempDir dir("maintain_live_test");
+  return dir.File(name + ".wal");
 }
 
 MaintainOptions MakeOptions(const std::string& name) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -25,8 +26,10 @@ constexpr int kDims = 3;
 constexpr int kMeasures = 1;
 constexpr size_t kRecord = 4 * kDims + 8 * kMeasures;
 
+// The WALs of this process's tests, removed at exit.
 std::string TestPath(const std::string& name) {
-  return "/tmp/cure_wal_" + name + ".bin";
+  static const test::ScopedTempDir dir("maintain_recovery_test");
+  return dir.File(name + ".bin");
 }
 
 void RemoveIfPresent(const std::string& path) { std::remove(path.c_str()); }

@@ -8,6 +8,7 @@
 #include "query/reference.h"
 #include "query/workload.h"
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace {
@@ -143,7 +144,8 @@ TEST(FlatRollupTest, MatchesHierarchicalCube) {
 
 TEST(CachingTest, FractionZeroStillCorrect) {
   Dataset ds = MakeHier(500, 33);
-  const std::string path = "/tmp/cure_query_test_fact.bin";
+  const test::ScopedTempDir tmp("query_test");
+  const std::string path = tmp.File("fact.bin");
   Result<storage::Relation> rel =
       storage::Relation::CreateFile(path, ds.table.RecordSize());
   ASSERT_TRUE(rel.ok());

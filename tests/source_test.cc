@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/file_io.h"
+#include "temp_dir.h"
 
 namespace cure {
 namespace cube {
@@ -52,7 +53,8 @@ TEST(FactTableSourceTest, LiftsMeasures) {
 TEST(FactRelationSourceTest, ReadsThroughCache) {
   CubeSchema schema = MakeSchema();
   FactTable table = MakeTable();
-  const std::string path = "/tmp/cure_source_test.bin";
+  const test::ScopedTempDir tmp("source_test");
+  const std::string path = tmp.File("fact.bin");
   auto rel = storage::Relation::CreateFile(path, table.RecordSize());
   ASSERT_TRUE(rel.ok());
   ASSERT_TRUE(table.WriteTo(&rel.value()).ok());
@@ -76,7 +78,8 @@ TEST(FactRelationSourceTest, ReadsThroughCache) {
 TEST(FactRelationSourceTest, GetRowsMatchesGetRow) {
   CubeSchema schema = MakeSchema();
   FactTable table = MakeTable();
-  const std::string path = "/tmp/cure_source_test_rows.bin";
+  const test::ScopedTempDir tmp("source_test");
+  const std::string path = tmp.File("fact.bin");
   auto rel = storage::Relation::CreateFile(path, table.RecordSize());
   ASSERT_TRUE(rel.ok());
   ASSERT_TRUE(table.WriteTo(&rel.value()).ok());

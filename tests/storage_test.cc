@@ -9,6 +9,10 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "engine/cure.h"
+#include "gen/datasets.h"
+#include "query/node_query.h"
+#include "query/reference.h"
 #include "storage/bitmap.h"
 #include "storage/buffer_cache.h"
 #include "storage/file_io.h"
@@ -623,6 +627,276 @@ TEST(BufferCacheTest, ReadRowsMixesPinnedAndMissedRows) {
   }
   EXPECT_GT(hits, 0u);
   EXPECT_GT(misses, 0u);
+}
+
+// ---- The mapped read path of sealed file relations ----
+
+// Every read path of `file` returns the bytes of `memory`, which holds the
+// same records: Read, ReadRows (unsorted, with duplicates), Scanner and
+// BlockScanner at several block sizes.
+void ExpectSameRecords(const Relation& file, const Relation& memory) {
+  ASSERT_EQ(file.num_rows(), memory.num_rows());
+  ASSERT_EQ(file.record_size(), memory.record_size());
+  const size_t width = memory.record_size();
+  const uint64_t rows = memory.num_rows();
+  std::vector<uint8_t> got(width), want(width);
+  for (uint64_t r = 0; r < rows; ++r) {
+    ASSERT_TRUE(file.Read(r, got.data()).ok()) << r;
+    ASSERT_TRUE(memory.Read(r, want.data()).ok()) << r;
+    ASSERT_EQ(got, want) << "Read " << r;
+  }
+  const std::vector<uint64_t> request =
+      RowSet("random", 3 * rows / 2, rows, 11);
+  for (const std::vector<uint64_t>& req :
+       {request, RowSet("dups", 300, rows, 12)}) {
+    std::vector<uint8_t> from_file(req.size() * width);
+    std::vector<uint8_t> from_memory(req.size() * width);
+    ASSERT_TRUE(file.ReadRows(req.data(), req.size(), from_file.data()).ok());
+    ASSERT_TRUE(
+        memory.ReadRows(req.data(), req.size(), from_memory.data()).ok());
+    EXPECT_EQ(from_file, from_memory) << "ReadRows";
+  }
+  for (const size_t buffer_records : {size_t{3}, kDefaultScanBufferRecords}) {
+    Relation::Scanner fs(file, buffer_records);
+    Relation::Scanner ms(memory, buffer_records);
+    uint64_t r = 0;
+    while (const uint8_t* rec = fs.Next()) {
+      const uint8_t* expected = ms.Next();
+      ASSERT_NE(expected, nullptr) << r;
+      ASSERT_EQ(std::memcmp(rec, expected, width), 0) << "Scanner " << r;
+      ++r;
+    }
+    ASSERT_TRUE(fs.status().ok()) << fs.status().ToString();
+    EXPECT_EQ(r, rows);
+  }
+  for (const size_t block_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+    Relation::BlockScanner fs(file, block_rows);
+    Relation::BlockScanner ms(memory, block_rows);
+    RowBlock fb, mb;
+    uint64_t r = 0;
+    while (fs.Next(&fb)) {
+      ASSERT_TRUE(ms.Next(&mb));
+      ASSERT_EQ(fb.first_row, mb.first_row);
+      ASSERT_EQ(fb.rows, mb.rows);
+      ASSERT_EQ(std::memcmp(fb.data, mb.data, fb.rows * width), 0)
+          << "block " << block_rows << " at " << r;
+      r += fb.rows;
+    }
+    ASSERT_TRUE(fs.status().ok()) << fs.status().ToString();
+    EXPECT_FALSE(ms.Next(&mb));
+    EXPECT_EQ(r, rows);
+  }
+}
+
+// A view at an odd offset whose last record ends at the file's last byte
+// reads the same bytes as a memory relation of the same records.
+TEST(MappedReadTest, ViewAtOffsetEndingAtLastByte) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("view.bin");
+  constexpr uint64_t kHeader = 13;  // leaves every record unaligned
+  constexpr uint64_t kRows = 5000;  // more than one Scanner refill
+  Relation memory = Relation::Memory(sizeof(Rec));
+  FileWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  const std::vector<uint8_t> header(kHeader, 0xAB);
+  ASSERT_TRUE(writer.Append(header.data(), header.size()).ok());
+  for (uint64_t i = 0; i < kRows; ++i) {
+    const Rec r{RowValue(i), static_cast<uint32_t>(i), 7};
+    ASSERT_TRUE(writer.Append(&r, sizeof(r)).ok());
+    ASSERT_TRUE(memory.Append(&r).ok());
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  auto reader = std::make_shared<FileReader>();
+  ASSERT_TRUE(reader->Open(path).ok());
+  ASSERT_EQ(reader->file_size(), kHeader + kRows * sizeof(Rec));
+  const Relation view = Relation::FileView(reader, kHeader, kRows, sizeof(Rec));
+  ExpectSameRecords(view, memory);
+  // One record past the view's end is past the file's end too.
+  EXPECT_EQ(reader->View(kHeader + kRows * sizeof(Rec), 1).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(reader->View(kHeader + (kRows - 1) * sizeof(Rec), sizeof(Rec)).ok());
+}
+
+// A sealed file relation reads like its memory twin through every path.
+TEST(MappedReadTest, SealedFileRelationMatchesMemory) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("sealed.bin");
+  Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(file.ok());
+  Relation memory = Relation::Memory(sizeof(Rec));
+  for (uint64_t i = 0; i < 3000; ++i) {
+    const Rec r{RowValue(i), static_cast<uint32_t>(i % 5), 0};
+    ASSERT_TRUE(file->Append(&r).ok());
+    ASSERT_TRUE(memory.Append(&r).ok());
+  }
+  ASSERT_TRUE(file->Seal().ok());
+  ExpectSameRecords(file.value(), memory);
+}
+
+// An empty file has no mapping: scans end at once, an empty ReadRows is OK
+// and every Read is out of range.
+TEST(MappedReadTest, EmptyFileRelation) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("empty.bin");
+  Result<Relation> created = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE(created->Seal().ok());
+  Result<Relation> opened = Relation::OpenFile(path, sizeof(Rec));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  for (const Relation* rel : {&created.value(), &opened.value()}) {
+    EXPECT_EQ(rel->num_rows(), 0u);
+    Relation::Scanner scan(*rel);
+    EXPECT_EQ(scan.Next(), nullptr);
+    EXPECT_TRUE(scan.status().ok());
+    Relation::BlockScanner blocks(*rel, 7);
+    RowBlock block;
+    EXPECT_FALSE(blocks.Next(&block));
+    EXPECT_TRUE(blocks.status().ok());
+    Rec out;
+    EXPECT_TRUE(rel->ReadRows(nullptr, 0, reinterpret_cast<uint8_t*>(&out)).ok());
+    EXPECT_EQ(rel->Read(0, &out).code(), StatusCode::kOutOfRange);
+  }
+  FileReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(reader.file_size(), 0u);
+  char byte;
+  EXPECT_EQ(reader.ReadAt(0, &byte, 1).code(), StatusCode::kOutOfRange);
+}
+
+// Moving a sealed relation or a reader moves the mapping: the new owner
+// reads, and destroying the moved-from object unmaps nothing.
+TEST(MappedReadTest, MovedRelationAndReaderKeepTheMapping) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("moved.bin");
+  Relation memory = Relation::Memory(sizeof(Rec));
+  Relation moved;
+  {
+    Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
+    ASSERT_TRUE(file.ok());
+    for (uint64_t i = 0; i < 2000; ++i) {
+      const Rec r{RowValue(i), static_cast<uint32_t>(i), 0};
+      ASSERT_TRUE(file->Append(&r).ok());
+      ASSERT_TRUE(memory.Append(&r).ok());
+    }
+    ASSERT_TRUE(file->Seal().ok());
+    Relation first = std::move(file).value();
+    moved = std::move(first);
+  }  // both moved-from relations are destroyed here
+  ExpectSameRecords(moved, memory);
+
+  FileReader target;
+  {
+    FileReader source;
+    ASSERT_TRUE(source.Open(path).ok());
+    target = std::move(source);
+    EXPECT_FALSE(source.is_open());
+    EXPECT_TRUE(source.Close().ok());
+  }
+  ASSERT_TRUE(target.is_open());
+  Rec last;
+  ASSERT_TRUE(target.ReadAt(1999 * sizeof(Rec), &last, sizeof(last)).ok());
+  EXPECT_EQ(last.key, RowValue(1999));
+}
+
+// EIO injected at the "read" of a mapped view fails every read path with an
+// IoError that names the file.
+TEST(MappedReadTest, InjectedReadErrorNamesTheFile) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("eio.bin");
+  Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
+  ASSERT_TRUE(file.ok());
+  for (uint64_t i = 0; i < 100; ++i) {
+    const Rec r{i, 0, 0};
+    ASSERT_TRUE(file->Append(&r).ok());
+  }
+  ASSERT_TRUE(file->Seal().ok());
+  FaultPlan plan;
+  plan.op = "read";
+  plan.target_substr = path;
+  plan.error = EIO;
+  auto expect_eio = [&](const Status& s, const char* what) {
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << what << ": " << s.ToString();
+    EXPECT_NE(s.message().find(path), std::string::npos)
+        << what << ": " << s.ToString();
+  };
+  ScopedFaultInjection inject(FaultInjector::Disk(), plan);
+  Rec out;
+  expect_eio(file->Read(5, &out), "Read");
+  const uint64_t rows[] = {9, 3, 3};
+  std::vector<Rec> many(3);
+  expect_eio(file->ReadRows(rows, 3, reinterpret_cast<uint8_t*>(many.data())),
+             "ReadRows");
+  Relation::Scanner scan(file.value());
+  EXPECT_EQ(scan.Next(), nullptr);
+  expect_eio(scan.status(), "Scanner");
+  Relation::BlockScanner blocks(file.value(), 16);
+  RowBlock block;
+  EXPECT_FALSE(blocks.Next(&block));
+  expect_eio(blocks.status(), "BlockScanner");
+  EXPECT_GE(inject.faults_injected(), 4u);
+}
+
+// A three-dimension cube of `tuples` random rows.
+gen::Dataset MakeCubeData(uint64_t tuples, uint64_t seed) {
+  gen::Dataset ds;
+  std::vector<schema::Dimension> dims;
+  dims.push_back(schema::Dimension::Linear("A", {12, 3}));
+  dims.push_back(schema::Dimension::Flat("B", 9));
+  dims.push_back(schema::Dimension::Flat("C", 5));
+  auto schema = schema::CubeSchema::Create(
+      std::move(dims), 1,
+      {{schema::AggFn::kSum, 0, "sum"}, {schema::AggFn::kCount, 0, "cnt"}});
+  EXPECT_TRUE(schema.ok());
+  ds.schema = std::move(schema).value();
+  ds.table = schema::FactTable(3, 1);
+  std::mt19937_64 rng(seed);
+  for (uint64_t t = 0; t < tuples; ++t) {
+    const uint32_t row[3] = {static_cast<uint32_t>(rng() % 12),
+                             static_cast<uint32_t>(rng() % 9),
+                             static_cast<uint32_t>(rng() % 5)};
+    const int64_t m = static_cast<int64_t>(rng() % 100);
+    ds.table.AppendRow(row, &m);
+  }
+  return ds;
+}
+
+// Every node `engine` answers equals the brute-force reference over `ds`.
+void ExpectCubeAnswers(const query::CureQueryEngine& engine,
+                       const engine::CureCube& cube, const gen::Dataset& ds) {
+  const schema::NodeIdCodec& codec = cube.store().codec();
+  for (schema::NodeId id = 0; id < codec.num_nodes(); ++id) {
+    query::ResultSink sink(true);
+    ASSERT_TRUE(engine.QueryNode(id, &sink).ok());
+    auto expected = query::ReferenceNodeResult(ds.schema, ds.table, id);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(query::SameResults(sink.TakeRows(), std::move(expected).value()))
+        << "node " << id;
+  }
+}
+
+// Persisting a packed cube again to the same path publishes a new file by
+// rename; an engine on the old cube keeps reading the old file's mapping.
+TEST(MappedReadTest, RepersistedPackedCubeKeepsTheOldMapping) {
+  const test::ScopedTempDir tmp("storage_test");
+  const std::string path = tmp.File("cube.bin");
+  const gen::Dataset old_data = MakeCubeData(600, 1);
+  const gen::Dataset new_data = MakeCubeData(900, 2);
+  engine::FactInput old_input{.table = &old_data.table};
+  auto old_cube = engine::BuildCure(old_data.schema, old_input, {});
+  ASSERT_TRUE(old_cube.ok());
+  ASSERT_TRUE((*old_cube)->SpillStoreToDisk(path).ok());
+  auto old_engine = query::CureQueryEngine::Create(old_cube->get(), 1.0);
+  ASSERT_TRUE(old_engine.ok()) << old_engine.status().ToString();
+  ExpectCubeAnswers(**old_engine, **old_cube, old_data);
+
+  engine::FactInput new_input{.table = &new_data.table};
+  auto new_cube = engine::BuildCure(new_data.schema, new_input, {});
+  ASSERT_TRUE(new_cube.ok());
+  ASSERT_TRUE((*new_cube)->SpillStoreToDisk(path).ok());
+  ExpectCubeAnswers(**old_engine, **old_cube, old_data);
+  auto new_engine = query::CureQueryEngine::Create(new_cube->get(), 1.0);
+  ASSERT_TRUE(new_engine.ok()) << new_engine.status().ToString();
+  ExpectCubeAnswers(**new_engine, **new_cube, new_data);
 }
 
 TEST(DirHelpersTest, EnsureAndRemoveTree) {
