@@ -19,7 +19,8 @@ void RunDataset(const gen::Dataset& ds, size_t num_queries) {
                  " rows, " + std::to_string(ds.schema.num_dims()) +
                  " dims (Fig. 14/15: construction & storage)");
   engine::FactInput input{.table = &ds.table};
-  const std::string tmp = "/tmp/cure_bench_fig14_" + ds.name;
+  const ScopedBenchDir dir("fig14_" + ds.name);
+  const std::string tmp = dir.File("cube");
 
   // Construction time includes writing the materialized cube to disk;
   // queries below then read the disk-resident cubes, as in the paper.
@@ -100,9 +101,6 @@ void RunDataset(const gen::Dataset& ds, size_t num_queries) {
     std::printf("%-14s %14s %16llu\n", row.label,
                 FormatSeconds(row.stats.avg_seconds).c_str(),
                 static_cast<unsigned long long>(row.stats.total_tuples));
-  }
-  for (const char* suffix : {"_buc.bin", "_bubst.bin", "_cure.bin", "_plus.bin"}) {
-    CURE_CHECK_OK(storage::RemoveFile(tmp + suffix));
   }
 }
 

@@ -8,7 +8,6 @@
 // starts higher — exactly the paper's observation.
 
 #include "bench/bench_util.h"
-#include "storage/file_io.h"
 #include "storage/relation.h"
 
 using namespace cure;         // NOLINT
@@ -18,7 +17,8 @@ namespace {
 
 void RunDataset(const gen::Dataset& ds, size_t num_queries) {
   // Spill the fact table to disk.
-  const std::string path = "/tmp/cure_bench_fig17_" + ds.name + ".bin";
+  const ScopedBenchDir dir("fig17_" + ds.name);
+  const std::string path = dir.File("fact.bin");
   auto rel = storage::Relation::CreateFile(path, ds.table.RecordSize());
   CURE_CHECK(rel.ok()) << rel.status().ToString();
   CURE_CHECK_OK(ds.table.WriteTo(&rel.value()));
@@ -68,10 +68,6 @@ void RunDataset(const gen::Dataset& ds, size_t num_queries) {
                 FormatSeconds(plus_qrt.avg_seconds).c_str(),
                 FormatSeconds(buc_qrt.avg_seconds).c_str());
   }
-  CURE_CHECK_OK(storage::RemoveFile(path));
-  CURE_CHECK_OK(storage::RemoveFile(path + ".cure"));
-  CURE_CHECK_OK(storage::RemoveFile(path + ".plus"));
-  CURE_CHECK_OK(storage::RemoveFile(path + ".buc"));
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 // selection, sound partitions, node N) exactly as at full scale.
 
 #include "bench/bench_util.h"
-#include "storage/file_io.h"
 #include "storage/relation.h"
 
 using namespace cure;         // NOLINT
@@ -36,7 +35,8 @@ int main() {
     spec.scale_divisor = scale;
     gen::Dataset apb = gen::MakeApb(spec);
     // Fact table on disk, as in the paper's external setting.
-    const std::string path = "/tmp/cure_bench_apb_fact.bin";
+    const ScopedBenchDir dir("apb");
+    const std::string path = dir.File("fact.bin");
     auto rel = storage::Relation::CreateFile(path, apb.table.RecordSize());
     CURE_CHECK(rel.ok());
     CURE_CHECK_OK(apb.table.WriteTo(&rel.value()));
@@ -53,7 +53,7 @@ int main() {
         engine::CureOptions options;
         options.memory_budget_bytes = budget;
         options.dims_in_nt = dr;
-        options.temp_dir = "/tmp";
+        options.temp_dir = dir.path();
         const std::string label =
             std::string("CURE") + (dr ? "_DR" : "") + (plus ? "+" : "");
         CureBuildResult result =
@@ -62,7 +62,6 @@ int main() {
       }
     }
     PrintBuildRows(rows);
-    CURE_CHECK_OK(storage::RemoveFile(path));
   }
 
   // Density-parity variant: at scaled row counts the standard schema is far

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "storage/file_io.h"
 #include "storage/relation.h"
 
 using namespace cure;         // NOLINT
@@ -26,7 +25,8 @@ int main() {
   spec.density = 4.0;
   spec.scale_divisor = scale;
   gen::Dataset apb = gen::MakeApb(spec);
-  const std::string path = "/tmp/cure_bench_apb_qrt_fact.bin";
+  const ScopedBenchDir dir("fig25");
+  const std::string path = dir.File("fact.bin");
   auto rel = storage::Relation::CreateFile(path, apb.table.RecordSize());
   CURE_CHECK(rel.ok());
   CURE_CHECK_OK(apb.table.WriteTo(&rel.value()));
@@ -52,12 +52,12 @@ int main() {
     engine::CureOptions options;
     options.memory_budget_bytes = budget;
     options.dims_in_nt = v.dr;
-    options.temp_dir = "/tmp";
+    options.temp_dir = dir.path();
     CureBuildResult built =
         BuildCureVariant(v.label, apb.schema, input, options, v.plus);
     v.cube = std::move(built.cube);
     // Cubes are disk-resident at this density (the paper's setting).
-    SpillCure(v.cube.get(), std::string("/tmp/cure_bench_fig25_") + v.label + ".bin");
+    SpillCure(v.cube.get(), dir.File(std::string(v.label) + ".bin"));
     // Paper: 25% of memory is left for caching; cache that fraction of R.
     auto engine = query::CureQueryEngine::Create(
         v.cube.get(),
@@ -132,11 +132,6 @@ int main() {
   std::printf("\nSTATS-format latency histograms (identical renderer to "
               "cure_serve):\n%s", qrt_metrics.TextSnapshot().c_str());
 
-  CURE_CHECK_OK(storage::RemoveFile(path));
-  for (Variant& v : variants) {
-    CURE_CHECK_OK(
-        storage::RemoveFile(std::string("/tmp/cure_bench_fig25_") + v.label + ".bin"));
-  }
   std::printf(
       "\nShape check vs paper: QRT grows with result size; the DR variants "
       "(dimension values materialized) are fastest; small- and mid-size "

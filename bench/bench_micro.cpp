@@ -5,7 +5,7 @@
 // scalar scan).
 //
 // Extra modes (both exit without running google-benchmark):
-//   --smoke               batch-vs-scalar checksum equality, and coalesced
+//   --smoke               batch-vs-scalar checksum equality, and batched
 //                         vs per-row row-id dereference byte equality, over
 //                         memory- and file-backed relations; exit 0 iff all
 //                         match (CI).
@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_temp_dir.h"
 #include "cube/cube_store.h"
 #include "cube/signature.h"
 #include "engine/cure.h"
@@ -314,8 +315,13 @@ uint64_t AggregateBatch(const cure::storage::Relation& rel, size_t block_rows) {
 const cure::storage::Relation& KernelRelation(bool file_backed) {
   static const cure::storage::Relation* memory =
       new cure::storage::Relation(MakeKernelRelation(kKernelRows, false, ""));
-  static const cure::storage::Relation* file = new cure::storage::Relation(
-      MakeKernelRelation(kKernelRows, true, "/tmp/cure_bench_kernels.bin"));
+  static const cure::storage::Relation* file = [] {
+    // The file's name is gone once it is sealed, so its directory can go
+    // at once as well.
+    const cure::bench::ScopedBenchDir dir("micro");
+    return new cure::storage::Relation(
+        MakeKernelRelation(kKernelRows, true, dir.File("kernels.bin")));
+  }();
   return file_backed ? *file : *memory;
 }
 
@@ -351,7 +357,7 @@ void BM_AggAccumulateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AggAccumulateBatch)->Arg(0)->Arg(1);
 
-// ---- Row-id dereference: per-row Read vs sorted, coalesced ReadRows ----
+// ---- Row-id dereference: per-row Read vs one span-gathering ReadRows ----
 
 /// `n` random row-ids of `rel` (unsorted, duplicates possible).
 std::vector<uint64_t> RandomRows(const cure::storage::Relation& rel, size_t n,
@@ -362,8 +368,8 @@ std::vector<uint64_t> RandomRows(const cure::storage::Relation& rel, size_t n,
   return rows;
 }
 
-/// Per-row dereference: one Relation::Read (one pread when file-backed)
-/// per row-id.
+/// Per-row dereference: one Relation::Read (one view when file-backed) per
+/// row-id.
 bool DereferencePerRow(const cure::storage::Relation& rel,
                        const std::vector<uint64_t>& rows, uint8_t* out) {
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -378,12 +384,12 @@ bool DereferenceBatched(const cure::storage::Relation& rel,
   return rel.ReadRows(rows.data(), rows.size(), out).ok();
 }
 
-// One query's dereference chunk of random row-ids; arg 0: file-backed,
-// arg 1: batched.
+// One query's dereference chunk (query::kDereferenceChunkRows) of random
+// row-ids; arg 0: file-backed, arg 1: batched.
 void BM_RowIdDereference(benchmark::State& state) {
   const cure::storage::Relation& rel = KernelRelation(state.range(0) != 0);
   const bool batched = state.range(1) != 0;
-  const std::vector<uint64_t> rows = RandomRows(rel, 16384, 31);
+  const std::vector<uint64_t> rows = RandomRows(rel, 4096, 31);
   std::vector<uint8_t> out(rows.size() * rel.record_size());
   for (auto _ : state) {
     const bool ok = batched ? DereferenceBatched(rel, rows, out.data())
@@ -432,11 +438,10 @@ int RunSmoke() {
                   static_cast<unsigned long long>(agg), ok ? "OK" : "MISMATCH");
     }
   }
-  // Row-id dereference: coalesced ReadRows must return the bytes of one
-  // Read per row, for sparse, dense and single-row requests, for unsorted
-  // requests that repeat a few rows many times, and for short requests
-  // across the whole relation, whose 18-bit row-ids take several narrow
-  // radix passes to order.
+  // Row-id dereference: ReadRows must return the bytes of one Read per row,
+  // for sparse, dense and single-row requests, for unsorted requests that
+  // repeat a few rows many times, and for short requests across the whole
+  // relation.
   for (bool file_backed : {false, true}) {
     const cure::storage::Relation& rel = KernelRelation(file_backed);
     std::vector<std::pair<std::string, std::vector<uint64_t>>> requests;
@@ -446,7 +451,7 @@ int RunSmoke() {
     std::vector<uint64_t> dups = RandomRows(rel, 16384, 43);
     for (uint64_t& row : dups) row = row % 64 * 4099;
     requests.emplace_back("dups ", std::move(dups));
-    requests.emplace_back("multipass ", RandomRows(rel, 8, 47));
+    requests.emplace_back("short ", RandomRows(rel, 8, 47));
     for (const auto& [kind, rows] : requests) {
       const size_t n = rows.size();
       std::vector<uint8_t> per_row(n * rel.record_size());

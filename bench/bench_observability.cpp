@@ -23,7 +23,6 @@
 #include "query/workload.h"
 #include "serve/cube_server.h"
 #include "serve/tcp_server.h"
-#include "storage/file_io.h"
 
 using namespace cure;         // NOLINT
 using namespace cure::bench;  // NOLINT
@@ -189,7 +188,8 @@ int main() {
 
   // 5. Export the build+serve trace and hold it to the same bar CI does.
   Tracer::Instance().Disable();
-  const std::string path = "/tmp/cure_bench_observability_trace.json";
+  const ScopedBenchDir dir("observability");
+  const std::string path = dir.File("trace.json");
   CURE_CHECK_OK(Tracer::Instance().WriteChromeTrace(path));
   ChromeTraceSummary summary;
   CURE_CHECK_OK(ValidateChromeTraceFile(path, &summary));
@@ -200,7 +200,6 @@ int main() {
               static_cast<unsigned long long>(summary.names.size()));
   CURE_CHECK(summary.Contains("cure.build.run"));
   CURE_CHECK(summary.Contains("cure.serve.query"));
-  CURE_CHECK_OK(storage::RemoveFile(path));
   Tracer::Instance().Reset();
 
   std::printf(

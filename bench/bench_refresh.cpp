@@ -27,7 +27,12 @@ using namespace cure::bench;  // NOLINT
 
 namespace {
 
-constexpr const char* kWalPath = "/tmp/cure_bench_refresh.wal";
+/// The WAL every LiveCube of the run writes, in the run's own directory.
+const std::string& WalPath() {
+  static const ScopedBenchDir dir("refresh");
+  static const std::string path = dir.File("refresh.wal");
+  return path;
+}
 
 /// The bench_incremental dataset: 3 hierarchical dims, skew-free uniform
 /// rows — the shape where ApplyDelta's crossover behaviour is established.
@@ -76,9 +81,9 @@ maintain::RowBatch MakeBatch(const schema::CubeSchema& schema, uint64_t rows,
 
 Result<std::unique_ptr<maintain::LiveCube>> OpenLive(const gen::Dataset& ds,
                                                      bool allow_delta) {
-  std::remove(kWalPath);
+  std::remove(WalPath().c_str());
   maintain::MaintainOptions options;
-  options.wal_path = kWalPath;
+  options.wal_path = WalPath();
   options.refresh_rows = ~0ull;  // Manual Flush() only.
   options.refresh_bytes = ~0ull;
   options.allow_delta = allow_delta;
@@ -232,7 +237,6 @@ int main() {
   RunRefreshLatency(ds);
   RunQueryLatencyUnderRefresh(ds, /*readers=*/4,
                               static_cast<size_t>(QueriesEnv(100)));
-  std::remove(kWalPath);
   std::printf(
       "\nShape check: ApplyDelta's fixed probing cost means small deltas "
       "refresh ~2x faster than the staged rebuild, with the advantage "

@@ -27,7 +27,6 @@
 #include "gen/zipf.h"
 #include "query/workload.h"
 #include "serve/cube_server.h"
-#include "storage/file_io.h"
 #include "storage/relation.h"
 
 using namespace cure;         // NOLINT
@@ -160,7 +159,8 @@ int main() {
 
   gen::Dataset ds = MakeSessionDataset(tuples, /*seed=*/101);
   // Disk-resident fact table and cube store, as in the paper's setting.
-  const std::string path = "/tmp/cure_bench_semantic.bin";
+  const ScopedBenchDir dir("semantic");
+  const std::string path = dir.File("fact.bin");
   auto rel = storage::Relation::CreateFile(path, ds.table.RecordSize());
   CURE_CHECK(rel.ok()) << rel.status().ToString();
   CURE_CHECK_OK(ds.table.WriteTo(&rel.value()));
@@ -213,7 +213,5 @@ int main() {
       "\nShape check: identical results in all three configs; the semantic "
       "config converts engine executions into roll-up derivations, lifting "
       "the hit rate above exact-only and holding or improving p50.\n");
-  CURE_CHECK_OK(storage::RemoveFile(path));
-  CURE_CHECK_OK(storage::RemoveFile(path + ".cure"));
   return 0;
 }

@@ -76,7 +76,9 @@ int main() {
   engine::PartitionOptions options;
   options.memory_budget_bytes = base_rows * rec * 12 / 100;
   options.n_overhead_factor = 1.0;
-  options.temp_dir = "/tmp";
+  // PartitionFact names its files by partition number alone.
+  const ScopedBenchDir dir("table1");
+  options.temp_dir = dir.path();
   auto choice = engine::SelectPartitionLevel(sales.schema, *hist,
                                              sales.table.num_rows(), options);
   CURE_CHECK(choice.ok()) << choice.status().ToString();

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_temp_dir.h"
 #include "common/bytes.h"
 #include "common/env.h"
 #include "common/logging.h"

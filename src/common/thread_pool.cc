@@ -24,7 +24,15 @@ ThreadPool::ThreadPool(int num_threads) {
 ThreadPool::~ThreadPool() { Shutdown(); }
 
 std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
-  std::packaged_task<Status()> wrapped(std::move(task));
+  std::packaged_task<Status()> wrapped([this, task = std::move(task)] {
+    Status status = task();
+    // Counted done before the future is ready: a caller that has seen every
+    // task it submitted finish also sees their workers idle
+    // (HasIdleWorker).
+    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
+    tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+    return status;
+  });
   std::future<Status> future = wrapped.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -70,8 +78,6 @@ void ThreadPool::WorkerLoop() {
       busy_workers_.fetch_add(1, std::memory_order_relaxed);
     }
     task();  // Status travels through the promise; tasks do not throw.
-    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-    tasks_completed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -80,14 +80,10 @@ Status FactRelationSource::GetRow(uint64_t ordinal, uint32_t* dims,
 
 Status FactRelationSource::GetRows(const uint64_t* ordinals, size_t n,
                                    uint32_t* dims, int64_t* aggrs) const {
-  const size_t width = relation_->record_size();
-  std::vector<uint8_t> records(n * width);
-  CURE_RETURN_IF_ERROR(cache_.ReadRows(ordinals, n, records.data()));
   const int y = aggregator_.num_aggregates();
-  for (size_t i = 0; i < n; ++i) {
-    Decode(records.data() + i * width, dims + i * num_dims_, aggrs + i * y);
-  }
-  return Status::OK();
+  return cache_.ForEachRecord(ordinals, n, [&](size_t i, const uint8_t* rec) {
+    Decode(rec, dims + i * num_dims_, aggrs + i * y);
+  });
 }
 
 Status AggTableSource::GetRow(uint64_t ordinal, uint32_t* dims,

@@ -42,7 +42,7 @@ class SourceAccessor {
 
   /// Reads rows `ordinals[0..n)` (any order): row i's D codes to
   /// `dims + i * D`, its Y aggregates to `aggrs + i * Y`. In-memory sources
-  /// call GetRow per row; file-backed ones read in ordinal order instead.
+  /// call GetRow per row; file-backed ones gather from one span instead.
   virtual Status GetRows(const uint64_t* ordinals, size_t n, uint32_t* dims,
                          int64_t* aggrs) const = 0;
 
@@ -81,8 +81,8 @@ class FactRelationSource : public SourceAccessor {
   uint64_t num_rows() const override { return relation_->num_rows(); }
   int native_level(int) const override { return 0; }
   Status GetRow(uint64_t ordinal, uint32_t* dims, int64_t* aggrs) const override;
-  /// Pinned rows from memory, the rest in one sorted, coalesced
-  /// BufferCache::ReadRows.
+  /// Decodes each row in place, pinned rows from the cache's pinned prefix
+  /// and the rest from the relation's span (BufferCache::ForEachRecord).
   Status GetRows(const uint64_t* ordinals, size_t n, uint32_t* dims,
                  int64_t* aggrs) const override;
   bool reads_files() const override { return !relation_->memory_backed(); }

@@ -73,43 +73,50 @@ Status CureQueryEngine::QueryNodeSlicedIceberg(NodeId id,
 
 namespace {
 
-/// What a query does with a dereferenced source row: project its native
-/// codes onto the node's levels through the Projection resolved once for its
-/// source, apply the slices, emit.
+/// What a query does with dereferenced source rows: project each row's
+/// native codes onto the node's levels through the Projection resolved once
+/// for its source, apply the slices, emit. Const, with per-call scratch, so
+/// the dereference pool's workers share one.
 class RowEmitter {
  public:
   /// `count_aggregate` < 0 disables the iceberg test.
   RowEmitter(const cube::SourceSet& sources, const std::vector<int>& levels,
              const std::vector<SliceFilter>& slices, int count_aggregate,
-             int64_t min_count, int g, int y, ResultSink* sink)
+             int64_t min_count, int g, int y)
       : slices_(slices),
         count_aggregate_(count_aggregate),
         min_count_(min_count),
         g_(g),
-        y_(y),
-        sink_(sink) {
+        y_(y) {
     for (uint32_t tag = 0; tag < cube::kNumSourceTags; ++tag) {
       resolved_[tag] =
           sources.ResolveProjection(tag, levels, &projection_[tag]);
     }
   }
 
-  /// Emits the row behind `rowid` (native codes `native`) with `aggrs`
-  /// when it passes the iceberg test, projected onto the node and sliced.
-  Status Emit(RowId rowid, const uint32_t* native, const int64_t* aggrs) {
-    if (count_aggregate_ >= 0 && aggrs[count_aggregate_] < min_count_) {
-      return Status::OK();
+  /// Emits to `sink`, in order, each of the `n` rows behind `rowids` (row
+  /// i's native codes at `native + i * num_dims`, its aggregates at
+  /// `aggrs + i * y`) that passes the iceberg test, projected onto the node
+  /// and sliced.
+  Status EmitRows(const RowId* rowids, size_t n, const uint32_t* native,
+                  size_t num_dims, const int64_t* aggrs,
+                  ResultSink* sink) const {
+    uint32_t dims[cube::kMaxProjectedDims];
+    for (size_t i = 0; i < n; ++i, native += num_dims, aggrs += y_) {
+      if (count_aggregate_ >= 0 && aggrs[count_aggregate_] < min_count_) {
+        continue;
+      }
+      const uint32_t tag = cube::RowIdSource(rowids[i]);
+      if (tag >= cube::kNumSourceTags) {
+        return Status::NotFound("no source registered for tag " +
+                                std::to_string(tag));
+      }
+      // A source that cannot serve this node (or is not registered) fails
+      // the query only when one of its rows shows up.
+      if (!resolved_[tag].ok()) return resolved_[tag];
+      projection_[tag].Apply(native, dims);
+      if (PassesSlices(dims)) sink->Emit(dims, g_, aggrs, y_);
     }
-    const uint32_t tag = cube::RowIdSource(rowid);
-    if (tag >= cube::kNumSourceTags) {
-      return Status::NotFound("no source registered for tag " +
-                              std::to_string(tag));
-    }
-    // A source that cannot serve this node (or is not registered) fails
-    // the query only when one of its rows shows up.
-    if (!resolved_[tag].ok()) return resolved_[tag];
-    projection_[tag].Apply(native, dims_);
-    if (PassesSlices(dims_)) sink_->Emit(dims_, g_, aggrs, y_);
     return Status::OK();
   }
 
@@ -124,36 +131,38 @@ class RowEmitter {
   const int64_t min_count_;
   const int g_;
   const int y_;
-  ResultSink* const sink_;
   cube::Projection projection_[cube::kNumSourceTags];
   Status resolved_[cube::kNumSourceTags];
-  uint32_t dims_[cube::kMaxProjectedDims];
 };
 
 /// The node query's row-id dereference buffer (DESIGN.md §13). Tuples whose
 /// codes live behind a row-id are queued in chunks with the aggregates they
-/// carry. One SourceSet::GetRows dereferences a chunk — a file-backed source
-/// reads it in row-id order, nearby rows coalesced into one read — and its
-/// tuples are then emitted in queue order, the order the scans queued them
-/// in. Over files the buffer is a pipeline: a full chunk is
-/// read on an idle worker of the engine's pool while this thread scans on,
-/// and chunks are emitted on this thread, strictly in queue order. With
-/// every source in memory there is no read to save, and each tuple is read
-/// and emitted as it is queued.
+/// carry. One SourceSet::GetRows dereferences a chunk — a gather from each
+/// source's span — and the emitter then emits its tuples in queue order.
+/// Over files the buffer is a pipeline: a full chunk is dereferenced and
+/// emitted into a chunk-local sink on an idle worker of the engine's pool
+/// while this thread scans on, and this thread splices finished chunk
+/// sinks into the caller's sink, strictly in queue order. A chunk handled
+/// here with nothing queued ahead of it emits straight into the caller's
+/// sink; with every source in memory that is every tuple, read and emitted
+/// as it is queued.
 class DerefBuffer {
  public:
   /// `pool` yields the engine's dereference pool (nullptr without workers);
   /// it is asked at the first full chunk of a file-backed source.
-  DerefBuffer(const cube::SourceSet& sources, RowEmitter* emitter,
-              int num_dims, int y, std::function<ThreadPool*()> pool)
+  DerefBuffer(const cube::SourceSet& sources, const RowEmitter& emitter,
+              int num_dims, int y, ResultSink* sink,
+              std::function<ThreadPool*()> pool)
       : sources_(sources),
         emitter_(emitter),
+        sink_(sink),
         pool_(std::move(pool)),
         chunk_rows_(sources.reads_files() ? kDereferenceChunkRows : 1),
         num_dims_(num_dims),
-        y_(y) {}
+        y_(y),
+        cur_(sink->retain()) {}
 
-  /// A worker may still be writing into a chunk of a query that failed.
+  /// A worker may still be emitting a chunk of a query that failed.
   ~DerefBuffer() {
     for (const std::unique_ptr<Chunk>& chunk : queue_) chunk->Wait();
   }
@@ -171,21 +180,24 @@ class DerefBuffer {
     return cur_.rowids.size() < chunk_rows_ ? Status::OK() : HandOff();
   }
 
-  /// Ends a part of the query: reads the last, partial chunk on this thread
-  /// and emits every queued chunk.
+  /// Ends a part of the query: handles the last, partial chunk on this
+  /// thread and splices every queued chunk.
   Status Flush() {
-    if (!cur_.rowids.empty()) CURE_RETURN_IF_ERROR(ReadHere());
-    return EmitQueued(0);
+    if (!cur_.rowids.empty()) CURE_RETURN_IF_ERROR(EmitHere());
+    return SpliceQueued(0);
   }
 
  private:
   struct Chunk {
+    explicit Chunk(bool retain) : sink(retain) {}
+
     std::vector<RowId> rowids;
     std::vector<int64_t> carried;
     std::vector<uint32_t> native;
     std::vector<int64_t> row_aggrs;
-    std::future<Status> pending;  // valid while a worker reads the chunk
-    Status status;                // the finished read's
+    ResultSink sink;              // the queued chunk's emitted rows
+    std::future<Status> pending;  // valid while a worker emits the chunk
+    Status status;                // the finished emission's
 
     bool Done() const {
       return !pending.valid() || pending.wait_for(std::chrono::seconds(0)) ==
@@ -197,51 +209,48 @@ class DerefBuffer {
     }
   };
 
-  // Runs on a worker or on the query thread.
-  Status Read(Chunk* c) const {
+  // Dereferences `c` and emits its tuples to `sink`. Runs on a worker or on
+  // the query thread.
+  Status Emit(Chunk* c, ResultSink* sink) const {
     const size_t n = c->rowids.size();
     c->native.resize(n * num_dims_);
     c->row_aggrs.resize(n * y_);
-    return sources_.GetRows(c->rowids.data(), n, c->native.data(),
-                            c->row_aggrs.data());
-  }
-
-  Status Emit(const Chunk& c) {
+    CURE_RETURN_IF_ERROR(sources_.GetRows(c->rowids.data(), n,
+                                          c->native.data(),
+                                          c->row_aggrs.data()));
     const int64_t* aggrs =
-        c.carried.empty() ? c.row_aggrs.data() : c.carried.data();
-    for (size_t i = 0; i < c.rowids.size(); ++i) {
-      CURE_RETURN_IF_ERROR(emitter_->Emit(
-          c.rowids[i], c.native.data() + i * num_dims_, aggrs + i * y_));
-    }
-    return Status::OK();
+        c->carried.empty() ? c->row_aggrs.data() : c->carried.data();
+    return emitter_.EmitRows(c->rowids.data(), n, c->native.data(),
+                             num_dims_, aggrs, sink);
   }
 
-  // The current chunk is full: hand it to an idle worker, else read it here.
-  // Either way it joins the queue, which holds at most workers + 1 chunks.
+  // The current chunk is full: hand it to an idle worker, else emit it
+  // here. Either way it joins the queue, which holds at most workers + 1
+  // chunks.
   Status HandOff() {
     ThreadPool* pool = chunk_rows_ > 1 ? pool_() : nullptr;
     if (pool != nullptr) {
-      CURE_RETURN_IF_ERROR(EmitQueued(pool->num_threads()));
+      CURE_RETURN_IF_ERROR(SpliceQueued(pool->num_threads()));
       if (pool->HasIdleWorker()) {
         Chunk* c = Enqueue();
-        c->pending = pool->Submit([this, c] { return Read(c); });
+        c->pending = pool->Submit([this, c] { return Emit(c, &c->sink); });
         return Status::OK();
       }
     }
-    return ReadHere();
+    return EmitHere();
   }
 
-  // Reads the current chunk on this thread; emits it at once when no chunk
-  // is queued ahead of it — always so without a pool, where this is every
-  // in-memory tuple's path and is kept free of Status copies.
-  Status ReadHere() {
+  // Emits the current chunk on this thread: straight into the caller's
+  // sink when no chunk is queued ahead of it — always so without a pool,
+  // where this is every in-memory tuple's path and is kept free of Status
+  // copies — else into its own sink, queued behind the others.
+  Status EmitHere() {
     if (!queue_.empty()) {
-      cur_.status = Read(&cur_);
+      cur_.status = Emit(&cur_, &cur_.sink);
       Enqueue();
       return Status::OK();
     }
-    CURE_RETURN_IF_ERROR(Read(&cur_));
-    CURE_RETURN_IF_ERROR(Emit(cur_));
+    CURE_RETURN_IF_ERROR(Emit(&cur_, sink_));
     cur_.rowids.clear();
     cur_.carried.clear();
     return Status::OK();
@@ -252,7 +261,7 @@ class DerefBuffer {
   Chunk* Enqueue() {
     std::unique_ptr<Chunk> c;
     if (spare_.empty()) {
-      c = std::make_unique<Chunk>();
+      c = std::make_unique<Chunk>(sink_->retain());
     } else {
       c = std::move(spare_.back());
       spare_.pop_back();
@@ -262,20 +271,26 @@ class DerefBuffer {
     return queue_.back().get();
   }
 
-  // Emits queued chunks in queue order: each one whose read is done and,
-  // waiting for it, the oldest while more than `max_queued` are queued. On
-  // the first failure it emits nothing more and returns that status once
-  // every read in flight has finished.
-  Status EmitQueued(size_t max_queued) {
+  // Splices queued chunks into the caller's sink in queue order: each one
+  // whose emission is done and, waiting for it, the oldest while more than
+  // `max_queued` are queued. On the first failure it splices nothing more
+  // and returns that status once every emission in flight has finished; a
+  // failed chunk's rows never reach the caller's sink.
+  Status SpliceQueued(size_t max_queued) {
     Status s = Status::OK();
     while (!queue_.empty()) {
       Chunk& head = *queue_.front();
       if (s.ok() && queue_.size() <= max_queued && !head.Done()) break;
-      if (Status read = head.Wait(); s.ok()) {
-        s = read.ok() ? Emit(head) : std::move(read);
+      if (Status emitted = head.Wait(); s.ok()) {
+        if (emitted.ok()) {
+          sink_->Append(&head.sink);
+        } else {
+          s = std::move(emitted);
+        }
       }
       head.rowids.clear();
       head.carried.clear();
+      head.sink.Reset();
       head.status = Status::OK();
       spare_.push_back(std::move(queue_.front()));
       queue_.erase(queue_.begin());
@@ -284,7 +299,8 @@ class DerefBuffer {
   }
 
   const cube::SourceSet& sources_;
-  RowEmitter* const emitter_;
+  const RowEmitter& emitter_;
+  ResultSink* const sink_;
   const std::function<ThreadPool*()> pool_;
   const size_t chunk_rows_;
   const size_t num_dims_;
@@ -341,9 +357,9 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
   const CubeStore::NodeData* node = store.node(id);
   const cube::RecordLayout& layout = store.layout();
   const size_t nt_aggrs_offset = store.NtAggregatesOffset(g);
-  RowEmitter emitter(sources_, levels, prepared, iceberg ? count_aggregate : -1,
-                     min_count, g, y, sink);
-  DerefBuffer deref(sources_, &emitter, num_dims, y,
+  const RowEmitter emitter(sources_, levels, prepared,
+                           iceberg ? count_aggregate : -1, min_count, g, y);
+  DerefBuffer deref(sources_, emitter, num_dims, y, sink,
                     [this] { return DerefPool(); });
 
   // Normal tuples. Predicates run as selection-vector kernels over column
@@ -399,7 +415,7 @@ Status CureQueryEngine::QueryImpl(NodeId id, int count_aggregate,
 
   // Common aggregate tuples: each CAT's aggregates (and, in format (a), its
   // R-rowid) live in the AGGREGATES relation at the CAT's arowid. One
-  // sorted, coalesced AGGREGATES read per CAT block, then the iceberg test
+  // AGGREGATES gather per CAT block, then the iceberg test
   // and the queue for the source dereference.
   if (node != nullptr && node->has_cat) {
     const storage::Relation& aggregates = store.aggregates();

@@ -2,6 +2,7 @@
 #define CURE_QUERY_NODE_QUERY_H_
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -19,10 +20,11 @@ namespace cure {
 namespace query {
 
 /// Row-ids CureQueryEngine dereferences per batch when a
-/// source reads from a file: a chunk this full goes to an idle worker of the
-/// engine's dereference pool, and the last, partial chunk of the NT, CAT and
-/// TT parts of a query is read on the query thread (DESIGN.md §13).
-inline constexpr size_t kDereferenceChunkRows = 16384;
+/// source reads from a file: a chunk this full is dereferenced and emitted
+/// on an idle worker of the engine's dereference pool, and the last,
+/// partial chunk of the NT, CAT and TT parts of a query on the query thread
+/// (DESIGN.md §13).
+inline constexpr size_t kDereferenceChunkRows = 4096;
 
 /// Receives query result tuples. Always counts tuples and maintains an
 /// order-independent checksum; with `retain` it also materializes the rows
@@ -53,6 +55,21 @@ class ResultSink {
     }
   }
 
+  /// Splices `other`'s result in after this sink's: adds its count, XORs
+  /// its checksum and moves its retained rows to the back, then resets it.
+  void Append(ResultSink* other) {
+    count_ += other->count_;
+    checksum_ ^= other->checksum_;
+    if (rows_.empty()) {
+      rows_.swap(other->rows_);
+    } else {
+      rows_.insert(rows_.end(), std::make_move_iterator(other->rows_.begin()),
+                   std::make_move_iterator(other->rows_.end()));
+    }
+    other->Reset();
+  }
+
+  bool retain() const { return retain_; }
   uint64_t count() const { return count_; }
   uint64_t checksum() const { return checksum_; }
   const std::vector<Row>& rows() const { return rows_; }
@@ -81,9 +98,10 @@ class ResultSink {
 /// through the fact table / node N), TTs collected along the execution-plan
 /// path from the root — the reader side of the paper's TT sub-tree sharing.
 ///
-/// Over a file-backed source, full dereference chunks are read on a pool of
-/// ThreadPool::DefaultThreadCount() - 1 workers the engine owns, created at
-/// the first full chunk; the rows still come out in one thread's order.
+/// Over a file-backed source, full dereference chunks are dereferenced and
+/// emitted on a pool of ThreadPool::DefaultThreadCount() - 1 workers the
+/// engine owns, created at the first full chunk; the rows still come out in
+/// one thread's order.
 class CureQueryEngine {
  public:
   /// `fact_cache_fraction`: pinned fraction of the fact relation (Fig. 17);

@@ -54,6 +54,12 @@ class LineTransport {
   /// matches server-side ops against.
   const std::string& endpoint() const { return endpoint_; }
 
+  /// Connections accepted and not yet finished, each served by its own
+  /// thread.
+  int active_connections() const {
+    return active_connections_.load(std::memory_order_relaxed);
+  }
+
   /// Closes the listener and every connection, then joins all threads.
   /// Idempotent.
   void Stop();

@@ -71,6 +71,9 @@ class TcpLineServer {
   /// The bound port (resolves ephemeral port 0).
   int port() const { return transport_->port(); }
 
+  /// Open client connections, one serving thread each.
+  int active_connections() const { return transport_->active_connections(); }
+
   /// Closes the listener and every connection, then joins all threads.
   /// Idempotent.
   void Stop();

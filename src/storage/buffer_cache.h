@@ -33,11 +33,38 @@ class BufferCache {
   /// Reads the record at `row` into `out`, serving from cache if pinned.
   Status Read(uint64_t row, void* out) const;
 
-  /// Multi-row Read: record i of `rows[0..n)` to `out + i * record_size`.
-  /// Pinned rows are served from memory; the misses go to the relation in
-  /// one Relation::ReadRows (sorted, coalesced). Hits and misses are
-  /// counted per row, exactly as n calls of Read() would count them.
+  /// Multi-row Read: record i of `rows[0..n)` to `out + i * record_size`,
+  /// through ForEachRecord.
   Status ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const;
+
+  /// Calls `fn(i, record)` for each of `rows[0..n)`, in order, with a
+  /// pointer to the row's record in place: in the pinned prefix for pinned
+  /// rows, else in the relation's span (Relation::SpanOf). A non-empty call
+  /// is one read of the relation; n == 0 reads nothing. Hits and misses are
+  /// counted per row, exactly as n calls of Read() would count them.
+  template <typename Fn>
+  Status ForEachRecord(const uint64_t* rows, size_t n, Fn&& fn) const {
+    if (n == 0) return Status::OK();
+    CURE_ASSIGN_OR_RETURN(const uint8_t* span, relation_->SpanOf(rows, n));
+    const size_t width = relation_->record_size();
+    // A memory-backed relation is implicitly fully cached: its span is the
+    // backing vector, and every row is a hit.
+    const uint64_t pinned = relation_->memory_backed() ? 0 : cached_rows_;
+    uint64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t row = rows[i];
+      if (row < pinned) {
+        ++hits;
+        fn(i, pinned_.data() + row * width);
+      } else {
+        fn(i, span + row * width);
+      }
+    }
+    if (relation_->memory_backed()) hits = n;
+    hits_.fetch_add(hits, std::memory_order_relaxed);
+    misses_.fetch_add(n - hits, std::memory_order_relaxed);
+    return Status::OK();
+  }
 
   /// Zero-copy access: returns a pointer when the row is cached or the
   /// relation is memory-backed, nullptr otherwise.

@@ -1,7 +1,6 @@
 #include "storage/relation.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -102,47 +101,7 @@ Status Relation::Read(uint64_t row, void* out) const {
   return Status::OK();
 }
 
-namespace {
-
-// One requested row-id of Relation::ReadRows and the position of its record
-// in the caller's output.
-struct RowSlot {
-  uint64_t row;
-  size_t pos;
-};
-
-// Sorts `slots`, whose rows are all at most `max_row`, by row: an LSD radix
-// sort with as many passes as the bit width of `max_row` needs.
-void SortRowSlots(std::vector<RowSlot>* slots, uint64_t max_row) {
-  // The digit is at most 11 bits and no wider than the slot count needs, so
-  // a short request does not pay for clearing a large count array; the
-  // passes split the key width evenly.
-  constexpr int kMaxDigitBits = 11;
-  const size_t n = slots->size();
-  const int key_bits = std::bit_width(max_row);
-  if (n < 2 || key_bits == 0) return;
-  const int max_digit = std::min(static_cast<int>(std::bit_width(n)), kMaxDigitBits);
-  const int passes = (key_bits + max_digit - 1) / max_digit;
-  const int digit_bits = (key_bits + passes - 1) / passes;
-  const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
-  std::vector<size_t> counts(size_t{1} << digit_bits);
-  std::vector<RowSlot> scratch(n);
-  for (int pass = 0; pass < passes; ++pass) {
-    const int shift = pass * digit_bits;
-    auto digit = [&](const RowSlot& s) { return (s.row >> shift) & mask; };
-    std::fill(counts.begin(), counts.end(), size_t{0});
-    for (const RowSlot& s : *slots) ++counts[digit(s)];
-    size_t start = 0;
-    for (size_t& c : counts) start += std::exchange(c, start);
-    // Each pass keeps the order of equal digits, as LSD radix sorting needs.
-    for (const RowSlot& s : *slots) scratch[counts[digit(s)]++] = s;
-    slots->swap(scratch);
-  }
-}
-
-}  // namespace
-
-Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
+Result<const uint8_t*> Relation::SpanOf(const uint64_t* rows, size_t n) const {
   uint64_t max_row = 0;
   for (size_t i = 0; i < n; ++i) {
     if (rows[i] >= num_rows_) {
@@ -151,37 +110,15 @@ Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
     }
     max_row = std::max(max_row, rows[i]);
   }
+  return ViewRows(0, max_row + 1);
+}
+
+Status Relation::ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const {
+  if (n == 0) return Status::OK();
+  CURE_ASSIGN_OR_RETURN(const uint8_t* span, SpanOf(rows, n));
   const size_t width = record_size_;
-  if (memory_) {
-    for (size_t i = 0; i < n; ++i) {
-      std::memcpy(out + i * width, data_.data() + rows[i] * width, width);
-    }
-    return Status::OK();
-  }
-  // Visit the rows in ascending order without reordering the caller's.
-  std::vector<RowSlot> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = {rows[i], i};
-  if (!std::is_sorted(rows, rows + n)) SortRowSlots(&order, max_row);
-  for (size_t i = 0; i < n;) {
-    // Extend the run while the next record starts within the gap limit of
-    // the last one and the whole run stays within the run limit.
-    const uint64_t first = order[i].row;
-    uint64_t last = first;
-    size_t j = i + 1;
-    for (; j < n; ++j) {
-      const uint64_t next = order[j].row;
-      if ((next - last) * width > kCoalesceGapBytes + width ||
-          (next - first + 1) * width > kCoalesceRunBytes) {
-        break;
-      }
-      last = next;
-    }
-    CURE_ASSIGN_OR_RETURN(const uint8_t* run, ViewRows(first, last - first + 1));
-    for (size_t k = i; k < j; ++k) {
-      std::memcpy(out + order[k].pos * width,
-                  run + (order[k].row - first) * width, width);
-    }
-    i = j;
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(out + i * width, span + rows[i] * width, width);
   }
   return Status::OK();
 }

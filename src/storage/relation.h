@@ -18,12 +18,6 @@ namespace storage {
 /// refill.
 inline constexpr size_t kDefaultScanBufferRecords = 4096;
 
-/// Coalescing limits of Relation::ReadRows on file-backed relations: two
-/// requested records at most kCoalesceGapBytes apart share one read (one
-/// FileReader::View), and no single read spans more than kCoalesceRunBytes.
-inline constexpr uint64_t kCoalesceGapBytes = 4096;
-inline constexpr uint64_t kCoalesceRunBytes = 256 * 1024;
-
 /// A relation of fixed-width binary records, the universal container of the
 /// ROLAP layer: fact tables, partitions, per-node NT/TT/CAT relations and the
 /// AGGREGATES relation are all Relations.
@@ -71,13 +65,15 @@ class Relation {
   Status Read(uint64_t row, void* out) const;
 
   /// Reads the records at `rows[0..n)` (any order, duplicates allowed) into
-  /// `out`, record i at `out + i * record_size()`. Every row is range-checked
-  /// first. File-backed relations visit the rows in ascending order (a
-  /// radix sort, linear in `n`) and take each run of nearby rows
-  /// (kCoalesceGapBytes / kCoalesceRunBytes) as one FileReader::View, from
-  /// which every record of the run is copied to its slot — the row-id
-  /// dereference of DESIGN.md §13.
+  /// `out`, record i at `out + i * record_size()`: one SpanOf, then a gather
+  /// in the caller's order — the row-id dereference of DESIGN.md §13.
   Status ReadRows(const uint64_t* rows, size_t n, uint8_t* out) const;
+
+  /// The relation as one span covering `rows[0..n)`: range-checks every
+  /// row, then takes one view of records [0, max row] — on a file, one
+  /// FileReader::View (one fault consult, one counted read op). Row r's
+  /// record is at `span + r * record_size()`. `n` must be positive.
+  Result<const uint8_t*> SpanOf(const uint64_t* rows, size_t n) const;
 
   /// Memory-backed relations expose their raw record pointer for zero-copy
   /// access; returns nullptr for file-backed ones.

@@ -5,8 +5,9 @@
 // whose every node query matches the reference as a set, for CURE (in
 // memory and external), BUC and BU-BST. The query block size is a pure
 // performance knob: at block sizes 1, 7 and 1024 the readers retain the
-// same rows in the same order. The sorted, coalesced row-id dereference
-// must keep that order and surface read faults as errors.
+// same rows in the same order. The row-id dereference, whose chunks are
+// emitted on the engine's pool, must keep that order and surface read
+// faults as errors.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "gen/datasets.h"
 #include "gen/random.h"
 #include "gen/zipf.h"
+#include "plan/execution_plan.h"
 #include "query/node_query.h"
 #include "query/reference.h"
 #include "schema/node_id.h"
@@ -325,7 +327,7 @@ TEST(BatchScanQueryTest, BlockSizesAgreeWithReferenceFileBacked) {
   ExpectBlockSizesAgreeWithReference(eng->get(), ds, ReferenceAnswers(ds));
 }
 
-// ---- Sorted, coalesced row-id dereference (DESIGN.md §13) ----
+// ---- Row-id dereference (DESIGN.md §13) ----
 
 struct DerefCase {
   const char* name;
@@ -350,7 +352,7 @@ std::vector<DerefCase> DerefCases() {
 // Per node and query shape, the retained rows at every block size must
 // equal the default block size's, in order, at every fact-cache fraction,
 // and match the brute-force reference as a set.
-TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
+TEST(BatchScanDerefTest, DereferenceKeepsRowsAndOrder) {
   const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeWideZipfDataset(30000, 808);
   const std::string rel_path = tmp.File("deref_fact.bin");
@@ -415,9 +417,11 @@ TEST(BatchScanDerefTest, CoalescedDereferenceKeepsRowsAndOrder) {
   ASSERT_TRUE(storage::RemoveFile(rel_path).ok());
 }
 
-// A read fault in the middle of a query's reads of the fact file or of the
-// packed cube — coalesced dereference reads included — fails the query with
-// that error at every block size.
+// A read fault on any of a query's reads of the fact file or of the packed
+// cube — the dereference chunks' span reads included — fails the query
+// with that error at every block size. The fault is transient (once): with
+// chunks in flight on the pool, a sticky fault would also fail the reads
+// of chunks already handed off, and how many depends on the interleaving.
 TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
   const test::ScopedTempDir tmp("batch_scan");
   Dataset ds = MakeWideZipfDataset(30000, 909);
@@ -454,7 +458,7 @@ TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
       }
       ASSERT_GT(reads, 0u);
       if (target == rel_path) {
-        // Coalesced: far fewer fact-file reads than dereferenced rows.
+        // One read per dereference chunk: far fewer than dereferenced rows.
         EXPECT_LT(reads * 20, rows) << reads << " reads for " << rows << " rows";
       }
       for (uint64_t index : {uint64_t{0}, reads / 2, reads - 1}) {
@@ -462,6 +466,7 @@ TEST(BatchScanDerefTest, ReadFaultsFailTheQuery) {
         plan.op = "read";
         plan.target_substr = target;
         plan.fail_index = index;
+        plan.once = true;
         plan.error = EIO;
         ScopedFaultInjection fault(FaultInjector::Disk(), plan);
         ResultSink sink;
@@ -607,6 +612,149 @@ TEST(BatchScanDerefTest, PipelinedDereferenceKeepsRowsOrderAndErrors) {
       }
       EXPECT_TRUE(answers_base());
     }
+  }
+  cube->reset();
+}
+
+// Worker emission (DESIGN.md §13). An external build over a fact file: the
+// base node's row-ids span more than five dereference chunks, and the TTs
+// of region-1 nodes reference node N. For the plain, sliced and
+// count-iceberg shapes, every node's retained rows at CURE_THREADS 2, 4 and
+// 8 equal, in order, those of one-row blocks at CURE_THREADS=1, where no
+// pool runs. Then one base-node TT, in the middle of a full chunk, is
+// rewritten to reference node N, which the base node cannot be projected
+// from: the worker emitting that chunk fails with the rows before the bad
+// one already in its chunk-local sink, the query fails, and no row of the
+// chunk reaches the caller's sink.
+TEST(BatchScanDerefTest, WorkerEmissionMatchesOneRowBlocks) {
+  const test::ScopedTempDir tmp("batch_scan");
+  const Dataset ds = MakeWideZipfDataset(90000, 1313, /*a_leaf=*/30000);
+  Result<storage::Relation> rel = MakeFileRelation(ds, tmp.File("emit_fact.bin"));
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  FactInput input{.relation = &rel.value()};
+  CureOptions options;
+  options.force_external = true;
+  options.memory_budget_bytes = 512 * 1024;
+  Result<std::unique_ptr<CureCube>> cube = BuildCure(ds.schema, input, options);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ASSERT_TRUE((*cube)->SpillStoreToDisk(tmp.File("emit_pack.bin")).ok());
+  const cube::CubeStore& store = (*cube)->store();
+  const schema::NodeIdCodec& codec = store.codec();
+  const NodeId base = 0;
+  constexpr size_t kChunk = query::kDereferenceChunkRows;
+
+  // Some region-1 node's TTs reference node N.
+  bool n_tts = false;
+  for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+    const cube::CubeStore::NodeData* node = store.node(id);
+    if ((*cube)->NodeRegion(id) != 1 || node == nullptr || !node->has_tt) {
+      continue;
+    }
+    storage::Relation::Scanner scan(node->tt);
+    while (const uint8_t* rec = scan.Next()) {
+      n_tts = n_tts || cube::RowIdSource(store.layout().GetRowId(rec)) ==
+                           cube::kSourceNodeN;
+    }
+    ASSERT_TRUE(scan.status().ok());
+  }
+  EXPECT_TRUE(n_tts);
+
+  const std::vector<QueryShape> shapes = DerefShapes(ds.schema);
+  // [node][shape]; a shape whose slice is coarser than the node fails.
+  std::vector<std::vector<std::optional<std::vector<ResultSink::Row>>>> one_row(
+      codec.num_nodes(), std::vector<std::optional<std::vector<ResultSink::Row>>>(
+                             shapes.size()));
+  {
+    const ScopedThreads env(1);
+    Result<std::unique_ptr<CureQueryEngine>> eng =
+        CureQueryEngine::Create(cube->get(), 0.25);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    (*eng)->set_batch_rows(1);
+    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+      for (size_t s = 0; s < shapes.size(); ++s) {
+        ResultSink sink(/*retain=*/true);
+        if ((*eng)->QueryNodeSlicedIceberg(id, shapes[s].slices, 1,
+                                           shapes[s].min_count, &sink)
+                .ok()) {
+          one_row[id][s] = sink.TakeRows();
+        }
+      }
+    }
+  }
+  const std::vector<ResultSink::Row>& base_rows = *one_row[base][0];
+  ASSERT_GT(base_rows.size(), 5 * kChunk);
+
+  // The base node's TT part: `before` row-ids of the path's earlier TT
+  // relations are queued ahead of its own. The bad row-id goes to the
+  // middle of the second chunk that holds base-node row-ids.
+  const cube::CubeStore::NodeData* base_node = store.node(base);
+  ASSERT_NE(base_node, nullptr);
+  ASSERT_TRUE(base_node->has_tt);
+  uint64_t before = 0;
+  for (NodeId path_node : plan::PathFromRoot(ds.schema, codec, base)) {
+    if (path_node == base) break;
+    const cube::CubeStore::NodeData* pd = store.node(path_node);
+    if ((*cube)->NodeRegion(path_node) == 0 && pd != nullptr && pd->has_tt) {
+      before += pd->tt.num_rows();
+    }
+  }
+  const uint64_t bad_at = (before / kChunk + 1) * kChunk + kChunk / 2;
+  ASSERT_LT(bad_at - before + kChunk, base_node->tt.num_rows());
+  const uint64_t bad_chunk_start = bad_at / kChunk * kChunk;
+  // A plain query emits one row per NT, CAT and TT, in queue order.
+  const uint64_t rows_before_chunk =
+      (base_node->has_nt ? base_node->nt.num_rows() : 0) +
+      (base_node->has_cat ? base_node->cat.num_rows() : 0) + bad_chunk_start;
+
+  // The base node's TTs, with the bad row-id, in memory.
+  storage::Relation bad_tt = storage::Relation::Memory(base_node->tt.record_size());
+  {
+    storage::Relation::Scanner scan(base_node->tt);
+    std::vector<uint8_t> rec(base_node->tt.record_size());
+    while (const uint8_t* r = scan.Next()) {
+      std::copy_n(r, rec.size(), rec.data());
+      if (before + scan.row() == bad_at) {
+        store.layout().PutRowId(rec.data(),
+                                cube::MakeRowId(cube::kSourceNodeN, 0));
+      }
+      ASSERT_TRUE(bad_tt.Append(rec.data()).ok());
+    }
+    ASSERT_TRUE(scan.status().ok());
+  }
+
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("CURE_THREADS=" + std::to_string(threads));
+    const ScopedThreads env(threads);
+    Result<std::unique_ptr<CureQueryEngine>> eng =
+        CureQueryEngine::Create(cube->get(), 0.25);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    for (NodeId id = 0; id < codec.num_nodes(); ++id) {
+      for (size_t s = 0; s < shapes.size(); ++s) {
+        SCOPED_TRACE("node " + std::to_string(id) + " " + shapes[s].name);
+        ResultSink sink(/*retain=*/true);
+        const Status status = (*eng)->QueryNodeSlicedIceberg(
+            id, shapes[s].slices, 1, shapes[s].min_count, &sink);
+        ASSERT_EQ(status.ok(), one_row[id][s].has_value()) << status.ToString();
+        if (status.ok()) {
+          EXPECT_TRUE(SameRowsInOrder(sink.rows(), *one_row[id][s]));
+        }
+      }
+    }
+
+    std::swap((*cube)->mutable_store().mutable_node(base)->tt, bad_tt);
+    ResultSink sink(/*retain=*/true);
+    const Status s = (*eng)->QueryNode(base, &sink);
+    std::swap((*cube)->mutable_store().mutable_node(base)->tt, bad_tt);
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+    EXPECT_LE(sink.rows().size(), rows_before_chunk);
+    for (size_t i = 0; i < sink.rows().size(); ++i) {
+      ASSERT_TRUE(sink.rows()[i].dims == base_rows[i].dims &&
+                  sink.rows()[i].aggrs == base_rows[i].aggrs)
+          << "row " << i;
+    }
+    ResultSink again(/*retain=*/true);
+    ASSERT_TRUE((*eng)->QueryNode(base, &again).ok());
+    EXPECT_TRUE(SameRowsInOrder(again.rows(), base_rows));
   }
   cube->reset();
 }

@@ -1,11 +1,12 @@
 // Concurrent node queries over a disk-resident cube: threads sharing one
 // CureQueryEngine over a packed, reopened cube whose row-ids resolve into a
 // fact file must each get the serial (count, checksum) of every node. Every
-// query then runs the file-backed row-id dereference (the ordering and the
-// coalesced reads of Relation::ReadRows, the buffer cache's miss path) at
-// once on several threads. The largest nodes span several dereference
-// chunks, so the threads share the engine's dereference pool and read
-// chunks on their own thread when it is busy. Built with -fsanitize=thread
+// query then runs the file-backed row-id dereference (the span gather of
+// the buffer cache, pinned rows and misses mixed) at once on several
+// threads. The largest nodes span several dereference chunks, so the
+// threads share the engine's dereference pool, whose workers dereference
+// and emit chunks into chunk-local sinks, and handle chunks on their own
+// thread when it is busy. Built with -fsanitize=thread
 // in the CI tsan job, this proves that dereference keeps its scratch per
 // call and per chunk.
 #include <gtest/gtest.h>
@@ -103,7 +104,7 @@ TEST(ConcurrentQueryTest, FileBackedCubeAnswersMatchSerial) {
       engine::CureCube::OpenPersisted(ds.schema, packed, &fact.value());
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   // A quarter of the fact table pinned: requests mix cache hits with
-  // coalesced file reads.
+  // gathers from the mapped file.
   Result<std::unique_ptr<CureQueryEngine>> engine =
       CureQueryEngine::Create(cube->get(), 0.25);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();

@@ -1290,6 +1290,27 @@ TEST(RouterClusterTest, HedgeStormKeepsThreadsFlatAndAnswersExact) {
   const uint64_t hedges_before =
       router->metrics()->counter("hedges_total")->value();
 
+  // The real replicas' connection threads settle on the router's open pool
+  // connections before the baseline is read: a connection the router has
+  // opened but a replica has not yet accepted would start its thread during
+  // the storm. (The replicas' cubes are in memory, so no query starts a
+  // dereference pool either.)
+  const auto replica_connections = [&] {
+    int open = 0;
+    for (int s = 0; s < 3; ++s) open += fx.tcps[s][1]->active_connections();
+    return open;
+  };
+  const auto pool_open = [&] {
+    router->StatsText();
+    return static_cast<int>(
+        router->metrics()->gauge("backend_pool_open")->value());
+  };
+  for (int wait = 0; wait < 500 && replica_connections() != pool_open();
+       ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(replica_connections(), pool_open());
+
   // The storm: 200 requests from 4 client threads, every one hedging on
   // every shard. The router adds no thread per request or per attempt, so
   // the process grows by the 4 client threads only.

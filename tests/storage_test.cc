@@ -339,9 +339,9 @@ TEST(BufferCacheTest, MemoryRelationAlwaysHits) {
 }
 
 // ReadRows returns, in the caller's order, the bytes of one Read per row —
-// duplicates, reversed order and far-apart rows included — and reads each
-// run of nearby rows of a file with one pread.
-TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
+// duplicates, reversed order and far-apart rows included — and a non-empty
+// request of a file is one read op, however far apart its rows lie.
+TEST(RelationTest, ReadRowsMatchesReadInOneView) {
   const test::ScopedTempDir tmp("storage_test");
   const std::string path = tmp.File("readrows.bin");
   Result<Relation> file = Relation::CreateFile(path, sizeof(Rec));
@@ -367,8 +367,8 @@ TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
     }
   }
 
-  // Count the preads: {0, 5, 6, 7, 200} lie within 4 KiB of each other
-  // (one read); 20000 and 39999 are far from everything (one read each).
+  // Count the read ops: one view of the span covers every row, and an
+  // empty request takes none.
   FaultPlan count;
   count.op = "read";
   count.target_substr = path;
@@ -381,12 +381,11 @@ TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
                     .ok());
     return counting.ops_matched();
   };
-  EXPECT_EQ(preads(rows), 3u);
-  // A dense range longer than one run (256 KiB) splits into runs.
+  EXPECT_EQ(preads(rows), 1u);
   std::vector<uint64_t> dense(kRows);
   std::iota(dense.begin(), dense.end(), uint64_t{0});
-  EXPECT_EQ(preads(dense), (kRows * sizeof(Rec) + kCoalesceRunBytes - 1) /
-                               kCoalesceRunBytes);
+  EXPECT_EQ(preads(dense), 1u);
+  EXPECT_EQ(preads({}), 0u);
 
   // Every row is range-checked, on both backings.
   const std::vector<uint64_t> bad = {1, kRows};
@@ -399,27 +398,11 @@ TEST(RelationTest, ReadRowsMatchesReadAndCoalesces) {
   ASSERT_TRUE(RemoveFile(path).ok());
 }
 
-// ---- Differential checks of the row-id ordering and dereference ----
+// ---- Differential checks of the row-id dereference ----
 
-// The preads the coalescing rule of Relation::ReadRows predicts for
-// `rows` of `width`-byte records, worked out from a sorted copy.
-uint64_t PredictedReads(std::vector<uint64_t> rows, uint64_t width) {
-  std::sort(rows.begin(), rows.end());
-  uint64_t reads = 0;
-  size_t i = 0;
-  while (i < rows.size()) {
-    const uint64_t first = rows[i];
-    uint64_t last = first;
-    for (++i; i < rows.size(); ++i) {
-      const bool near = rows[i] - last <= kCoalesceGapBytes / width + 1;
-      const bool fits = (rows[i] - first + 1) * width <= kCoalesceRunBytes;
-      if (!near || !fits) break;
-      last = rows[i];
-    }
-    ++reads;
-  }
-  return reads;
-}
+// The read ops a gather of `n` rows takes: one view of the span, none for
+// an empty request.
+uint64_t SpanReads(size_t n) { return n == 0 ? 0 : 1; }
 
 // The "read" ops of `path` that `fn` issues.
 template <typename Fn>
@@ -433,7 +416,7 @@ uint64_t CountReads(const std::string& path, Fn fn) {
   return counting.ops_matched();
 }
 
-// `n` row-ids below `num_rows` in one of the request shapes the ordering
+// `n` row-ids below `num_rows` in one of the request shapes the gather
 // must handle. "dups" draws from few distinct rows, so most repeat.
 std::vector<uint64_t> RowSet(const std::string& shape, size_t n,
                              uint64_t num_rows, uint64_t seed) {
@@ -456,8 +439,8 @@ const size_t kSizes[] = {0, 1, 2, 1023, 1024, 16384, 16385};
 uint64_t RowValue(uint64_t r) { return (r + 1) * 0x9E3779B97F4A7C15ull; }
 
 // For every shape and size, ReadRows returns one Read per row, in the
-// caller's order, on both backings, and a file-backed request issues
-// exactly the preads the coalescing rule predicts.
+// caller's order, on both backings, and a file-backed request takes one
+// read op (none when empty).
 TEST(RelationTest, ReadRowsMatchesPerRowReadForEveryShape) {
   const test::ScopedTempDir tmp("storage_test");
   const std::string path = tmp.File("shapes.bin");
@@ -491,8 +474,7 @@ TEST(RelationTest, ReadRowsMatchesPerRowReadForEveryShape) {
                                       reinterpret_cast<uint8_t*>(got.data()))
                             .ok());
           });
-          EXPECT_EQ(reads, PredictedReads(rows, sizeof(Rec)))
-              << shape << " n=" << n;
+          EXPECT_EQ(reads, SpanReads(n)) << shape << " n=" << n;
         }
         for (size_t i = 0; i < n; ++i) {
           ASSERT_EQ(std::memcmp(&got[i], &expected[i], sizeof(Rec)), 0)
@@ -505,8 +487,8 @@ TEST(RelationTest, ReadRowsMatchesPerRowReadForEveryShape) {
 }
 
 // Rows at and beyond 2^32 of a sparse file, read through a file view: the
-// keys span 33 bits, so the ordering takes several radix passes.
-TEST(RelationTest, ReadRowsOrdersRowsBeyondFourBillion) {
+// row offsets span 33 bits, and the span reaches past the hole.
+TEST(RelationTest, ReadRowsGathersRowsBeyondFourBillion) {
   const test::ScopedTempDir tmp("storage_test");
   const std::string path = tmp.File("sparse.bin");
   constexpr uint64_t kWidth = sizeof(uint64_t);
@@ -545,7 +527,7 @@ TEST(RelationTest, ReadRowsOrdersRowsBeyondFourBillion) {
                                   reinterpret_cast<uint8_t*>(got.data()))
                         .ok());
       });
-      EXPECT_EQ(reads, PredictedReads(rows, kWidth)) << "n=" << n;
+      EXPECT_EQ(reads, SpanReads(n)) << "n=" << n;
       for (size_t i = 0; i < n; ++i) {
         uint64_t single = 0;
         ASSERT_TRUE(view.Read(rows[i], &single).ok());
@@ -582,7 +564,7 @@ TEST(BufferCacheTest, ReadRowsCountsEveryRow) {
 }
 
 // A BufferCache request mixing pinned-prefix hits and misses returns one
-// Read per row, counts every row, and reads the misses alone, coalesced.
+// Read per row, counts every row, and takes one read op (none when empty).
 TEST(BufferCacheTest, ReadRowsMixesPinnedAndMissedRows) {
   const test::ScopedTempDir tmp("storage_test");
   const std::string path = tmp.File("cache_mixed.bin");
@@ -611,8 +593,7 @@ TEST(BufferCacheTest, ReadRowsMixesPinnedAndMissedRows) {
                                    reinterpret_cast<uint8_t*>(got.data()))
                         .ok());
       });
-      EXPECT_EQ(reads, PredictedReads(missed, sizeof(Rec)))
-          << shape << " n=" << n;
+      EXPECT_EQ(reads, SpanReads(n)) << shape << " n=" << n;
       hits += n - missed.size();
       misses += missed.size();
       EXPECT_EQ(cache.hits(), hits) << shape << " n=" << n;
